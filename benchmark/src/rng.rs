@@ -1,0 +1,37 @@
+//! The benchmark's own PRNG (splitmix64). Deliberately not `shims/rand`: a
+//! later change to that shim must not silently change the benchmark's
+//! inputs, or a seed would stop naming one corpus and one op stream.
+
+#[derive(Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn new(seed: u64) -> Rng {
+        Rng(seed)
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`; the modulo bias at these sizes is < 2^-40).
+    pub fn below(&mut self, n: u64) -> i64 {
+        (self.next_u64() % n) as i64
+    }
+
+    /// Uniform index in `0..n`.
+    pub fn index(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// Fisher-Yates.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.index(i + 1));
+        }
+    }
+}
