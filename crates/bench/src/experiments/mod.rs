@@ -1,4 +1,4 @@
-//! The quantitative experiment suite (E1–E18).
+//! The quantitative experiment suite (E1–E17).
 //!
 //! The paper presents no measurements (it is a data-model paper), so each
 //! experiment operationalizes one of its *qualitative* claims; the mapping
@@ -14,7 +14,6 @@ pub mod e14_phases;
 pub mod e15_wire;
 pub mod e16_telemetry;
 pub mod e17_mvcc;
-pub mod e18_dispatch;
 pub mod e1_propagation;
 pub mod e2_resolution;
 pub mod e3_permeability;
@@ -51,8 +50,6 @@ pub fn run_all(quick: bool) -> Vec<Table> {
         e15_wire::run_idle(quick),
         e16_telemetry::run(quick),
         e17_mvcc::run(quick),
-        e18_dispatch::run(quick),
-        e18_dispatch::run_idle(quick),
     ]
 }
 

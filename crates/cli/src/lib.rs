@@ -14,13 +14,12 @@
 //! - `ccdb explain <file> <type> <attr> [--json]` — resolve one attribute
 //!   with tracing forced on and print the causal span tree ([`explain`]);
 //! - `ccdb serve <file> [--addr A] [--threads N] [--queue-depth N]
-//!   [--proto v1|v2] [--backend poll|epoll|auto]` — serve the schema's
-//!   store over TCP until a client sends `shutdown`; `--proto v1` pins
-//!   the server to the JSON dialect, `--backend` selects the event loop's
-//!   readiness primitive (auto-detected by default) ([`serve`]);
+//!   [--proto v1|v2]` — serve the schema's store over TCP until a client
+//!   sends `shutdown`; `--proto v1` pins the server to the JSON dialect
+//!   ([`serve`]);
 //! - `ccdb bench-net <file> [--clients N] [--requests N] [--batch N]
-//!   [--addr A] [--proto v1|v2] [--backend poll|epoll|auto]
-//!   [--idle-sessions N]` — drive the wire protocol with concurrent
+//!   [--addr A] [--proto v1|v2] [--idle-sessions N]` — drive the wire
+//!   protocol with concurrent
 //!   closed-loop clients, optionally shipping `--batch` sub-requests per
 //!   frame, over the binary v2 framing (default) or v1 JSON;
 //!   `--idle-sessions` parks that many silent connections for the whole
@@ -199,7 +198,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let usage = "usage: ccdb <check|effective|render|stats|explain|serve|bench-net> \
                  <schema-file> [type [attr]] [--json] [--addr A] [--threads N] \
                  [--queue-depth N] [--clients N] [--requests N] [--batch N] \
-                 [--proto v1|v2] [--backend poll|epoll|auto] [--idle-sessions N] | \
+                 [--proto v1|v2] [--idle-sessions N] | \
                  ccdb top <addr> [--once] [--interval-ms N] | \
                  ccdb monitor <addr|--replay F> [--record F] [--interval-ms N] \
                  [--duration-ms N] [--series p1,p2] [--proto v1|v2] | \

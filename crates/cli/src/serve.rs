@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use ccdb_core::schema::Catalog;
 use ccdb_core::shared::SharedStore;
 use ccdb_core::Value;
-use ccdb_server::{Client, PollBackend, Server, ServerConfig};
+use ccdb_server::{Client, Server, ServerConfig};
 use serde_json::Value as Json;
 
 use crate::{load_catalog, CliError};
@@ -48,8 +48,6 @@ pub struct ServeFlags {
     /// Wire protocol: `serve` pins the server's maximum (1 = JSON only),
     /// `bench-net` selects the client dialect. Default: v2.
     pub proto: Option<u8>,
-    /// Event-loop readiness backend (`poll`, `epoll`, or `auto`).
-    pub backend: Option<PollBackend>,
     /// `bench-net`: idle v2 sessions parked on the server for the whole
     /// measurement (the E15 "designers at workstations" crowd).
     pub idle_sessions: Option<usize>,
@@ -58,8 +56,8 @@ pub struct ServeFlags {
 impl ServeFlags {
     /// Parses `--addr A --threads N --queue-depth N --clients N
     /// --requests N --batch N --write-pct N --proto v1|v2
-    /// --backend poll|epoll|auto --idle-sessions N` in any order; rejects
-    /// unknown flags and bad numbers.
+    /// --idle-sessions N` in any order; rejects unknown flags and bad
+    /// numbers.
     pub fn parse(args: &[String]) -> Result<ServeFlags, CliError> {
         let mut flags = ServeFlags {
             addr: None,
@@ -70,7 +68,6 @@ impl ServeFlags {
             batch: None,
             write_pct: None,
             proto: None,
-            backend: None,
             idle_sessions: None,
         };
         let mut it = args.iter();
@@ -111,16 +108,6 @@ impl ServeFlags {
                     }
                     flags.write_pct = Some(pct as u8);
                 }
-                "--backend" => {
-                    let v = it.next().ok_or_else(|| CliError {
-                        message: "--backend requires a value (poll, epoll, or auto)".into(),
-                        code: 2,
-                    })?;
-                    flags.backend = Some(PollBackend::parse(v).ok_or_else(|| CliError {
-                        message: format!("--backend: `{v}` is not poll, epoll, or auto"),
-                        code: 2,
-                    })?);
-                }
                 "--idle-sessions" => flags.idle_sessions = Some(num("--idle-sessions")? as usize),
                 "--proto" => {
                     let v = it.next().ok_or_else(|| CliError {
@@ -155,7 +142,6 @@ impl ServeFlags {
             workers: self.threads.unwrap_or(4),
             queue_depth: self.queue_depth.unwrap_or(64),
             max_proto: self.proto.unwrap_or(ccdb_server::PROTOCOL_V2),
-            poll_backend: self.backend.unwrap_or_default(),
             ..ServerConfig::default()
         }
     }
@@ -623,8 +609,6 @@ mod tests {
             "40".into(),
             "--proto".into(),
             "v1".into(),
-            "--backend".into(),
-            "epoll".into(),
             "--idle-sessions".into(),
             "128".into(),
         ])
@@ -635,23 +619,13 @@ mod tests {
         assert_eq!(f.batch, Some(32));
         assert_eq!(f.write_pct, Some(40));
         assert_eq!(f.proto, Some(1));
-        assert_eq!(f.backend, Some(PollBackend::Epoll));
         assert_eq!(f.idle_sessions, Some(128));
 
-        let f = ServeFlags::parse(&["--backend".into(), "poll".into()]).unwrap();
-        assert_eq!(f.backend, Some(PollBackend::Poll));
-        let f = ServeFlags::parse(&["--backend".into(), "auto".into()]).unwrap();
-        assert_eq!(f.backend, Some(PollBackend::Auto));
-        assert_eq!(
-            ServeFlags::parse(&["--backend".into(), "kqueue".into()])
-                .unwrap_err()
-                .code,
-            2
-        );
-        assert_eq!(
-            ServeFlags::parse(&["--backend".into()]).unwrap_err().code,
-            2
-        );
+        // The readiness backend is not selectable: `--backend` is an
+        // unknown flag like any other.
+        let err = ServeFlags::parse(&["--backend".into(), "poll".into()]).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("unknown flag `--backend`"), "{err:?}");
         assert_eq!(
             ServeFlags::parse(&["--idle-sessions".into(), "some".into()])
                 .unwrap_err()
@@ -713,7 +687,6 @@ mod tests {
             batch: None,
             write_pct: None,
             proto: None,
-            backend: None,
             idle_sessions: None,
         };
         let out = cmd_bench_net(SCHEMA, &flags).unwrap();
@@ -743,7 +716,6 @@ mod tests {
             batch: None,
             write_pct: None,
             proto: None,
-            backend: None,
             idle_sessions: Some(32),
         };
         let out = cmd_bench_net(SCHEMA, &flags).unwrap();
@@ -765,7 +737,6 @@ mod tests {
             batch: None,
             write_pct: None,
             proto: Some(1),
-            backend: None,
             idle_sessions: None,
         };
         let out = cmd_bench_net(SCHEMA, &flags).unwrap();
@@ -784,7 +755,6 @@ mod tests {
             batch: Some(8),
             write_pct: None,
             proto: None,
-            backend: None,
             idle_sessions: None,
         };
         let out = cmd_bench_net(SCHEMA, &flags).unwrap();

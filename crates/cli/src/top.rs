@@ -244,18 +244,9 @@ pub fn render_top(addr: &str, info: &Json, t: &Json) -> String {
             .collect();
     }
     out.push_str(&format!(
-        "dispatch: {} backend (inline reads {}) | loop {:.0} iters/s | \
+        "dispatch: {} backend | loop {:.0} iters/s | \
          inline {inline_share:.1}% of requests ({:.1}/s fallback) | steals/s {:.1}{}\n",
         gets("backend"),
-        if info
-            .get("inline_reads")
-            .and_then(Json::as_bool)
-            .unwrap_or(false)
-        {
-            "on"
-        } else {
-            "off"
-        },
         counter_rate(t, "ccdb_server_eventloop_iterations_total"),
         counter_rate(t, "ccdb_server_inline_fallback_total"),
         counter_rate(t, "ccdb_server_steals_total"),
@@ -552,7 +543,7 @@ mod tests {
         serde_json::from_str(
             r#"{"version": "0.1.0", "uptime_ms": 5000, "workers": 4,
                 "queue_depth": 64, "rescache_shards": 16,
-                "backend": "epoll", "inline_reads": true}"#,
+                "backend": "epoll"}"#,
         )
         .unwrap()
     }
@@ -590,10 +581,9 @@ mod tests {
         // Dispatch line: resolved backend, loop iteration rate, inline
         // share of the request stream, and per-worker steal rates.
         assert!(
-            frame.contains("dispatch: epoll backend (inline reads on)"),
+            frame.contains("dispatch: epoll backend | loop 1200 iters/s"),
             "{frame}"
         );
-        assert!(frame.contains("loop 1200 iters/s"), "{frame}");
         assert!(
             frame.contains("inline 60.0% of requests (2.0/s fallback)"),
             "{frame}"

@@ -90,6 +90,13 @@ fn bad_serve_flags_exit_2() {
     let out = ccdb(&["serve", path, "--wat"]);
     assert_clean_failure(&out, 2);
 
+    // The readiness backend is chosen by a platform probe, not a flag.
+    for cmd in ["serve", "bench-net"] {
+        let out = ccdb(&[cmd, path, "--backend", "poll"]);
+        assert_clean_failure(&out, 2);
+        assert!(stderr(&out).contains("unknown flag `--backend`"));
+    }
+
     let out = ccdb(&["bench-net", path, "--requests"]);
     assert_clean_failure(&out, 2);
 }

@@ -35,7 +35,7 @@
 //! checks degenerate to the unversioned behavior.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::RwLock;
 
@@ -63,10 +63,6 @@ pub(crate) struct ShardedResCache {
     /// `shards.len() - 1`; the count is always a power of two.
     mask: u64,
     enabled: AtomicBool,
-    /// Exact live entry count, maintained under the shard locks; lets the
-    /// write path skip the inheritor-closure traversal when the cache is
-    /// empty without touching any shard lock.
-    entries: AtomicU64,
 }
 
 impl ShardedResCache {
@@ -78,7 +74,6 @@ impl ShardedResCache {
             shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
             mask: (n - 1) as u64,
             enabled: AtomicBool::new(true),
-            entries: AtomicU64::new(0),
         }
     }
 
@@ -119,10 +114,7 @@ impl ShardedResCache {
     /// rollback, where fills made by the aborted cycle must not survive.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            let mut shard = shard.write();
-            let dropped: u64 = shard.map.values().map(|per| per.len() as u64).sum();
-            shard.map.clear();
-            self.entries.fetch_sub(dropped, Ordering::Relaxed);
+            shard.write().map.clear();
         }
     }
 
@@ -157,12 +149,8 @@ impl ShardedResCache {
         let per_obj = shard.map.entry(obj).or_default();
         match per_obj.get(name) {
             Some((_, existing)) if *existing > version => {}
-            Some(_) => {
+            _ => {
                 per_obj.insert(name.to_string(), (value.clone(), version));
-            }
-            None => {
-                per_obj.insert(name.to_string(), (value.clone(), version));
-                self.entries.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -170,25 +158,26 @@ impl ShardedResCache {
     /// Drop the memoized entries of every surrogate in `closure` — all of
     /// them for `item: None`, only that attribute's for `Some(name)` — and
     /// raise each touched shard's watermark to `version` so stale re-fills
-    /// from older snapshots are rejected afterwards. Locks only the shards
-    /// the closure maps to, each exactly once. Returns
+    /// from older snapshots are rejected afterwards, whether or not the
+    /// shard held anything to drop. Locks only the shards the closure maps
+    /// to, each exactly once; `closure` is reordered (grouped by shard in
+    /// place, so the sweep allocates nothing). Returns
     /// `(entries_removed, shards_locked)`.
     pub fn invalidate(
         &self,
-        closure: &[Surrogate],
+        closure: &mut [Surrogate],
         item: Option<&str>,
         version: u64,
     ) -> (u64, u64) {
-        let mut by_shard: Vec<Vec<Surrogate>> = vec![Vec::new(); self.shards.len()];
-        for &s in closure {
-            by_shard[self.shard_of(s)].push(s);
-        }
+        closure.sort_unstable_by_key(|s| self.shard_of(*s));
         let mut removed = 0u64;
         let mut locked = 0u64;
-        for (idx, members) in by_shard.iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
+        let mut rest: &[Surrogate] = closure;
+        while let Some(&first) = rest.first() {
+            let idx = self.shard_of(first);
+            let run = rest.iter().take_while(|s| self.shard_of(**s) == idx);
+            let (members, tail) = rest.split_at(run.count());
+            rest = tail;
             locked += 1;
             let mut shard = self.shards[idx].write();
             shard.watermark = shard.watermark.max(version);
@@ -212,7 +201,6 @@ impl ShardedResCache {
                 }
             }
         }
-        self.entries.fetch_sub(removed, Ordering::Relaxed);
         (removed, locked)
     }
 
@@ -224,11 +212,6 @@ impl ShardedResCache {
             .iter()
             .map(|s| s.read().map.values().map(HashMap::len).sum::<usize>())
             .sum()
-    }
-
-    /// Cheap emptiness check off the exact entry counter (no locks).
-    pub fn is_empty(&self) -> bool {
-        self.entries.load(Ordering::Relaxed) == 0
     }
 }
 
@@ -254,29 +237,27 @@ mod tests {
     #[test]
     fn fill_get_invalidate_roundtrip() {
         let c = ShardedResCache::new(4);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         for i in 0..32u64 {
             c.fill(Surrogate(i), "A", &v(i as i64), 0);
             c.fill(Surrogate(i), "B", &v(-(i as i64)), 0);
         }
         assert_eq!(c.len(), 64);
-        assert!(!c.is_empty());
         assert_eq!(c.get(Surrogate(7), "A", 0), Some(v(7)));
         assert_eq!(c.get(Surrogate(7), "C", 0), None);
 
         // Attribute-scoped invalidation drops only that attribute.
-        let (removed, locked) = c.invalidate(&[Surrogate(7)], Some("A"), 0);
+        let (removed, locked) = c.invalidate(&mut [Surrogate(7)], Some("A"), 0);
         assert_eq!(removed, 1);
         assert_eq!(locked, 1);
         assert_eq!(c.get(Surrogate(7), "A", 0), None);
         assert_eq!(c.get(Surrogate(7), "B", 0), Some(v(-7)));
 
         // Whole-object invalidation drops everything for the closure.
-        let all: Vec<Surrogate> = (0..32).map(Surrogate).collect();
-        let (removed, locked) = c.invalidate(&all, None, 0);
+        let mut all: Vec<Surrogate> = (0..32).map(Surrogate).collect();
+        let (removed, locked) = c.invalidate(&mut all, None, 0);
         assert_eq!(removed, 63);
         assert!(locked <= 4);
-        assert!(c.is_empty());
         assert_eq!(c.len(), 0);
     }
 
@@ -306,7 +287,7 @@ mod tests {
     fn watermark_rejects_stale_refills_and_keeps_newer_entries() {
         let c = ShardedResCache::new(1);
         // Write cycle 7 invalidates the object (value changed at v7).
-        c.invalidate(&[Surrogate(1)], Some("A"), 7);
+        c.invalidate(&mut [Surrogate(1)], Some("A"), 7);
         // A reader still pinned to snapshot 3 resolved the old value from
         // its old snapshot and tries to memoize it: rejected.
         c.fill(Surrogate(1), "A", &v(30), 3);
@@ -345,9 +326,8 @@ mod tests {
             }
             filler.join().unwrap();
         });
-        // Counter bookkeeping stayed exact through the churn.
+        // Disable-then-clear leaves nothing behind after the churn.
         c.set_enabled(false);
-        assert!(c.is_empty());
         assert_eq!(c.len(), 0);
     }
 }

@@ -351,7 +351,10 @@ impl ObjectStore {
     /// changed) it follows every binding and drops every entry of the
     /// closure.
     fn invalidate_resolution(&self, root: Surrogate, item: Option<&str>) {
-        if !self.res_cache.enabled() || self.res_cache.is_empty() {
+        // No shortcut for an empty cache: the sweep is also what raises the
+        // shard watermarks, and a fill from an older snapshot may land
+        // *after* this write found nothing to drop.
+        if !self.res_cache.enabled() {
             return;
         }
         let mut tspan = trace::span("core.rescache.invalidate");
@@ -387,7 +390,7 @@ impl ObjectStore {
                 }
             }
         }
-        let (removed, shards_locked) = self.res_cache.invalidate(&closure, item, self.version);
+        let (removed, shards_locked) = self.res_cache.invalidate(&mut closure, item, self.version);
         if let Some(s) = &mut tspan {
             s.u64("swept", closure.len() as u64);
             s.u64("removed", removed);

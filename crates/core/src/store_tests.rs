@@ -1501,6 +1501,35 @@ fn transmitter_update_invalidates_inheritors_in_different_shards() {
     }
 }
 
+/// The stale read behind the flaky `racing_readers_never_observe_stale_values`,
+/// played without threads: a reader pinned before write N resolves *after*
+/// N published, while the shared cache is empty. Write N had nothing to
+/// drop, but it must still have raised the watermark — otherwise the old
+/// reader's fill (value N−1, stamp N−1) is accepted, and every reader at N
+/// takes it as current.
+#[test]
+fn old_snapshot_fill_after_a_write_that_swept_nothing_is_rejected() {
+    let mut st = store();
+    let (interface, ..) = make_interface(&mut st, 10);
+    let imp = st.create_object("GateImplementation", vec![]).unwrap();
+    st.bind("AllOf_GateInterface", interface, imp, vec![])
+        .unwrap();
+    let shared = crate::shared::SharedStore::from_store(st);
+
+    let old = shared.snapshot();
+    assert_eq!(old.resolution_cache_len(), 0, "nothing has been read yet");
+    shared
+        .set_attr(interface, "Length", Value::Int(11))
+        .unwrap();
+    assert!(shared.published_version() > old.version());
+
+    // The pinned reader still sees its own snapshot's value...
+    assert_eq!(old.attr(imp, "Length").unwrap(), Value::Int(10));
+    // ...and must not have left it behind for readers of the new one.
+    assert_eq!(shared.attr(imp, "Length").unwrap(), Value::Int(11));
+    assert_eq!(old.attr(imp, "Length").unwrap(), Value::Int(10));
+}
+
 #[test]
 fn extent_index_tracks_create_delete_and_undelete() {
     let mut st = store();

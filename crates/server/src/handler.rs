@@ -36,10 +36,9 @@ pub(crate) struct ServerContext {
     pub rescache_shards: usize,
     /// Highest wire protocol this server negotiates (1 = pinned to v1).
     pub max_proto: u8,
-    /// Resolved event-loop readiness backend (`"poll"` or `"epoll"`).
+    /// Event-loop readiness backend the platform probe chose
+    /// (`"epoll"` or `"poll"`).
     pub backend: &'static str,
-    /// Whether the event loop executes read-only snapshot verbs inline.
-    pub inline_reads: bool,
 }
 
 impl Default for ServerContext {
@@ -51,7 +50,6 @@ impl Default for ServerContext {
             rescache_shards: 0,
             max_proto: crate::proto::PROTOCOL_V2,
             backend: "poll",
-            inline_reads: false,
         }
     }
 }
@@ -75,7 +73,6 @@ impl ServerContext {
             ),
             ("max_proto".into(), Json::UInt(self.max_proto as u64)),
             ("backend".into(), Json::String(self.backend.into())),
-            ("inline_reads".into(), Json::Bool(self.inline_reads)),
         ])
     }
 }
@@ -797,13 +794,13 @@ pub(crate) fn handle_verb(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ccdb_core::domain::Domain;
     use ccdb_core::schema::{AttrDef, InherRelTypeDef, ObjectTypeDef};
     use serde_json::json;
 
-    fn fixture() -> (SharedStore, Catalog) {
+    pub(crate) fn fixture() -> (SharedStore, Catalog) {
         let mut c = Catalog::new();
         c.register_object_type(ObjectTypeDef {
             name: "If".into(),

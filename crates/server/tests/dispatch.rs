@@ -2,16 +2,14 @@
 //! read-only snapshot verbs, and turning it on must not change any
 //! transactional semantics. Metric deltas prove routing (every inline
 //! execution increments `ccdb_server_inline_requests_total`; a request
-//! that takes the worker queue does not), and the same workload must
-//! round-trip identically on both readiness backends.
+//! that takes the worker queue does not).
 
 mod common;
 
 use std::time::Duration;
 
 use ccdb_core::{Surrogate, Value};
-use ccdb_server::{Client, PollBackend, ServerConfig};
-use serde_json::Value as Json;
+use ccdb_server::{Client, ServerConfig};
 
 /// Extracts a scalar value from a Prometheus-text scrape.
 fn scrape_value(text: &str, name: &str) -> Option<u64> {
@@ -164,46 +162,4 @@ fn first_committer_wins_holds_with_the_fast_path_on() {
     a.commit().unwrap();
     assert_eq!(b.attr(imp, "X").unwrap(), Value::Int(7));
     server.shutdown();
-}
-
-/// The identical workload round-trips on both backends, and the resolved
-/// backend is what the config asked for (epoll is skipped where the
-/// platform lacks it rather than silently substituted).
-#[test]
-fn both_backends_serve_the_same_workload() {
-    let mut backends = vec![PollBackend::Poll];
-    if polling::epoll_supported() {
-        backends.push(PollBackend::Epoll);
-    }
-    for requested in backends {
-        let server = common::start(ServerConfig {
-            poll_backend: requested,
-            ..ServerConfig::default()
-        });
-        let expect = match requested {
-            PollBackend::Poll => "poll",
-            PollBackend::Epoll => "epoll",
-            PollBackend::Auto => unreachable!(),
-        };
-        assert_eq!(server.backend(), expect);
-
-        let mut c = connect(&server);
-        let info = c.ping_info().unwrap();
-        assert_eq!(
-            info.get("backend").and_then(Json::as_str),
-            Some(expect),
-            "server_info must report the active backend: {info:?}"
-        );
-
-        let (interface, imp) = seed(&mut c);
-        for n in 0..50i64 {
-            c.set_attr(interface, "X", Value::Int(n)).unwrap();
-            assert_eq!(
-                c.attr(imp, "X").unwrap(),
-                Value::Int(n),
-                "[{expect}] write not visible through the binding"
-            );
-        }
-        server.shutdown();
-    }
 }

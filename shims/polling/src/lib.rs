@@ -1,15 +1,17 @@
 #![warn(missing_docs)]
 
 //! Offline stand-in for readiness polling: a thin, `std`-only wrapper over
-//! the `poll(2)` syscall (plus the `getrlimit`/`setrlimit` pair the file-
+//! `epoll(7)`/`poll(2)` (plus the `getrlimit`/`setrlimit` pair the file-
 //! descriptor-heavy benchmarks need). Like every other shim in this
 //! workspace it links nothing beyond libc symbols the Rust standard
 //! library already pulls in — no crates.io access required.
 //!
 //! The API is deliberately tiny:
 //!
-//! - [`PollFd`] / [`poll_fds`] — the raw readiness sweep an event loop
-//!   builds each iteration (interest sets in, ready sets out);
+//! - [`Poller`] — the registration-based readiness set an event loop
+//!   runs on: `add`/`modify`/`delete` an fd under a token, `wait` for
+//!   [`Event`]s. epoll where the platform has it, `poll(2)` elsewhere,
+//!   chosen by a platform probe and never by the caller (see [`poller`]);
 //! - [`wait_readable`] / [`wait_writable`] — single-fd conveniences for
 //!   code that may block on one socket (e.g. the shutdown drain flushing
 //!   a final response to a nonblocking fd);
@@ -19,18 +21,7 @@
 //! - [`set_send_buffer`] — `SO_SNDBUF` clamping, so tests exercising the
 //!   write-stall path can shrink a socket's kernel buffering from
 //!   megabytes (auto-tuned loopback) to something a slow subscriber
-//!   fills in milliseconds;
-//! - [`Epoll`] — a registration-based readiness interface over Linux
-//!   `epoll(7)`. `poll(2)` re-scans every registered fd per call (the
-//!   kernel walks the whole interest array each sweep), so an event loop
-//!   over N mostly-idle connections pays O(N) per iteration; epoll keeps
-//!   the interest set in the kernel and [`Epoll::wait`] returns only the
-//!   ready fds. The interest masks reuse [`POLLIN`]/[`POLLOUT`] and ready
-//!   events answer the same [`ready`](Event::ready)/[`failed`](Event::failed)
-//!   questions as [`PollFd`], so an event loop can treat the two backends
-//!   uniformly. On non-Linux platforms [`Epoll::new`] returns
-//!   [`std::io::ErrorKind::Unsupported`] (use [`epoll_supported`] to
-//!   auto-detect and fall back to [`poll_fds`]).
+//!   fills in milliseconds.
 //!
 //! Only Unix is supported (the rest of the workspace's serving layer is
 //! `std::net` + raw fds); on other platforms every call returns
@@ -38,320 +29,13 @@
 
 use std::io;
 
-/// Raw file descriptor, as used by `poll(2)`.
-pub type Fd = i32;
+pub mod poller;
 
-/// Readable data is available (or a listener has a pending connection).
-pub const POLLIN: i16 = 0x001;
-/// Writing is possible without blocking.
-pub const POLLOUT: i16 = 0x004;
-/// Error condition (revents only).
-pub const POLLERR: i16 = 0x008;
-/// Peer hung up (revents only).
-pub const POLLHUP: i16 = 0x010;
-/// Fd is not open (revents only).
-pub const POLLNVAL: i16 = 0x020;
-
-/// One entry of a `poll(2)` interest set, layout-compatible with the
-/// kernel's `struct pollfd`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    /// The descriptor to watch (negative entries are skipped by the kernel).
-    pub fd: Fd,
-    /// Requested events ([`POLLIN`] | [`POLLOUT`]).
-    pub events: i16,
-    /// Returned events, filled by [`poll_fds`].
-    pub revents: i16,
-}
-
-impl PollFd {
-    /// Interest entry for `fd` watching `events`.
-    pub fn new(fd: Fd, events: i16) -> PollFd {
-        PollFd {
-            fd,
-            events,
-            revents: 0,
-        }
-    }
-
-    /// Whether any of `mask` came back in `revents`.
-    pub fn ready(&self, mask: i16) -> bool {
-        self.revents & mask != 0
-    }
-
-    /// Whether the fd reported an error/hangup/invalid condition.
-    pub fn failed(&self) -> bool {
-        self.revents & (POLLERR | POLLHUP | POLLNVAL) != 0
-    }
-}
-
-/// One ready notification from [`Epoll::wait`]: the token the fd was
-/// registered under plus its ready condition, answering the same
-/// questions as [`PollFd::ready`]/[`PollFd::failed`].
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    /// The caller-chosen token passed to [`Epoll::add`].
-    pub token: u64,
-    /// Ready mask in [`POLLIN`]/[`POLLOUT`] terms.
-    pub events: i16,
-}
-
-impl Event {
-    /// Whether any of `mask` is ready.
-    pub fn ready(&self, mask: i16) -> bool {
-        self.events & mask != 0
-    }
-
-    /// Whether the fd reported an error/hangup condition.
-    pub fn failed(&self) -> bool {
-        self.events & (POLLERR | POLLHUP) != 0
-    }
-}
-
-/// A kernel-resident readiness set (Linux `epoll(7)`).
-///
-/// Register each fd once with [`add`](Epoll::add) under a caller-chosen
-/// token, adjust interest with [`modify`](Epoll::modify) when it changes,
-/// and [`wait`](Epoll::wait) returns only the fds with pending events —
-/// no per-iteration interest-array rebuild and no kernel-side scan of
-/// idle registrations.
-///
-/// Level-triggered (the default epoll mode), matching `poll(2)` semantics
-/// exactly: a readable fd keeps reporting readable until drained, so the
-/// two backends are drop-in interchangeable for the same event loop.
-///
-/// One caveat inherited from the syscall: epoll registers the *open file
-/// description*, not the fd number. A `try_clone`d socket keeps the
-/// registration alive after the registered fd is closed, so owners of
-/// duplicated fds must [`del`](Epoll::del) explicitly before dropping.
-pub struct Epoll {
-    inner: sys_epoll::Epoll,
-}
-
-impl Epoll {
-    /// Creates an epoll instance (`EPOLL_CLOEXEC`). `Unsupported` off Linux.
-    pub fn new() -> io::Result<Epoll> {
-        Ok(Epoll {
-            inner: sys_epoll::Epoll::new()?,
-        })
-    }
-
-    /// Registers `fd` for `events` ([`POLLIN`] | [`POLLOUT`]) under `token`.
-    pub fn add(&self, fd: Fd, events: i16, token: u64) -> io::Result<()> {
-        self.inner.ctl(sys_epoll::EPOLL_CTL_ADD, fd, events, token)
-    }
-
-    /// Replaces the interest mask of an already-registered `fd`.
-    pub fn modify(&self, fd: Fd, events: i16, token: u64) -> io::Result<()> {
-        self.inner.ctl(sys_epoll::EPOLL_CTL_MOD, fd, events, token)
-    }
-
-    /// Removes `fd` from the interest set.
-    pub fn del(&self, fd: Fd) -> io::Result<()> {
-        self.inner.ctl(sys_epoll::EPOLL_CTL_DEL, fd, 0, 0)
-    }
-
-    /// Blocks up to `timeout_ms` (negative = forever, 0 = probe) and
-    /// appends one [`Event`] per ready registration to `out` (cleared
-    /// first). Returns how many were ready. `EINTR` is retried.
-    pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-        self.inner.wait(out, timeout_ms)
-    }
-}
-
-/// Whether [`Epoll`] works on this platform (used by backend auto-detect).
-pub fn epoll_supported() -> bool {
-    sys_epoll::supported()
-}
-
-#[cfg(target_os = "linux")]
-mod sys_epoll {
-    use super::{Event, Fd, POLLERR, POLLHUP, POLLIN, POLLOUT};
-    use std::io;
-
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-
-    /// The kernel's `struct epoll_event`: packed on x86-64 (the original
-    /// i386 layout was kept for compat), naturally aligned elsewhere.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    fn to_epoll_mask(events: i16) -> u32 {
-        let mut m = 0u32;
-        if events & POLLIN != 0 {
-            m |= EPOLLIN;
-        }
-        if events & POLLOUT != 0 {
-            m |= EPOLLOUT;
-        }
-        m
-    }
-
-    fn from_epoll_mask(events: u32) -> i16 {
-        let mut m = 0i16;
-        if events & EPOLLIN != 0 {
-            m |= POLLIN;
-        }
-        if events & EPOLLOUT != 0 {
-            m |= POLLOUT;
-        }
-        if events & EPOLLERR != 0 {
-            m |= POLLERR;
-        }
-        if events & EPOLLHUP != 0 {
-            m |= POLLHUP;
-        }
-        m
-    }
-
-    pub struct Epoll {
-        epfd: i32,
-        /// Reused kernel-facing event buffer (behind a lock only because
-        /// `wait` takes `&self`; the event loop is single-threaded).
-        buf: std::sync::Mutex<Vec<EpollEvent>>,
-    }
-
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Epoll {
-                epfd,
-                buf: std::sync::Mutex::new(vec![EpollEvent { events: 0, data: 0 }; 256]),
-            })
-        }
-
-        pub fn ctl(&self, op: i32, fd: Fd, events: i16, token: u64) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: to_epoll_mask(events),
-                data: token,
-            };
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if rc != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-            out.clear();
-            let mut buf = self.buf.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                let rc = unsafe {
-                    epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
-                };
-                if rc >= 0 {
-                    let n = rc as usize;
-                    for ev in &buf[..n] {
-                        out.push(Event {
-                            token: ev.data,
-                            events: from_epoll_mask(ev.events),
-                        });
-                    }
-                    // A full buffer means more may be pending; grow so the
-                    // next wait drains larger ready sets in one call.
-                    if n == buf.len() {
-                        let len = buf.len() * 2;
-                        buf.resize(len, EpollEvent { events: 0, data: 0 });
-                    }
-                    return Ok(n);
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            }
-        }
-    }
-
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.epfd);
-            }
-        }
-    }
-
-    pub fn supported() -> bool {
-        true
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod sys_epoll {
-    use super::{Event, Fd};
-    use std::io;
-
-    #[allow(dead_code)]
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    #[allow(dead_code)]
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    #[allow(dead_code)]
-    pub const EPOLL_CTL_MOD: i32 = 3;
-
-    pub struct Epoll;
-
-    fn unsupported<T>() -> io::Result<T> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll is Linux-only; use the poll backend",
-        ))
-    }
-
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
-            unsupported()
-        }
-
-        pub fn ctl(&self, _op: i32, _fd: Fd, _events: i16, _token: u64) -> io::Result<()> {
-            unsupported()
-        }
-
-        pub fn wait(&self, _out: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<usize> {
-            unsupported()
-        }
-    }
-
-    pub fn supported() -> bool {
-        false
-    }
-}
+pub use poller::{Event, Fd, Poller, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
 #[cfg(unix)]
 mod sys {
-    use super::PollFd;
     use std::io;
-
-    /// `nfds_t`: `unsigned long` per POSIX (glibc/musl), but `unsigned
-    /// int` on Darwin — a fixed `u64` would be an ABI mismatch on 32-bit
-    /// Unix targets.
-    #[cfg(target_os = "macos")]
-    type NFds = u32;
-    #[cfg(not(target_os = "macos"))]
-    type NFds = std::os::raw::c_ulong;
 
     /// `rlim_t`: 64-bit on every supported target except 32-bit glibc,
     /// where the plain `getrlimit`/`setrlimit` symbols take the 32-bit
@@ -362,7 +46,6 @@ mod sys {
     type RLim = u64;
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
         fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
         fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
         fn setsockopt(
@@ -421,21 +104,6 @@ mod sys {
     #[cfg(not(target_os = "macos"))]
     const RLIMIT_NOFILE: i32 = 7;
 
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        loop {
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, timeout_ms) };
-            if rc >= 0 {
-                return Ok(rc as usize);
-            }
-            let err = io::Error::last_os_error();
-            // EINTR: retry without adjusting the timeout — callers that
-            // care about deadlines recompute them per iteration anyway.
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        }
-    }
-
     pub fn nofile_limit() -> io::Result<(u64, u64)> {
         let mut lim = RLimit { cur: 0, max: 0 };
         if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
@@ -466,7 +134,6 @@ mod sys {
 
 #[cfg(not(unix))]
 mod sys {
-    use super::PollFd;
     use std::io;
 
     fn unsupported<T>() -> io::Result<T> {
@@ -474,10 +141,6 @@ mod sys {
             io::ErrorKind::Unsupported,
             "polling shim supports Unix only",
         ))
-    }
-
-    pub fn poll_fds(_fds: &mut [PollFd], _timeout_ms: i32) -> io::Result<usize> {
-        unsupported()
     }
 
     pub fn nofile_limit() -> io::Result<(u64, u64)> {
@@ -493,13 +156,6 @@ mod sys {
     }
 }
 
-/// Sweeps `fds` once: blocks up to `timeout_ms` (negative = forever,
-/// 0 = nonblocking probe) and returns how many entries have non-zero
-/// `revents`. `EINTR` is retried internally.
-pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    sys::poll_fds(fds, timeout_ms)
-}
-
 /// Blocks until `fd` is readable (or error/hangup). `Ok(false)` = timeout.
 pub fn wait_readable(fd: Fd, timeout_ms: i32) -> io::Result<bool> {
     wait_single(fd, POLLIN, timeout_ms)
@@ -511,8 +167,8 @@ pub fn wait_writable(fd: Fd, timeout_ms: i32) -> io::Result<bool> {
 }
 
 fn wait_single(fd: Fd, events: i16, timeout_ms: i32) -> io::Result<bool> {
-    let mut set = [PollFd::new(fd, events)];
-    let n = poll_fds(&mut set, timeout_ms)?;
+    let mut set = [poller::PollFd::new(fd, events)];
+    let n = poller::poll_fds(&mut set, timeout_ms)?;
     // POLLERR/POLLHUP count as "ready": the next read/write surfaces the
     // real error instead of this call guessing at it.
     Ok(n > 0)
@@ -545,12 +201,16 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
     #[test]
     fn poll_reports_readable_after_write_and_timeout_before() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
+        let (mut client, mut server) = pair();
 
         // Nothing sent yet: a zero-timeout probe finds nothing.
         assert!(!wait_readable(server.as_raw_fd(), 0).unwrap());
@@ -565,104 +225,95 @@ mod tests {
         assert!(wait_writable(client.as_raw_fd(), 2_000).unwrap());
     }
 
-    #[test]
-    fn poll_sweep_flags_only_the_ready_fd() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut a_client = TcpStream::connect(addr).unwrap();
-        let (a_srv, _) = listener.accept().unwrap();
-        let b_client = TcpStream::connect(addr).unwrap();
-        let (b_srv, _) = listener.accept().unwrap();
-
-        a_client.write_all(b"hello").unwrap();
-        let mut set = [
-            PollFd::new(a_srv.as_raw_fd(), POLLIN),
-            PollFd::new(b_srv.as_raw_fd(), POLLIN),
-        ];
-        let n = poll_fds(&mut set, 2_000).unwrap();
-        assert_eq!(n, 1);
-        assert!(set[0].ready(POLLIN));
-        assert!(!set[1].ready(POLLIN));
-        drop(b_client);
-    }
-
-    #[test]
-    fn hangup_is_reported() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (srv, _) = listener.accept().unwrap();
-        drop(client);
-        let mut set = [PollFd::new(srv.as_raw_fd(), POLLIN)];
-        let n = poll_fds(&mut set, 2_000).unwrap();
-        assert_eq!(n, 1);
-        // EOF shows as POLLIN (read returns 0) and/or POLLHUP.
-        assert!(set[0].ready(POLLIN) || set[0].failed());
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn epoll_reports_only_ready_registrations_and_honors_modify() {
-        assert!(epoll_supported());
-        let ep = Epoll::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut a_client = TcpStream::connect(addr).unwrap();
-        let (a_srv, _) = listener.accept().unwrap();
-        let b_client = TcpStream::connect(addr).unwrap();
-        let (b_srv, _) = listener.accept().unwrap();
-
-        ep.add(a_srv.as_raw_fd(), POLLIN, 10).unwrap();
-        ep.add(b_srv.as_raw_fd(), POLLIN, 20).unwrap();
-
-        // Nothing sent: a zero-timeout probe finds nothing.
+    /// The [`Poller`] contract, checked identically on every
+    /// implementation this platform can run.
+    fn conformance(mut p: Poller) {
+        let which = p.name();
         let mut events = Vec::new();
-        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
-
-        a_client.write_all(b"hello").unwrap();
-        let n = ep.wait(&mut events, 2_000).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token, 10);
-        assert!(events[0].ready(POLLIN));
-
-        // Add POLLOUT interest on b: an empty send buffer is writable now.
-        ep.modify(b_srv.as_raw_fd(), POLLIN | POLLOUT, 21).unwrap();
-        let n = ep.wait(&mut events, 2_000).unwrap();
-        assert_eq!(n, 2);
-        let b_ev = events.iter().find(|e| e.token == 21).unwrap();
-        assert!(b_ev.ready(POLLOUT) && !b_ev.ready(POLLIN));
-
-        // Deregister a: its pending data stops being reported.
-        ep.del(a_srv.as_raw_fd()).unwrap();
-        let n = ep.wait(&mut events, 100).unwrap();
-        assert!(events.iter().all(|e| e.token != 10), "{n} events");
-        drop(b_client);
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn epoll_reports_hangup() {
-        let ep = Epoll::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (srv, _) = listener.accept().unwrap();
-        ep.add(srv.as_raw_fd(), POLLIN, 7).unwrap();
-        drop(client);
-        let mut events = Vec::new();
-        let n = ep.wait(&mut events, 2_000).unwrap();
-        assert_eq!(n, 1);
-        assert!(events[0].ready(POLLIN) || events[0].failed());
-    }
-
-    #[test]
-    #[cfg(not(target_os = "linux"))]
-    fn epoll_is_cleanly_unsupported() {
-        assert!(!epoll_supported());
-        assert_eq!(
-            Epoll::new().unwrap_err().kind(),
-            std::io::ErrorKind::Unsupported
+        let (mut a_client, a_srv) = pair();
+        let (b_client, b_srv) = pair();
+        p.add(a_srv.as_raw_fd(), POLLIN, 10).unwrap();
+        p.add(b_srv.as_raw_fd(), POLLIN, 20).unwrap();
+        assert!(
+            p.add(b_srv.as_raw_fd(), POLLIN, 20).is_err(),
+            "[{which}] double registration must be refused"
         );
+
+        // Idle: the wait returns 0 at the timeout, and `out` is cleared.
+        events.push(Event {
+            token: 99,
+            events: POLLIN,
+        });
+        assert_eq!(p.wait(&mut events, 20).unwrap(), 0, "[{which}]");
+        assert!(events.is_empty(), "[{which}] wait must clear `out`");
+
+        // A readable event carries its registration's token, and only the
+        // ready registration is reported.
+        a_client.write_all(b"hello").unwrap();
+        assert_eq!(p.wait(&mut events, 2_000).unwrap(), 1, "[{which}]");
+        assert_eq!(events[0].token, 10, "[{which}]");
+        assert!(events[0].ready(POLLIN) && !events[0].failed(), "[{which}]");
+        // Level-triggered: undrained data is reported again.
+        assert_eq!(p.wait(&mut events, 2_000).unwrap(), 1, "[{which}]");
+
+        // `modify` to POLLOUT (and a new token): an empty send buffer is
+        // writable now, and the pending input is no longer of interest.
+        p.modify(a_srv.as_raw_fd(), POLLOUT, 11).unwrap();
+        assert_eq!(p.wait(&mut events, 2_000).unwrap(), 1, "[{which}]");
+        assert_eq!(events[0].token, 11, "[{which}]");
+        assert!(
+            events[0].ready(POLLOUT) && !events[0].ready(POLLIN),
+            "[{which}]"
+        );
+
+        // `delete` stops events even while a dup of the fd is still open:
+        // epoll tracks the open file *description*, so merely closing the
+        // registered fd would not.
+        p.modify(a_srv.as_raw_fd(), POLLIN, 10).unwrap();
+        let a_dup = a_srv.try_clone().unwrap();
+        p.delete(a_srv.as_raw_fd()).unwrap();
+        drop(a_srv);
+        assert_eq!(p.wait(&mut events, 50).unwrap(), 0, "[{which}]");
+        assert!(
+            p.delete(a_dup.as_raw_fd()).is_err(),
+            "[{which}] deleting an unregistered fd is an error"
+        );
+
+        // Hang-up is reported on the remaining registration.
+        drop(b_client);
+        assert_eq!(p.wait(&mut events, 2_000).unwrap(), 1, "[{which}]");
+        assert_eq!(events[0].token, 20, "[{which}]");
+        // EOF shows as POLLIN (read returns 0) and/or POLLHUP.
+        assert!(events[0].ready(POLLIN) || events[0].failed(), "[{which}]");
+
+        // A full reset (both directions gone) must report `failed()`.
+        let (c_client, c_srv) = pair();
+        p.add(c_srv.as_raw_fd(), 0, 30).unwrap();
+        c_srv.shutdown(std::net::Shutdown::Both).unwrap();
+        drop(c_client);
+        p.wait(&mut events, 2_000).unwrap();
+        let ev = events.iter().find(|e| e.token == 30).expect(which);
+        assert!(
+            ev.failed(),
+            "[{which}] hang-up must report failed(): {ev:?}"
+        );
+    }
+
+    #[test]
+    fn every_poller_implementation_honors_the_contract() {
+        let probed = Poller::new().unwrap();
+        assert_eq!(
+            probed.name(),
+            if cfg!(target_os = "linux") {
+                "epoll"
+            } else {
+                "poll"
+            }
+        );
+        conformance(probed);
+        let fallback = Poller::new_poll();
+        assert_eq!(fallback.name(), "poll");
+        conformance(fallback);
     }
 
     #[test]
@@ -675,8 +326,7 @@ mod tests {
 
     #[test]
     fn send_buffer_can_be_shrunk() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (client, _server) = pair();
         set_send_buffer(client.as_raw_fd(), 8 * 1024).unwrap();
         // A bogus fd must surface the OS error, not be swallowed.
         assert!(set_send_buffer(-1, 8 * 1024).is_err());
