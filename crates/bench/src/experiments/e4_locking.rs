@@ -9,12 +9,12 @@
 //! swept over the permeability k. Plus multi-threaded writer throughput on
 //! non-permeable attributes while readers hold inherited views.
 
-use std::sync::Arc;
 use std::time::Duration;
 
+use ccdb_core::shared::SharedStore;
 use ccdb_core::Value;
 use ccdb_txn::lock::{LockManager, LockMode, Resource, TxnId};
-use ccdb_txn::txn::Database;
+use ccdb_txn::txn::TxnManager;
 
 use crate::table::Table;
 use crate::workload::fanout_store;
@@ -37,26 +37,26 @@ pub fn run(quick: bool) -> Table {
         // --- item-granular (the paper's lock inheritance) ---
         let (st, interface, imps) = fanout_store(1, N_ATTRS, k);
         let imp = imps[0];
-        let db =
-            Database::with_lock_manager(st, LockManager::with_timeout(Duration::from_millis(10)));
-        let reader = db.begin("reader");
+        let store = SharedStore::from_store(st);
+        let txns =
+            TxnManager::with_lock_manager(LockManager::with_timeout(Duration::from_millis(10)));
+        let reader = txns.begin("reader", &store);
         // Read every inherited attribute: locks (imp, Ai) and (interface, Ai)
         // for i < k.
         for i in 0..k {
-            db.read_attr(&reader, imp, &format!("A{i}")).unwrap();
+            reader.read_attr(imp, &format!("A{i}")).unwrap();
         }
         let mut blocked_item = 0;
         for j in 0..N_ATTRS {
-            let writer = db.begin("writer");
-            match db.write_attr(&writer, interface, &format!("A{j}"), Value::Int(-1)) {
-                Ok(()) => db.commit(writer),
-                Err(_) => {
-                    blocked_item += 1;
-                    db.abort(writer);
+            let mut writer = txns.begin("writer", &store);
+            match writer.write_attr(interface, &format!("A{j}"), Value::Int(-1)) {
+                Ok(()) => {
+                    writer.commit(&store).unwrap();
                 }
+                Err(_) => blocked_item += 1, // dropping the writer aborts it
             }
         }
-        db.commit(reader);
+        reader.commit(&store).unwrap();
 
         // --- naive whole-object locking ---
         let lm = LockManager::with_timeout(Duration::from_millis(10));
@@ -89,38 +89,42 @@ pub fn run(quick: bool) -> Table {
 fn measure_writer_throughput(k: usize, quick: bool) -> f64 {
     let (st, interface, imps) = fanout_store(1, N_ATTRS, k);
     let imp = imps[0];
-    let db = Arc::new(Database::with_lock_manager(
-        st,
-        LockManager::with_timeout(Duration::from_millis(if quick { 2 } else { 10 })),
-    ));
+    let store = SharedStore::from_store(st);
+    let txns =
+        TxnManager::with_lock_manager(LockManager::with_timeout(Duration::from_millis(if quick {
+            2
+        } else {
+            10
+        })));
     // Reader holds the inherited view for the whole run.
-    let reader = db.begin("reader");
+    let reader = txns.begin("reader", &store);
     for i in 0..k {
-        db.read_attr(&reader, imp, &format!("A{i}")).unwrap();
+        reader.read_attr(imp, &format!("A{i}")).unwrap();
     }
     let per_thread = if quick { 25 } else { 500 };
     let threads = 4;
     let start = std::time::Instant::now();
     let handles: Vec<_> = (0..threads)
         .map(|w| {
-            let db = Arc::clone(&db);
+            let (store, txns) = (store.clone(), txns.clone());
             std::thread::spawn(move || {
                 // Each writer updates a non-permeable attribute (if any).
                 let attr = format!("A{}", k.min(N_ATTRS - 1).max(k % N_ATTRS));
                 let mut done = 0u64;
                 for n in 0..per_thread {
-                    let tx = db.begin(&format!("w{w}"));
+                    let mut tx = txns.begin(&format!("w{w}"), &store);
                     let target = if k < N_ATTRS {
                         attr.clone()
                     } else {
                         format!("A{w}")
                     };
-                    match db.write_attr(&tx, interface, &target, Value::Int(n)) {
-                        Ok(()) => {
-                            db.commit(tx);
-                            done += 1;
-                        }
-                        Err(_) => db.abort(tx),
+                    // A blocked write or a lost first-committer race both
+                    // abort; only commits count.
+                    let committed = tx
+                        .write_attr(interface, &target, Value::Int(n))
+                        .and_then(|()| tx.commit(&store));
+                    if committed.is_ok() {
+                        done += 1;
                     }
                 }
                 done
@@ -129,7 +133,7 @@ fn measure_writer_throughput(k: usize, quick: bool) -> f64 {
         .collect();
     let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     let secs = start.elapsed().as_secs_f64();
-    db.commit(reader);
+    reader.commit(&store).unwrap();
     total as f64 / secs
 }
 

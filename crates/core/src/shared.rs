@@ -20,10 +20,11 @@
 //! - the resolution value cache is **shared across snapshots** and stays
 //!   correct via version stamps and per-shard invalidation watermarks
 //!   ([`crate::rescache`]), so cached reads stay one map lookup;
-//! - a **panic inside a write closure rolls the master back** to the last
-//!   published version (cheap COW clone) and clears the resolution cache,
-//!   so no torn write cycle is ever published; the panic then propagates
-//!   to the caller while every other handle keeps full service.
+//! - a **panic inside a write closure — or an `Err` from a
+//!   [`SharedStore::try_write`] closure — rolls the master back** to the
+//!   last published version (cheap COW clone) and clears the resolution
+//!   cache, so no torn write cycle is ever published; a panic then
+//!   propagates to the caller while every other handle keeps full service.
 //!
 //! Visibility guarantee: `write` publishes before returning, and every
 //! subsequent `read`/`snapshot` pins the newest published version — so a
@@ -34,6 +35,7 @@
 //! scan out over scoped threads sharing **one** pinned snapshot — the
 //! multi-threaded read path measured by experiments E11/E17.
 
+use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,43 +131,53 @@ impl SharedStore {
     }
 
     /// Run `f` as one exclusive write cycle: serialize on the master lock,
-    /// stamp a fresh version, mutate, publish. If `f` panics the master is
-    /// rolled back to the last published version, the resolution cache is
-    /// cleared (fills stamped with the aborted version must not survive),
-    /// and the panic propagates — nothing of the torn cycle is ever
-    /// published.
+    /// stamp a fresh version, mutate, publish. Whatever `f` returns is
+    /// published — use [`SharedStore::try_write`] for a cycle that must be
+    /// all-or-nothing. A panic in `f` rolls the cycle back and propagates.
     pub fn write<R>(&self, f: impl FnOnce(&mut ObjectStore) -> R) -> R {
+        match self.try_write(|st| Ok::<R, Infallible>(f(st))) {
+            Ok(out) => out,
+            Err(never) => match never {},
+        }
+    }
+
+    /// One exclusive write cycle that publishes only if `f` returns `Ok`.
+    /// On `Err` — or a panic, which then propagates — the master is rolled
+    /// back to the last published version, the resolution cache is cleared
+    /// (fills stamped with the aborted version must not survive) and the
+    /// cycle's version is burnt: nothing of a torn cycle is ever published.
+    pub fn try_write<R, E>(
+        &self,
+        f: impl FnOnce(&mut ObjectStore) -> Result<R, E>,
+    ) -> Result<R, E> {
         let mut guard = lockprobe::probed_write(&self.inner.master);
         let version = self.inner.next_version.fetch_add(1, Ordering::Relaxed);
         guard.set_version(version);
-        match catch_unwind(AssertUnwindSafe(|| f(&mut guard))) {
-            Ok(out) => {
-                let t0 = Instant::now();
-                let snap = Arc::new(guard.clone());
-                *self.inner.published.write() = snap;
-                drop(guard);
-                self.inner
-                    .last_publish_ns
-                    .store(ns_since(self.inner.created), Ordering::Relaxed);
-                if ccdb_obs::enabled() {
-                    let m = core_metrics();
-                    m.snapshot_publish_ns
-                        .observe(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                    m.snapshot_publishes.inc();
-                    m.snapshot_version.set(version as i64);
-                    m.snapshot_age_ms.set(0);
-                }
-                out
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut guard)));
+        if let Ok(Ok(_)) = &outcome {
+            let t0 = Instant::now();
+            let snap = Arc::new(guard.clone());
+            *self.inner.published.write() = snap;
+            drop(guard);
+            self.inner
+                .last_publish_ns
+                .store(ns_since(self.inner.created), Ordering::Relaxed);
+            if ccdb_obs::enabled() {
+                let m = core_metrics();
+                m.snapshot_publish_ns
+                    .observe(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                m.snapshot_publishes.inc();
+                m.snapshot_version.set(version as i64);
+                m.snapshot_age_ms.set(0);
             }
-            Err(payload) => {
-                let last_good = Arc::clone(&self.inner.published.read());
-                *guard = (*last_good).clone();
-                guard.clear_resolution_cache();
-                core_metrics().snapshot_rollbacks.inc();
-                drop(guard);
-                resume_unwind(payload)
-            }
+        } else {
+            let last_good = Arc::clone(&self.inner.published.read());
+            *guard = (*last_good).clone();
+            guard.clear_resolution_cache();
+            core_metrics().snapshot_rollbacks.inc();
+            drop(guard);
         }
+        outcome.unwrap_or_else(|payload| resume_unwind(payload))
     }
 
     /// Recover the inner store if this is the last handle. Snapshots still
@@ -303,6 +315,7 @@ fn partition(items: &[Surrogate], threads: usize) -> Vec<Vec<Surrogate>> {
 mod tests {
     use super::*;
     use crate::domain::Domain;
+    use crate::error::CoreError;
     use crate::expr::{BinOp, PathExpr};
     use crate::schema::{AttrDef, InherRelTypeDef, ObjectTypeDef};
 
@@ -453,6 +466,28 @@ mod tests {
         // The rolled-back master keeps serving writes with fresh versions.
         shared.set_attr(interface, "X", Value::Int(8)).unwrap();
         assert!(shared.published_version() > before);
+        assert_eq!(shared.attr(imps[0], "X").unwrap(), Value::Int(8));
+    }
+
+    #[test]
+    fn err_from_try_write_rolls_back_like_a_panic() {
+        let (shared, interface, imps) = populated(2);
+        let before = shared.published_version();
+        let err = shared
+            .try_write(|st| {
+                // First mutation lands, the second fails: neither may
+                // become visible.
+                st.set_attr(interface, "X", Value::Int(666))?;
+                st.set_attr(interface, "NoSuchAttr", Value::Int(1))
+            })
+            .unwrap_err();
+        assert!(matches!(err, CoreError::NoSuchAttribute { .. }), "{err}");
+        assert_eq!(shared.published_version(), before, "nothing published");
+        assert_eq!(shared.attr(imps[0], "X").unwrap(), Value::Int(7));
+        // The cycle's version is burnt; the rolled-back master keeps
+        // serving writes with fresh ones.
+        shared.set_attr(interface, "X", Value::Int(8)).unwrap();
+        assert!(shared.published_version() > before + 1);
         assert_eq!(shared.attr(imps[0], "X").unwrap(), Value::Int(8));
     }
 

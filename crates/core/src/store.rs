@@ -89,26 +89,6 @@ pub struct Violation {
     pub detail: Option<String>,
 }
 
-/// Everything one cascade delete removed, for [`ObjectStore::undelete`].
-#[derive(Clone, Debug, Default)]
-pub struct DeletionRecord {
-    /// Full snapshots of every removed object (subobjects, relationship
-    /// objects, and inheritance-relationship objects alike).
-    pub objects: Vec<ObjectData>,
-    /// `(class, member)` named-class memberships that were removed.
-    pub classes: Vec<(String, Surrogate)>,
-}
-
-impl DeletionRecord {
-    /// Surrogates of the removed objects (deduplicated, sorted).
-    pub fn surrogates(&self) -> Vec<Surrogate> {
-        let mut v: Vec<Surrogate> = self.objects.iter().map(|o| o.surrogate).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-}
-
 /// The in-memory object store. Persistence is provided by
 /// [`crate::persist`]; concurrency control by `ccdb-txn` on top.
 ///
@@ -120,7 +100,11 @@ impl DeletionRecord {
 /// immutable schema, not versioned data).
 pub struct ObjectStore {
     catalog: Arc<Catalog>,
+    /// Shared by every COW clone of this store ([`SurrogateGen`]).
     gen: SurrogateGen,
+    /// Set only inside [`ObjectStore::create_as`]: the surrogate the next
+    /// created object takes instead of a fresh one.
+    replay_as: Option<Surrogate>,
     objects: CowMap<Surrogate, ObjectData>,
     classes: BTreeMap<String, ClassDef>,
     /// transmitter → inheritance-relationship objects it feeds.
@@ -184,6 +168,7 @@ impl Clone for ObjectStore {
         ObjectStore {
             catalog: Arc::clone(&self.catalog),
             gen: self.gen.clone(),
+            replay_as: None,
             objects: self.objects.clone(),
             classes: self.classes.clone(),
             inheritors_of: self.inheritors_of.clone(),
@@ -229,6 +214,7 @@ impl ObjectStore {
         Ok(ObjectStore {
             catalog: Arc::new(catalog),
             gen: SurrogateGen::new(),
+            replay_as: None,
             objects: CowMap::new(),
             classes: BTreeMap::new(),
             inheritors_of: CowMap::new(),
@@ -347,7 +333,7 @@ impl ObjectStore {
     /// follows only relationships permeable for `name` and drops only that
     /// attribute's entries — the exact traversal
     /// [`ObjectStore::propagate_adaptation`] walks for a transmitter update.
-    /// With `None` (bind/unbind/delete/undelete: whole-object resolution
+    /// With `None` (bind/unbind/delete: whole-object resolution
     /// changed) it follows every binding and drops every entry of the
     /// closure.
     fn invalidate_resolution(&self, root: Surrogate, item: Option<&str>) {
@@ -532,10 +518,35 @@ impl ObjectStore {
     // Object creation
     // ------------------------------------------------------------------
 
+    /// Surrogate for the object being created: fresh from the shared
+    /// generator, unless a transaction replay pinned one.
+    fn issue(&mut self) -> Surrogate {
+        self.replay_as.take().unwrap_or_else(|| self.gen.issue())
+    }
+
+    /// Draw a fresh surrogate without creating anything yet, for a later
+    /// [`ObjectStore::create_as`]. The generator is shared by all COW clones
+    /// of this store, so the surrogate is unused in every one of them.
+    pub fn reserve_surrogate(&self) -> Surrogate {
+        self.gen.issue()
+    }
+
+    /// Run `create` — one `create_*` or `bind` call — so that the object it
+    /// creates gets the reserved surrogate `s` instead of a fresh one. This
+    /// is how a transaction logs a create once and applies it twice, to its
+    /// workspace and at commit to the master, under one surrogate.
+    pub fn create_as<R>(&mut self, s: Surrogate, create: impl FnOnce(&mut Self) -> R) -> R {
+        self.replay_as = Some(s);
+        let out = create(self);
+        self.replay_as = None;
+        out
+    }
+
     /// The one way objects enter `self.objects`: inserts the object and
     /// records it in its type's extent index, so the two can never
     /// disagree ([`ObjectStore::verify_integrity`] cross-checks them).
     fn insert_object(&mut self, obj: ObjectData) {
+        debug_assert!(!self.objects.contains_key(&obj.surrogate));
         self.extent
             .entry_or_default(obj.type_name.clone())
             .insert(obj.surrogate);
@@ -572,7 +583,7 @@ impl ObjectStore {
         attrs: Vec<(&str, Value)>,
     ) -> CoreResult<Surrogate> {
         self.catalog.object_type(type_name)?;
-        let s = self.gen.issue();
+        let s = self.issue();
         let obj = ObjectData::plain(s, type_name);
         self.insert_object(obj);
         for (name, value) in attrs {
@@ -630,7 +641,7 @@ impl ObjectStore {
                 });
             }
         };
-        let s = self.gen.issue();
+        let s = self.issue();
         let mut obj = ObjectData::plain(s, &elem_ty);
         obj.owner = Some(Owner {
             parent,
@@ -661,7 +672,7 @@ impl ObjectStore {
             map.insert(role.to_string(), members.clone());
         }
         self.check_participants(rel_type, &specs, &map)?;
-        let s = self.gen.issue();
+        let s = self.issue();
         let obj = ObjectData::relationship(s, rel_type, map.clone());
         self.insert_object(obj);
         for members in map.values() {
@@ -724,7 +735,7 @@ impl ObjectStore {
                 object: rel_obj,
                 subclass: subclass.into(),
             })?;
-        let s = self.gen.issue();
+        let s = self.issue();
         let mut obj = ObjectData::plain(s, &elem_ty);
         obj.owner = Some(Owner {
             parent: rel_obj,
@@ -856,7 +867,7 @@ impl ObjectStore {
                 });
             }
         }
-        let s = self.gen.issue();
+        let s = self.issue();
         let obj = ObjectData::inheritance(s, rel_type, transmitter, inheritor);
         self.insert_object(obj);
         self.object_mut(inheritor)?
@@ -1465,83 +1476,7 @@ impl ObjectStore {
     /// unbind first or use [`ObjectStore::delete_force`].
     pub fn delete(&mut self, obj: Surrogate) -> CoreResult<()> {
         self.check_deletable(obj)?;
-        self.delete_unchecked_rec(obj, &mut None)
-    }
-
-    /// Like [`ObjectStore::delete`], but returns a [`DeletionRecord`] from
-    /// which [`ObjectStore::undelete`] can restore everything removed —
-    /// the basis of transactional cascade delete in `ccdb-txn`.
-    pub fn delete_recorded(&mut self, obj: Surrogate) -> CoreResult<DeletionRecord> {
-        self.check_deletable(obj)?;
-        let mut rec = DeletionRecord::default();
-        {
-            let mut sink = Some(&mut rec);
-            self.delete_unchecked_rec(obj, &mut sink)?;
-        }
-        Ok(rec)
-    }
-
-    /// Restore everything a [`DeletionRecord`] removed: the objects, their
-    /// memberships in surviving owners and classes, inheritance bindings,
-    /// and relationship back-references. Membership *order* within a
-    /// surviving owner's subclass is not preserved (restored members are
-    /// appended).
-    pub fn undelete(&mut self, rec: DeletionRecord) -> CoreResult<()> {
-        let mut restored: Vec<Surrogate> = Vec::new();
-        for o in &rec.objects {
-            if !self.objects.contains_key(&o.surrogate) {
-                self.insert_object(o.clone());
-                restored.push(o.surrogate);
-            }
-        }
-        for s in &restored {
-            let o = self.objects.get(s).expect("just restored").clone();
-            match &o.kind {
-                ObjectKind::InheritanceRel {
-                    transmitter,
-                    inheritor,
-                    ..
-                } => {
-                    let list = self.inheritors_of.entry_or_default(*transmitter);
-                    if !list.contains(s) {
-                        list.push(*s);
-                    }
-                    if let Some(inh) = self.objects.get_mut(inheritor) {
-                        inh.bindings.insert(o.type_name.clone(), *s);
-                    }
-                    // A surviving inheritor may have cached `Missing` while
-                    // unbound; the restored binding re-routes its reads.
-                    self.invalidate_resolution(*inheritor, None);
-                }
-                ObjectKind::Relationship { participants } => {
-                    for members in participants.values() {
-                        for m in members {
-                            let list = self.participant_in.entry_or_default(*m);
-                            if !list.contains(s) {
-                                list.push(*s);
-                            }
-                        }
-                    }
-                }
-                ObjectKind::Plain => {}
-            }
-            if let Some(owner) = &o.owner {
-                if let Some(p) = self.objects.get_mut(&owner.parent) {
-                    let list = p.subclasses.entry(owner.subclass.clone()).or_default();
-                    if !list.contains(s) {
-                        list.push(*s);
-                    }
-                }
-            }
-        }
-        for (class, member) in &rec.classes {
-            if let Some(c) = self.classes.get_mut(class) {
-                if !c.members.contains(member) {
-                    c.members.push(*member);
-                }
-            }
-        }
-        Ok(())
+        self.delete_unchecked_rec(obj)
     }
 
     fn check_deletable(&self, obj: Surrogate) -> CoreResult<()> {
@@ -1590,7 +1525,7 @@ impl ObjectStore {
                 self.unbind(rel)?;
             }
         }
-        self.delete_unchecked_rec(obj, &mut None)
+        self.delete_unchecked_rec(obj)
     }
 
     fn collect_subtree(&self, root: Surrogate) -> CoreResult<Vec<Surrogate>> {
@@ -1604,42 +1539,25 @@ impl ObjectStore {
         Ok(out)
     }
 
-    fn delete_unchecked_rec(
-        &mut self,
-        obj: Surrogate,
-        rec: &mut Option<&mut DeletionRecord>,
-    ) -> CoreResult<()> {
+    fn delete_unchecked_rec(&mut self, obj: Surrogate) -> CoreResult<()> {
         let o = self.object(obj)?.clone();
-        if let Some(r) = rec.as_deref_mut() {
-            // Snapshot before any mutation (children detach from `o`'s
-            // clone-source later, but this clone keeps the full lists).
-            r.objects.push(o.clone());
-            for (name, c) in &self.classes {
-                if c.members.contains(&obj) {
-                    r.classes.push((name.clone(), obj));
-                }
-            }
-        }
 
         // Cascade into subobjects and subrels first.
         for member in o.all_subclass_members().collect::<Vec<_>>() {
             if self.objects.contains_key(&member) {
-                self.delete_unchecked_rec(member, rec)?;
+                self.delete_unchecked_rec(member)?;
             }
         }
         // Dissolve own inheritance bindings (this object as inheritor).
         for rel in o.bindings.values().copied().collect::<Vec<_>>() {
             if self.objects.contains_key(&rel) {
-                if let Some(r) = rec.as_deref_mut() {
-                    r.objects.push(self.object(rel)?.clone());
-                }
                 self.unbind(rel)?;
             }
         }
         // Delete relationship objects having this object as a participant.
         for rel in self.participant_in.remove(&obj).unwrap_or_default() {
             if self.objects.contains_key(&rel) {
-                self.delete_unchecked_rec(rel, rec)?;
+                self.delete_unchecked_rec(rel)?;
             }
         }
         // If this *is* an inheritance-relationship object, unbind cleanly.

@@ -924,11 +924,12 @@ fn inheritance_rel_constraints_can_navigate_both_ends() {
 }
 
 // ----------------------------------------------------------------------
-// Recorded deletion / undelete
+// Cascade deletion (restoring a deleted subtree is a transaction abort:
+// see `ccdb-txn`'s `abort_restores_a_deleted_complex_subtree_exactly`)
 // ----------------------------------------------------------------------
 
 #[test]
-fn undelete_restores_a_complex_subtree_exactly() {
+fn delete_cascades_over_a_complex_subtree() {
     let mut st = store();
     // Flip-flop with subgate bound to an external interface + a wire.
     let (interface, pin_in, pin_out) = make_interface(&mut st, 10);
@@ -950,9 +951,8 @@ fn undelete_restores_a_complex_subtree_exactly() {
             vec![],
         )
         .unwrap();
-    let count_before = st.object_count();
 
-    let rec = st.delete_recorded(ff).unwrap();
+    st.delete(ff).unwrap();
     assert!(st.object(ff).is_err());
     assert!(st.object(sub).is_err());
     assert!(st.object(wire).is_err(), "subrel member deleted with owner");
@@ -960,32 +960,7 @@ fn undelete_restores_a_complex_subtree_exactly() {
         st.inheritance_rels_of(interface).is_empty(),
         "binding dissolved"
     );
-
-    st.undelete(rec).unwrap();
-    assert_eq!(st.object_count(), count_before);
-    // Structure restored: subclass membership, placement, inherited view,
-    // wire participants.
-    assert_eq!(st.subclass_members(ff, "SubGates").unwrap(), vec![sub]);
-    assert_eq!(
-        st.attr(sub, "GateLocation").unwrap(),
-        Value::Point { x: 1, y: 2 }
-    );
-    assert_eq!(
-        st.attr(sub, "Length").unwrap(),
-        Value::Int(10),
-        "binding restored"
-    );
-    assert_eq!(
-        st.object(wire).unwrap().participants("Pin1"),
-        Some(&[pin_in][..])
-    );
-    // Relationship index restored: deleting a pin kills the wire again.
-    assert_eq!(st.relationships_of(pin_in), &[wire]);
-    // Transmitter protection restored.
-    assert!(matches!(
-        st.delete(interface),
-        Err(CoreError::TransmitterInUse { .. })
-    ));
+    assert!(st.relationships_of(pin_in).is_empty());
     assert!(
         st.verify_integrity().is_empty(),
         "{:?}",
@@ -994,39 +969,30 @@ fn undelete_restores_a_complex_subtree_exactly() {
 }
 
 #[test]
-fn undelete_restores_class_memberships_and_owner_slot() {
+fn delete_drops_class_memberships_and_owner_slot() {
     let mut st = store();
     st.create_class("Lib", "GateInterface_I").unwrap();
     let holder = st.create_in_class("Lib", vec![]).unwrap();
     let p1 = st.create_subobject(holder, "Pins", vec![]).unwrap();
     let p2 = st.create_subobject(holder, "Pins", vec![]).unwrap();
-    // Delete just one pin and restore it.
-    let rec = st.delete_recorded(p1).unwrap();
+    st.delete(p1).unwrap();
     assert_eq!(st.subclass_members(holder, "Pins").unwrap(), vec![p2]);
-    st.undelete(rec).unwrap();
-    let members = st.subclass_members(holder, "Pins").unwrap();
-    assert_eq!(members.len(), 2);
-    assert!(members.contains(&p1) && members.contains(&p2));
-    // Whole-class object: delete + undelete keeps the class membership.
-    let rec = st.delete_recorded(holder).unwrap();
+    st.delete(holder).unwrap();
     assert!(st.class_members("Lib").unwrap().is_empty());
-    st.undelete(rec).unwrap();
-    assert_eq!(st.class_members("Lib").unwrap(), &[holder]);
 }
 
 #[test]
-fn deleting_an_inheritance_rel_object_directly_is_undeletable() {
+fn deleting_an_inheritance_rel_object_directly_unbinds() {
     let mut st = store();
     let (interface, ..) = make_interface(&mut st, 10);
     let imp = st.create_object("GateImplementation", vec![]).unwrap();
     let rel = st
         .bind("AllOf_GateInterface", interface, imp, vec![])
         .unwrap();
-    let rec = st.delete_recorded(rel).unwrap();
+    st.delete(rel).unwrap();
     assert_eq!(st.attr(imp, "Length").unwrap(), Value::Missing);
-    st.undelete(rec).unwrap();
-    assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(10));
-    assert_eq!(st.binding_of(imp, "AllOf_GateInterface"), Some(rel));
+    assert_eq!(st.binding_of(imp, "AllOf_GateInterface"), None);
+    assert!(st.inheritance_rels_of(interface).is_empty());
 }
 
 // ----------------------------------------------------------------------
@@ -1176,7 +1142,7 @@ fn non_permeable_write_does_not_invalidate_inheritors() {
 }
 
 #[test]
-fn bind_unbind_undelete_keep_cache_coherent() {
+fn bind_unbind_keep_cache_coherent() {
     let mut st = store();
     let (interface, ..) = make_interface(&mut st, 10);
     let imp = st.create_object("GateImplementation", vec![]).unwrap();
@@ -1198,10 +1164,6 @@ fn bind_unbind_undelete_keep_cache_coherent() {
     );
     st.bind("AllOf_GateInterface", interface, imp, vec![])
         .unwrap();
-    assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(10));
-    // Recorded delete of the transmitter subtree, then restore.
-    let rec = st.delete_recorded(imp).unwrap();
-    st.undelete(rec).unwrap();
     assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(10));
     st.set_attr(interface, "Length", Value::Int(12)).unwrap();
     assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(12));
@@ -1531,7 +1493,7 @@ fn old_snapshot_fill_after_a_write_that_swept_nothing_is_rejected() {
 }
 
 #[test]
-fn extent_index_tracks_create_delete_and_undelete() {
+fn extent_index_tracks_create_and_delete() {
     let mut st = store();
     let (i, _, _) = make_interface(&mut st, 9);
     let imp = st.create_object("GateImplementation", vec![]).unwrap();
@@ -1540,14 +1502,7 @@ fn extent_index_tracks_create_delete_and_undelete() {
     assert_eq!(st.extent_of("GateInterface"), vec![i]);
     assert!(st.verify_integrity().is_empty());
 
-    let rec = st.delete_recorded(imp).unwrap();
-    assert!(st.extent_of("GateImplementation").is_empty());
-    assert!(st.verify_integrity().is_empty());
-
-    st.undelete(rec).unwrap();
-    assert_eq!(st.extent_of("GateImplementation"), vec![imp]);
-    assert!(st.verify_integrity().is_empty());
-    // select over the restored extent still resolves inherited values.
+    // select over the extent resolves inherited values.
     let by_len = st
         .select(
             "GateImplementation",
@@ -1555,6 +1510,10 @@ fn extent_index_tracks_create_delete_and_undelete() {
         )
         .unwrap();
     assert_eq!(by_len, vec![imp]);
+
+    st.delete(imp).unwrap();
+    assert!(st.extent_of("GateImplementation").is_empty());
+    assert!(st.verify_integrity().is_empty());
 }
 
 #[test]

@@ -4,6 +4,9 @@
 //! *surrogate* which allows a system-wide identification of the object and
 //! which is managed by the system."
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// A system-wide object identifier. Never reused within a store.
@@ -18,10 +21,14 @@ impl std::fmt::Display for Surrogate {
     }
 }
 
-/// Monotonic surrogate generator owned by a store.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Monotonic surrogate generator. Clones share one counter: every
+/// copy-on-write clone of a store — published snapshots, the master, and
+/// transaction workspaces — draws from the same sequence, so a surrogate
+/// handed out inside a transaction is unique store-wide and stays the
+/// object's surrogate after commit.
+#[derive(Debug, Clone)]
 pub struct SurrogateGen {
-    next: u64,
+    next: Arc<AtomicU64>,
 }
 
 impl Default for SurrogateGen {
@@ -33,24 +40,19 @@ impl Default for SurrogateGen {
 impl SurrogateGen {
     /// Start issuing from 1 (0 is reserved as a niche/sentinel).
     pub fn new() -> Self {
-        SurrogateGen { next: 1 }
+        Self::resume_after(0)
     }
 
     /// Resume issuing above `highest` (used when loading a persisted store).
     pub fn resume_after(highest: u64) -> Self {
-        SurrogateGen { next: highest + 1 }
+        SurrogateGen {
+            next: Arc::new(AtomicU64::new(highest + 1)),
+        }
     }
 
     /// Issue the next surrogate.
-    pub fn issue(&mut self) -> Surrogate {
-        let s = Surrogate(self.next);
-        self.next += 1;
-        s
-    }
-
-    /// The next value that would be issued (for persistence).
-    pub fn peek(&self) -> u64 {
-        self.next
+    pub fn issue(&self) -> Surrogate {
+        Surrogate(self.next.fetch_add(1, Ordering::Relaxed))
     }
 }
 
@@ -60,7 +62,7 @@ mod tests {
 
     #[test]
     fn monotonic_and_unique() {
-        let mut g = SurrogateGen::new();
+        let g = SurrogateGen::new();
         let a = g.issue();
         let b = g.issue();
         assert!(b > a);
@@ -70,8 +72,17 @@ mod tests {
 
     #[test]
     fn resume_skips_used_range() {
-        let mut g = SurrogateGen::resume_after(41);
+        let g = SurrogateGen::resume_after(41);
         assert_eq!(g.issue(), Surrogate(42));
+    }
+
+    #[test]
+    fn clones_draw_from_one_sequence() {
+        let g = SurrogateGen::new();
+        let h = g.clone();
+        assert_eq!(g.issue(), Surrogate(1));
+        assert_eq!(h.issue(), Surrogate(2));
+        assert_eq!(g.issue(), Surrogate(3));
     }
 
     #[test]

@@ -170,15 +170,28 @@ fn flight_recorder_attributes_v2_requests_with_proto_phases_and_trace() {
     c.ping_delay_ms(450).unwrap();
     c.set_trace(None);
 
-    let f = c.flight().unwrap();
-    let slowest = f
-        .get("slowest")
-        .and_then(Json::as_array)
-        .expect("flight payload has a slowest array");
-    let rec = slowest
-        .iter()
-        .find(|r| r.get("trace").and_then(Json::as_u64) == Some(424_242_424))
-        .unwrap_or_else(|| panic!("traced v2 ping not retained: {f:?}"));
+    // A flight record becomes visible *after* its response is written (the
+    // `write` phase is only known then), so this `flight` — served inline —
+    // can beat the worker that is still recording the ping: poll, bounded.
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    let rec = loop {
+        let f = c.flight().unwrap();
+        let slowest = f
+            .get("slowest")
+            .and_then(Json::as_array)
+            .expect("flight payload has a slowest array");
+        let traced = slowest
+            .iter()
+            .find(|r| r.get("trace").and_then(Json::as_u64) == Some(424_242_424));
+        if let Some(rec) = traced {
+            break rec.clone();
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "traced v2 ping not retained within 1 s of its response: {f:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
 
     // The record names the dialect it arrived on...
     assert_eq!(rec.get("proto").and_then(Json::as_u64), Some(2));

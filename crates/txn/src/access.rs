@@ -49,12 +49,18 @@ impl Right {
     }
 }
 
+/// One user's grants.
+#[derive(Clone, Debug, Default)]
+struct UserRights {
+    default: Option<Right>,
+    classes: HashMap<String, Right>,
+    objects: HashMap<Surrogate, Right>,
+}
+
 /// Per-user rights registry.
 #[derive(Clone, Debug, Default)]
 pub struct AccessControl {
-    default_right: HashMap<String, Right>,
-    class_rights: HashMap<(String, String), Right>,
-    object_rights: HashMap<(String, Surrogate), Right>,
+    users: HashMap<String, UserRights>,
 }
 
 impl AccessControl {
@@ -65,39 +71,45 @@ impl AccessControl {
         AccessControl::default()
     }
 
+    fn user_mut(&mut self, user: &str) -> &mut UserRights {
+        self.users.entry(user.to_string()).or_default()
+    }
+
     /// Set a user's default right.
     pub fn set_default(&mut self, user: &str, right: Right) {
-        self.default_right.insert(user.to_string(), right);
+        self.user_mut(user).default = Some(right);
     }
 
     /// Grant a right on all members of a named class.
     pub fn grant_class(&mut self, user: &str, class: &str, right: Right) {
-        self.class_rights
-            .insert((user.to_string(), class.to_string()), right);
+        self.user_mut(user).classes.insert(class.to_string(), right);
     }
 
     /// Grant a right on one object.
     pub fn grant_object(&mut self, user: &str, obj: Surrogate, right: Right) {
-        self.object_rights.insert((user.to_string(), obj), right);
+        self.user_mut(user).objects.insert(obj, right);
     }
 
-    /// Effective right of `user` on `obj` (member of `classes`).
+    /// Does `user` have any grant at all? If not, [`AccessControl::right`]
+    /// is [`Right::Update`] whatever the object and its classes.
+    pub fn has_grants(&self, user: &str) -> bool {
+        self.users.contains_key(user)
+    }
+
+    /// Effective right of `user` on `obj` (member of `classes`). Consulted
+    /// on every lock acquisition, so it allocates nothing.
     pub fn right(&self, user: &str, obj: Surrogate, classes: &[&str]) -> Right {
-        if let Some(r) = self.object_rights.get(&(user.to_string(), obj)) {
+        let Some(u) = self.users.get(user) else {
+            return Right::Update;
+        };
+        if let Some(r) = u.objects.get(&obj) {
             return *r;
         }
-        let mut best: Option<Right> = None;
-        for c in classes {
-            if let Some(r) = self.class_rights.get(&(user.to_string(), c.to_string())) {
-                best = Some(best.map_or(*r, |b| b.max(*r)));
-            }
-        }
-        if let Some(r) = best {
-            return r;
-        }
-        self.default_right
-            .get(user)
-            .copied()
+        classes
+            .iter()
+            .filter_map(|c| u.classes.get(*c).copied())
+            .max()
+            .or(u.default)
             .unwrap_or(Right::Update)
     }
 }

@@ -1,24 +1,51 @@
 //! Write-through persistent database: the transaction layer coupled to the
 //! WAL-protected KV store, so every committed transaction is durable.
 //!
-//! [`PersistentDatabase`] wraps a [`Database`] and a
-//! [`DurableKv`](ccdb_storage::kv::DurableKv): commits write the
-//! transaction's [`PersistenceDelta`](crate::txn::PersistenceDelta) in one
-//! KV transaction *before* releasing locks, so a crash after commit replays
-//! the change and a crash before commit leaves no trace.
+//! [`PersistentDatabase`] bundles a [`SharedStore`], a [`TxnManager`] and a
+//! [`DurableKv`]. A commit writes the transaction's [`PersistenceDelta`] —
+//! derived from its op log — in one KV transaction *inside* the commit's
+//! write cycle, after the replay and before the publish: a crash after
+//! commit replays the change, a crash before commit leaves no trace, and a
+//! persistence failure rolls the in-memory commit back.
 
 use std::path::Path;
 
 use ccdb_core::persist::{self, load_store};
+use ccdb_core::shared::SharedStore;
 use ccdb_core::store::ObjectStore;
-use ccdb_core::{CoreError, Surrogate, Value};
+use ccdb_core::{CoreError, Surrogate};
 use ccdb_storage::kv::DurableKv;
 
-use crate::txn::{Database, TxnError, TxnHandle, TxnResult};
+use crate::txn::{CommitInfo, Op, Txn, TxnManager, TxnResult};
+
+/// What a persistence layer must do to make a committed op log durable.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PersistenceDelta {
+    /// Live objects whose records must be (re)written.
+    pub save: Vec<Surrogate>,
+    /// Surrogates whose records must be removed.
+    pub delete: Vec<Surrogate>,
+}
+
+impl PersistenceDelta {
+    /// The records `log` changed, judged against `committed` — the store
+    /// *after* the log was replayed: every touched object that is live
+    /// there is saved (written and created objects, owners whose subclass
+    /// lists changed, inheritors whose bindings changed), every touched
+    /// surrogate that no longer exists is deleted (cascaded subtrees,
+    /// dissolved inheritance-relationship objects, create-then-delete).
+    pub fn of(log: &[Op], committed: &ObjectStore) -> Self {
+        let (save, delete) = Op::touched_by(log)
+            .into_iter()
+            .partition(|s| committed.object(*s).is_ok());
+        PersistenceDelta { save, delete }
+    }
+}
 
 /// A durable, multi-user object database in a directory.
 pub struct PersistentDatabase {
-    db: Database,
+    store: SharedStore,
+    mgr: TxnManager,
     kv: DurableKv,
 }
 
@@ -28,128 +55,62 @@ impl PersistentDatabase {
     pub fn create(dir: impl AsRef<Path>, store: ObjectStore) -> TxnResult<Self> {
         let kv = DurableKv::open(dir).map_err(CoreError::from)?;
         persist::save_store(&store, &kv)?;
-        Ok(PersistentDatabase {
-            db: Database::new(store),
-            kv,
-        })
+        Ok(Self::over(store, kv))
     }
 
     /// Open an existing database from `dir` (running crash recovery).
     pub fn open(dir: impl AsRef<Path>) -> TxnResult<Self> {
         let kv = DurableKv::open(dir).map_err(CoreError::from)?;
         let store = load_store(&kv)?;
-        Ok(PersistentDatabase {
-            db: Database::new(store),
+        Ok(Self::over(store, kv))
+    }
+
+    fn over(store: ObjectStore, kv: DurableKv) -> Self {
+        PersistentDatabase {
+            store: SharedStore::from_store(store),
+            mgr: TxnManager::new(),
             kv,
-        })
+        }
     }
 
-    /// The in-memory transaction layer (all reads/writes go through it).
-    pub fn db(&self) -> &Database {
-        &self.db
+    /// The in-memory store. Read it freely; write it only through
+    /// transactions — a plain write is not persisted.
+    pub fn store(&self) -> &SharedStore {
+        &self.store
     }
 
-    /// Begin a transaction.
-    pub fn begin(&self, user: &str) -> TxnHandle {
-        self.db.begin(user)
+    /// The transaction manager (locks, access control).
+    pub fn manager(&self) -> &TxnManager {
+        &self.mgr
+    }
+
+    /// Begin a transaction; all reads and writes go through the [`Txn`].
+    pub fn begin(&self, user: &str) -> Txn {
+        self.mgr.begin(user, &self.store)
     }
 
     /// Durable commit: persist the transaction's delta in one KV
-    /// transaction, then release locks. On persistence failure the
-    /// transaction is aborted (in-memory effects rolled back) and the error
-    /// returned.
-    pub fn commit(&self, tx: TxnHandle) -> TxnResult<()> {
-        let delta = self.db.persistence_delta(&tx);
-        let result: Result<(), TxnError> = (|| {
+    /// transaction, then publish and release locks. On persistence failure
+    /// nothing is published and the error is returned.
+    pub fn commit(&self, tx: Txn) -> TxnResult<CommitInfo> {
+        tx.commit_with(&self.store, false, |committed, log| {
+            let delta = PersistenceDelta::of(log, committed);
             let kv_tx = self.kv.begin().map_err(CoreError::from)?;
-            self.db.with_store(|st| -> TxnResult<()> {
-                for s in &delta.save {
-                    persist::save_object(st, &self.kv, kv_tx, *s)?;
-                }
-                Ok(())
-            })?;
+            for s in &delta.save {
+                persist::save_object(committed, &self.kv, kv_tx, *s)?;
+            }
             for s in &delta.delete {
                 persist::delete_object(&self.kv, kv_tx, *s)?;
             }
             self.kv.commit(kv_tx).map_err(CoreError::from)?;
             Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.db.commit(tx);
-                Ok(())
-            }
-            Err(e) => {
-                self.db.abort(tx);
-                Err(e)
-            }
-        }
-    }
-
-    /// Abort: in-memory rollback; nothing was persisted.
-    pub fn abort(&self, tx: TxnHandle) {
-        self.db.abort(tx);
+        })
     }
 
     /// Checkpoint the underlying KV store (truncates the WAL).
     pub fn checkpoint(&self) -> TxnResult<()> {
         self.kv.checkpoint().map_err(CoreError::from)?;
         Ok(())
-    }
-
-    // Convenience pass-throughs for the common operations.
-
-    /// See [`Database::read_attr`].
-    pub fn read_attr(&self, tx: &TxnHandle, obj: Surrogate, attr: &str) -> TxnResult<Value> {
-        self.db.read_attr(tx, obj, attr)
-    }
-
-    /// See [`Database::write_attr`].
-    pub fn write_attr(
-        &self,
-        tx: &TxnHandle,
-        obj: Surrogate,
-        attr: &str,
-        value: Value,
-    ) -> TxnResult<()> {
-        self.db.write_attr(tx, obj, attr, value)
-    }
-
-    /// See [`Database::create_object`].
-    pub fn create_object(
-        &self,
-        tx: &TxnHandle,
-        type_name: &str,
-        attrs: Vec<(&str, Value)>,
-    ) -> TxnResult<Surrogate> {
-        self.db.create_object(tx, type_name, attrs)
-    }
-
-    /// See [`Database::create_subobject`].
-    pub fn create_subobject(
-        &self,
-        tx: &TxnHandle,
-        parent: Surrogate,
-        subclass: &str,
-        attrs: Vec<(&str, Value)>,
-    ) -> TxnResult<Surrogate> {
-        self.db.create_subobject(tx, parent, subclass, attrs)
-    }
-
-    /// See [`Database::bind`].
-    pub fn bind(
-        &self,
-        tx: &TxnHandle,
-        rel_type: &str,
-        transmitter: Surrogate,
-        inheritor: Surrogate,
-    ) -> TxnResult<Surrogate> {
-        self.db.bind(tx, rel_type, transmitter, inheritor)
-    }
-
-    /// See [`Database::unbind`].
-    pub fn unbind(&self, tx: &TxnHandle, rel_obj: Surrogate) -> TxnResult<()> {
-        self.db.unbind(tx, rel_obj)
     }
 }
 
@@ -158,6 +119,7 @@ mod tests {
     use super::*;
     use ccdb_core::domain::Domain;
     use ccdb_core::schema::{AttrDef, Catalog, InherRelTypeDef, ObjectTypeDef, SubclassSpec};
+    use ccdb_core::Value;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -202,19 +164,19 @@ mod tests {
         {
             let pdb = PersistentDatabase::create(dir.path(), ObjectStore::new(catalog()).unwrap())
                 .unwrap();
-            let tx = pdb.begin("alice");
-            interface = pdb
-                .create_object(&tx, "If", vec![("Length", Value::Int(5))])
+            let mut tx = pdb.begin("alice");
+            interface = tx
+                .create_object("If", vec![("Length", Value::Int(5))])
                 .unwrap();
-            imp = pdb.create_object(&tx, "Impl", vec![]).unwrap();
-            pdb.bind(&tx, "AllOf_If", interface, imp).unwrap();
+            imp = tx.create_object("Impl", vec![]).unwrap();
+            tx.bind("AllOf_If", interface, imp).unwrap();
             pdb.commit(tx).unwrap();
             // Crash (no checkpoint).
         }
         let pdb = PersistentDatabase::open(dir.path()).unwrap();
         let tx = pdb.begin("bob");
-        assert_eq!(pdb.read_attr(&tx, imp, "Length").unwrap(), Value::Int(5));
-        pdb.db().commit(tx);
+        assert_eq!(tx.read_attr(imp, "Length").unwrap(), Value::Int(5));
+        tx.commit(pdb.store()).unwrap();
     }
 
     #[test]
@@ -224,25 +186,42 @@ mod tests {
         {
             let pdb = PersistentDatabase::create(dir.path(), ObjectStore::new(catalog()).unwrap())
                 .unwrap();
-            let tx = pdb.begin("alice");
-            interface = pdb
-                .create_object(&tx, "If", vec![("Length", Value::Int(5))])
+            let mut tx = pdb.begin("alice");
+            interface = tx
+                .create_object("If", vec![("Length", Value::Int(5))])
                 .unwrap();
             pdb.commit(tx).unwrap();
-            let tx = pdb.begin("alice");
-            pdb.write_attr(&tx, interface, "Length", Value::Int(99))
-                .unwrap();
-            let ghost = pdb.create_object(&tx, "If", vec![]).unwrap();
-            pdb.abort(tx);
-            assert!(pdb.db().with_store(|st| st.object(ghost).is_err()));
+            let mut tx = pdb.begin("alice");
+            tx.write_attr(interface, "Length", Value::Int(99)).unwrap();
+            let ghost = tx.create_object("If", vec![]).unwrap();
+            tx.abort();
+            assert!(pdb.store().read(|st| st.object(ghost).is_err()));
         }
         let pdb = PersistentDatabase::open(dir.path()).unwrap();
         assert_eq!(
-            pdb.db()
-                .with_store(|st| st.attr(interface, "Length").unwrap()),
+            pdb.store().read(|st| st.attr(interface, "Length").unwrap()),
             Value::Int(5)
         );
-        assert_eq!(pdb.db().with_store(|st| st.object_count()), 1);
+        assert_eq!(pdb.store().read(|st| st.object_count()), 1);
+    }
+
+    #[test]
+    fn delta_partitions_the_touched_set_by_liveness_after_replay() {
+        let dir = tempfile::tempdir().unwrap();
+        let pdb =
+            PersistentDatabase::create(dir.path(), ObjectStore::new(catalog()).unwrap()).unwrap();
+        let mut tx = pdb.begin("alice");
+        let interface = tx.create_object("If", vec![]).unwrap();
+        let pin = tx.create_subobject(interface, "Pins", vec![]).unwrap();
+        let imp = tx.create_object("Impl", vec![]).unwrap();
+        let rel = tx.bind("AllOf_If", interface, imp).unwrap();
+        // Created and dissolved / deleted again inside the same transaction.
+        tx.unbind(rel).unwrap();
+        tx.delete(pin).unwrap();
+        let delta = PersistenceDelta::of(tx.log(), tx.workspace());
+        assert_eq!(delta.save, vec![interface, imp]);
+        assert_eq!(delta.delete, vec![pin, rel]);
+        pdb.commit(tx).unwrap();
     }
 
     #[test]
@@ -252,22 +231,22 @@ mod tests {
         {
             let pdb = PersistentDatabase::create(dir.path(), ObjectStore::new(catalog()).unwrap())
                 .unwrap();
-            let tx = pdb.begin("alice");
-            interface = pdb
-                .create_object(&tx, "If", vec![("Length", Value::Int(5))])
+            let mut tx = pdb.begin("alice");
+            interface = tx
+                .create_object("If", vec![("Length", Value::Int(5))])
                 .unwrap();
-            imp = pdb.create_object(&tx, "Impl", vec![]).unwrap();
-            pdb.bind(&tx, "AllOf_If", interface, imp).unwrap();
+            imp = tx.create_object("Impl", vec![]).unwrap();
+            tx.bind("AllOf_If", interface, imp).unwrap();
             pdb.commit(tx).unwrap();
             let rel = pdb
-                .db()
-                .with_store(|st| st.binding_of(imp, "AllOf_If").unwrap());
-            let tx = pdb.begin("alice");
-            pdb.unbind(&tx, rel).unwrap();
+                .store()
+                .read(|st| st.binding_of(imp, "AllOf_If").unwrap());
+            let mut tx = pdb.begin("alice");
+            tx.unbind(rel).unwrap();
             pdb.commit(tx).unwrap();
         }
         let pdb = PersistentDatabase::open(dir.path()).unwrap();
-        pdb.db().with_store(|st| {
+        pdb.store().read(|st| {
             assert_eq!(
                 st.attr(imp, "Length").unwrap(),
                 Value::Missing,
@@ -285,18 +264,18 @@ mod tests {
         {
             let pdb = PersistentDatabase::create(dir.path(), ObjectStore::new(catalog()).unwrap())
                 .unwrap();
-            let tx = pdb.begin("alice");
-            interface = pdb.create_object(&tx, "If", vec![]).unwrap();
+            let mut tx = pdb.begin("alice");
+            interface = tx.create_object("If", vec![]).unwrap();
             pdb.commit(tx).unwrap();
             pdb.checkpoint().unwrap();
-            let tx = pdb.begin("alice");
-            pin = pdb
-                .create_subobject(&tx, interface, "Pins", vec![("Id", Value::Int(1))])
+            let mut tx = pdb.begin("alice");
+            pin = tx
+                .create_subobject(interface, "Pins", vec![("Id", Value::Int(1))])
                 .unwrap();
             pdb.commit(tx).unwrap();
         }
         let pdb = PersistentDatabase::open(dir.path()).unwrap();
-        pdb.db().with_store(|st| {
+        pdb.store().read(|st| {
             assert_eq!(st.subclass_members(interface, "Pins").unwrap(), vec![pin]);
         });
     }
@@ -307,6 +286,7 @@ mod delete_tests {
     use super::*;
     use ccdb_core::domain::Domain;
     use ccdb_core::schema::{AttrDef, Catalog, ObjectTypeDef, SubclassSpec};
+    use ccdb_core::Value;
 
     #[test]
     fn committed_deletes_are_durable() {
@@ -330,19 +310,19 @@ mod delete_tests {
         let (gate, pin, survivor);
         {
             let pdb = PersistentDatabase::create(dir.path(), ObjectStore::new(c).unwrap()).unwrap();
-            let tx = pdb.begin("alice");
-            gate = pdb.create_object(&tx, "Gate", vec![]).unwrap();
-            pin = pdb
-                .create_subobject(&tx, gate, "Pins", vec![("Id", Value::Int(1))])
+            let mut tx = pdb.begin("alice");
+            gate = tx.create_object("Gate", vec![]).unwrap();
+            pin = tx
+                .create_subobject(gate, "Pins", vec![("Id", Value::Int(1))])
                 .unwrap();
-            survivor = pdb.create_object(&tx, "Gate", vec![]).unwrap();
+            survivor = tx.create_object("Gate", vec![]).unwrap();
             pdb.commit(tx).unwrap();
-            let tx = pdb.begin("alice");
-            pdb.db().delete(&tx, gate).unwrap();
+            let mut tx = pdb.begin("alice");
+            tx.delete(gate).unwrap();
             pdb.commit(tx).unwrap();
         }
         let pdb = PersistentDatabase::open(dir.path()).unwrap();
-        pdb.db().with_store(|st| {
+        pdb.store().read(|st| {
             assert!(st.object(gate).is_err());
             assert!(st.object(pin).is_err(), "cascade persisted");
             assert!(st.object(survivor).is_ok());

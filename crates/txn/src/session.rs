@@ -1,48 +1,28 @@
 //! Wire-transaction sessions: `begin`/`commit`/`abort` for server
 //! connections over a [`SharedStore`].
 //!
-//! The [`crate::txn::Database`] API is handle-based and designed for
-//! embedded callers; a network server instead needs transactions keyed by
-//! *session* (one per connection) with crash-safe cleanup when the peer
-//! disappears. [`TxnRegistry`] provides that layer, combining the two
-//! mechanisms this codebase has for §6 semantics:
-//!
-//! - **Pessimistic item locks with lock inheritance** (paper §6): an
-//!   in-transaction read S-locks every `(object, item)` pair of the
-//!   attribute's resolution chain — the permeability-filtered closure a
-//!   composite's read actually depends on — and an in-transaction write
-//!   X-locks the written item. Lock requests from other transactions on
-//!   any part of that closure conflict exactly as the paper prescribes,
-//!   with deadlock detection and timeouts from [`crate::LockManager`].
-//! - **First-committer-wins validation against the begin snapshot**
-//!   (MVCC): plain, non-transactional writers bypass the lock manager
-//!   entirely, so at commit each buffered write is validated against the
-//!   store's per-`(object, attr)` write stamps — if anyone published a
-//!   newer version of an item this transaction wrote, the commit fails
-//!   with a conflict and the transaction aborts.
-//!
-//! A transaction executes against a private **workspace**: a
-//! copy-on-write clone of the begin snapshot (structural sharing makes
-//! this cheap) with a detached resolution cache, so the transaction reads
-//! its own uncommitted writes with full inheritance semantics while the
-//! published store never sees them. Commit replays the buffered writes as
-//! one atomic write cycle — validated first on a scratch clone, so a
-//! half-applied commit is impossible — and the new version is published
-//! before the commit reply is sent.
+//! A network server needs transactions keyed by *session* (one per
+//! connection) with crash-safe cleanup when the peer disappears.
+//! [`TxnRegistry`] is that and nothing more: a session-id → [`Txn`] map
+//! over one [`TxnManager`]. Everything a wire transaction does — reads
+//! under §6 lock inheritance against its workspace, buffered writes,
+//! first-committer-wins commit as one atomic write cycle — is the
+//! [`Txn`]'s own behaviour ([`crate::txn`]); the registry adds the 2PL
+//! rule that a failed lock acquisition kills the whole transaction, and
+//! the `ccdb_txn_wire_*` counters.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ccdb_core::error::CoreError;
 use ccdb_core::shared::SharedStore;
-use ccdb_core::store::ObjectStore;
-use ccdb_core::{lockprobe, Surrogate, Value};
+use ccdb_core::{Surrogate, Value};
 use parking_lot::Mutex;
 
-use crate::lock::{LockError, LockManager, LockMode, Resource, TxnId};
+use crate::lock::{LockError, LockManager};
 use crate::metrics::txn_metrics;
+use crate::txn::{CommitInfo, Txn, TxnError, TxnManager, TxnResult};
 
 /// Why a wire-transaction operation failed.
 #[derive(Debug)]
@@ -54,7 +34,8 @@ pub enum SessionError {
     /// Lock acquisition failed (deadlock or timeout); the transaction has
     /// been aborted and all its locks released.
     Lock(LockError),
-    /// Object-model error (the transaction stays open).
+    /// Object-model error (the transaction stays open, unless it came out
+    /// of `commit`).
     Core(CoreError),
     /// First-committer-wins validation failed: another session published a
     /// newer version of an item this transaction wrote. The transaction
@@ -99,36 +80,39 @@ impl From<CoreError> for SessionError {
     }
 }
 
-/// Outcome of a successful [`TxnRegistry::commit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitInfo {
-    /// The store version this commit published (0 for a read-only
-    /// transaction, which publishes nothing).
-    pub version: u64,
-    /// Buffered writes replayed.
-    pub writes: usize,
-}
-
-/// State of one open wire transaction.
-struct SessionTxn {
-    id: TxnId,
-    begin_version: u64,
-    /// COW clone of the begin snapshot with the transaction's own writes
-    /// applied (read-your-own-writes with full resolution semantics).
-    workspace: ObjectStore,
-    /// Buffered writes in arrival order, replayed at commit.
-    writes: Vec<(Surrogate, String, Value)>,
+impl From<TxnError> for SessionError {
+    fn from(e: TxnError) -> Self {
+        match e {
+            TxnError::Lock(e) => SessionError::Lock(e),
+            TxnError::Core(e) => SessionError::Core(e),
+            TxnError::WriteConflict {
+                obj,
+                attr,
+                committed_version,
+            } => SessionError::WriteConflict {
+                obj,
+                attr,
+                committed_version,
+            },
+            // Wire sessions run without access grants and commit unchecked,
+            // so these cannot arise; keep them an error, not a panic.
+            e @ (TxnError::AccessDenied { .. } | TxnError::Violations(_)) => {
+                SessionError::Core(CoreError::EvalError(e.to_string()))
+            }
+        }
+    }
 }
 
 /// Per-server registry of wire transactions, keyed by session id.
 ///
 /// The outer map lock is held only for entry bookkeeping; each session's
-/// state sits behind its own mutex, so one session blocked in a lock wait
-/// never stalls another session's begin/commit/abort.
+/// transaction sits behind its own mutex, so one session blocked in a lock
+/// wait never stalls another session's begin/commit/abort. A slot is
+/// emptied (`None`) the moment its transaction ends, so an operation that
+/// raced the end sees "no transaction", never a finished one.
 pub struct TxnRegistry {
-    locks: Arc<LockManager>,
-    next: AtomicU64,
-    sessions: Mutex<HashMap<u64, Arc<Mutex<SessionTxn>>>>,
+    mgr: TxnManager,
+    sessions: Mutex<HashMap<u64, Arc<Mutex<Option<Txn>>>>>,
 }
 
 impl Default for TxnRegistry {
@@ -152,15 +136,14 @@ impl TxnRegistry {
     /// Registry over an externally-constructed lock manager.
     pub fn with_lock_manager(locks: LockManager) -> Self {
         TxnRegistry {
-            locks: Arc::new(locks),
-            next: AtomicU64::new(1),
+            mgr: TxnManager::with_lock_manager(locks),
             sessions: Mutex::new(HashMap::new()),
         }
     }
 
     /// The underlying lock manager (stats/diagnostics).
     pub fn locks(&self) -> &LockManager {
-        &self.locks
+        self.mgr.locks()
     }
 
     /// Number of open wire transactions.
@@ -173,26 +156,6 @@ impl TxnRegistry {
         self.sessions.lock().contains_key(&session)
     }
 
-    fn entry(&self, session: u64) -> Result<Arc<Mutex<SessionTxn>>, SessionError> {
-        self.sessions
-            .lock()
-            .get(&session)
-            .cloned()
-            .ok_or(SessionError::NoTxn)
-    }
-
-    /// Acquire a lock for the transaction, charging the wait to the worker
-    /// thread's `lock` phase accumulator. On failure the whole transaction
-    /// is dead by 2PL rules, so the caller must abort it.
-    fn acquire(&self, txn: TxnId, res: Resource, mode: LockMode) -> Result<(), LockError> {
-        let t0 = Instant::now();
-        let out = self.locks.acquire(txn, res, mode);
-        lockprobe::charge_exclusive_wait(
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
-        out
-    }
-
     /// Open a transaction on `session`, pinning the current published
     /// version as its begin snapshot. Returns `(txn_id, begin_version)`.
     pub fn begin(&self, session: u64, store: &SharedStore) -> Result<(u64, u64), SessionError> {
@@ -200,50 +163,53 @@ impl TxnRegistry {
         if sessions.contains_key(&session) {
             return Err(SessionError::AlreadyInTxn);
         }
-        let snap = store.snapshot();
-        let begin_version = snap.version();
-        let mut workspace = (*snap).clone();
-        workspace.detach_resolution_cache();
-        let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        sessions.insert(
-            session,
-            Arc::new(Mutex::new(SessionTxn {
-                id,
-                begin_version,
-                workspace,
-                writes: Vec::new(),
-            })),
-        );
+        let txn = self.mgr.begin("", store);
+        let ids = (txn.id().0, txn.begin_version());
+        sessions.insert(session, Arc::new(Mutex::new(Some(txn))));
         txn_metrics().wire_begins.inc();
-        Ok((id.0, begin_version))
+        Ok(ids)
     }
 
-    /// In-transaction attribute read under §6 lock inheritance: S-locks
-    /// every `(object, item)` of the resolution chain — computed on the
-    /// workspace, so it follows the transaction's own uncommitted
-    /// bindings — then resolves against the workspace.
+    /// End `session`'s transaction: unregister it and hand it out.
+    fn take(&self, session: u64) -> Result<Txn, SessionError> {
+        let entry = self.sessions.lock().remove(&session);
+        let entry = entry.ok_or(SessionError::NoTxn)?;
+        let txn = entry.lock().take();
+        txn.ok_or(SessionError::NoTxn)
+    }
+
+    /// Run one in-transaction operation. A failed lock acquisition kills
+    /// the whole transaction (2PL): it is aborted and its locks released.
+    fn with_txn<R>(
+        &self,
+        session: u64,
+        op: impl FnOnce(&mut Txn) -> TxnResult<R>,
+    ) -> Result<R, SessionError> {
+        let entry = self.sessions.lock().get(&session).cloned();
+        let entry = entry.ok_or(SessionError::NoTxn)?;
+        let mut slot = entry.lock();
+        let out = op(slot.as_mut().ok_or(SessionError::NoTxn)?);
+        if let Err(TxnError::Lock(_)) = &out {
+            drop(slot.take());
+            self.sessions.lock().remove(&session);
+            txn_metrics().wire_aborts.inc();
+        }
+        Ok(out?)
+    }
+
+    /// In-transaction attribute read under §6 lock inheritance.
     pub fn read_attr(
         &self,
         session: u64,
         obj: Surrogate,
         attr: &str,
     ) -> Result<Value, SessionError> {
-        let entry = self.entry(session)?;
-        let st = entry.lock();
-        let chain = st.workspace.resolution_chain(obj, attr)?;
-        for (o, item) in &chain {
-            if let Err(e) = self.acquire(st.id, Resource::Item(*o, item.clone()), LockMode::S) {
-                drop(st);
-                self.abort(session).ok();
-                return Err(SessionError::Lock(e));
-            }
-        }
-        Ok(st.workspace.attr(obj, attr)?)
+        self.with_txn(session, |txn| txn.read_attr(obj, attr))
     }
 
     /// In-transaction local write: X-locks the written item, applies the
     /// write to the workspace (visible to this session's later reads),
-    /// and buffers it for replay at commit.
+    /// and logs it for replay at commit.
     pub fn set_attr(
         &self,
         session: u64,
@@ -251,94 +217,34 @@ impl TxnRegistry {
         attr: &str,
         value: Value,
     ) -> Result<(), SessionError> {
-        let entry = self.entry(session)?;
-        let mut st = entry.lock();
-        if let Err(e) = self.acquire(st.id, Resource::Item(obj, attr.to_string()), LockMode::X) {
-            drop(st);
-            self.abort(session).ok();
-            return Err(SessionError::Lock(e));
-        }
-        st.workspace.set_attr(obj, attr, value.clone())?;
-        st.writes.push((obj, attr.to_string(), value));
-        Ok(())
+        self.with_txn(session, |txn| txn.write_attr(obj, attr, value))
     }
 
-    /// Commit: validate every buffered write against the master's write
-    /// stamps (first-committer-wins vs. the begin version), replay them as
-    /// one atomic write cycle, publish, and release all locks — including
-    /// the inherited S-locks along every resolution chain this transaction
-    /// read. On conflict the transaction is aborted and nothing is
-    /// published from it.
+    /// Commit ([`Txn::commit`]): validate, replay as one atomic write
+    /// cycle, publish, release all locks — including the inherited S-locks
+    /// along every resolution chain this transaction read. On any error the
+    /// transaction is aborted and nothing is published from it.
     pub fn commit(&self, session: u64, store: &SharedStore) -> Result<CommitInfo, SessionError> {
-        let Some(entry) = self.sessions.lock().remove(&session) else {
-            return Err(SessionError::NoTxn);
-        };
-        let st = entry.lock();
-        if st.writes.is_empty() {
-            // Read-only: nothing to validate or publish.
-            self.locks.release_all(st.id);
-            txn_metrics().wire_commits.inc();
-            return Ok(CommitInfo {
-                version: 0,
-                writes: 0,
-            });
-        }
-        let outcome: Result<u64, SessionError> = store.write(|master| {
-            for (obj, attr, _) in &st.writes {
-                let stamped = master.write_stamp(*obj, attr);
-                if stamped > st.begin_version {
-                    return Err(SessionError::WriteConflict {
-                        obj: *obj,
-                        attr: attr.clone(),
-                        committed_version: stamped,
-                    });
-                }
-            }
-            // Dry-run on a scratch COW clone so a failing write (object
-            // deleted since begin, domain violation through a rebind, ...)
-            // rejects the whole commit with the master untouched.
-            let mut scratch = master.clone();
-            scratch.detach_resolution_cache();
-            for (obj, attr, value) in &st.writes {
-                scratch.set_attr(*obj, attr, value.clone())?;
-            }
-            for (obj, attr, value) in &st.writes {
-                master
-                    .set_attr(*obj, attr, value.clone())
-                    .expect("validated on scratch clone");
-            }
-            Ok(master.version())
-        });
-        self.locks.release_all(st.id);
-        match outcome {
-            Ok(version) => {
-                txn_metrics().wire_commits.inc();
-                Ok(CommitInfo {
-                    version,
-                    writes: st.writes.len(),
-                })
-            }
+        let outcome = self.take(session)?.commit(store);
+        let m = txn_metrics();
+        match &outcome {
+            Ok(_) => m.wire_commits.inc(),
             Err(e) => {
-                if matches!(e, SessionError::WriteConflict { .. }) {
-                    txn_metrics().wire_conflicts.inc();
+                if matches!(e, TxnError::WriteConflict { .. }) {
+                    m.wire_conflicts.inc();
                 }
-                txn_metrics().wire_aborts.inc();
-                Err(e)
+                m.wire_aborts.inc();
             }
         }
+        Ok(outcome?)
     }
 
-    /// Abort: discard the workspace and buffered writes, release all locks
+    /// Abort: discard the workspace and the log, release all locks
     /// (including inherited ones). Returns the number of locks released.
     pub fn abort(&self, session: u64) -> Result<usize, SessionError> {
-        let Some(entry) = self.sessions.lock().remove(&session) else {
-            return Err(SessionError::NoTxn);
-        };
-        let st = entry.lock();
-        let held = self.locks.held_count(st.id);
-        self.locks.release_all(st.id);
+        let released = self.take(session)?.abort();
         txn_metrics().wire_aborts.inc();
-        Ok(held)
+        Ok(released)
     }
 
     /// Abort `session`'s transaction if it has one — the disconnect/drain
@@ -351,8 +257,10 @@ impl TxnRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock::TxnId;
     use ccdb_core::domain::Domain;
     use ccdb_core::schema::{AttrDef, Catalog, InherRelTypeDef, ObjectTypeDef};
+    use ccdb_core::store::ObjectStore;
 
     fn fixture() -> (SharedStore, Surrogate, Surrogate) {
         let mut c = Catalog::new();
@@ -493,13 +401,31 @@ mod tests {
         reg.set_attr(1, interface, "X", Value::Int(1)).unwrap();
         reg.set_attr(1, imp, "Local", Value::Int(2)).unwrap();
         // Sabotage the second write: delete the object after begin. (No
-        // write stamp is bumped by delete, so stamp validation alone would
-        // miss it — the scratch dry-run must catch it.)
+        // write stamp is bumped by delete, so stamp validation passes — the
+        // replay itself fails, after the first write already hit the master.)
         store.write(|st| st.delete_force(imp)).unwrap();
+        let published = store.published_version();
+        assert_eq!(store.attr(interface, "X").unwrap(), Value::Int(7));
+        assert!(store.read(|st| st.resolution_cache_len()) > 0, "warm cache");
         let err = reg.commit(1, &store).unwrap_err();
         assert!(matches!(err, SessionError::Core(_)), "got {err}");
-        // Neither write landed.
+        // Neither write landed: the master was rolled back to the last
+        // published version, the resolution cache was cleared (fills
+        // stamped with the aborted version must not survive) and nothing
+        // new was published...
+        assert_eq!(store.read(|st| st.resolution_cache_len()), 0);
+        assert_eq!(store.published_version(), published);
         assert_eq!(store.attr(interface, "X").unwrap(), Value::Int(7));
+        assert!(!reg.in_txn(1));
+        // ...and the next commit goes through on a fresh version (the
+        // failed cycle burnt its own), against a master that really is the
+        // published state.
+        reg.begin(2, &store).unwrap();
+        reg.set_attr(2, interface, "X", Value::Int(3)).unwrap();
+        let info = reg.commit(2, &store).unwrap();
+        assert!(info.version > published + 1, "rolled-back version is burnt");
+        assert_eq!(store.attr(interface, "X").unwrap(), Value::Int(3));
+        assert!(store.read(|st| st.verify_integrity()).is_empty());
     }
 
     #[test]

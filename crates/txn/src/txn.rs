@@ -1,24 +1,49 @@
-//! The transaction manager: strict two-phase locking over an
-//! [`ObjectStore`], with the paper's §6 specifics —
+//! The one transaction mechanism: a [`Txn`] is a private copy-on-write
+//! **workspace** of its begin snapshot plus an ordered **op log**, and the
+//! paper's §6 locking is a policy over it.
+//!
+//! Every read and write of a transaction runs against the workspace (a
+//! structural-sharing clone of the [`SharedStore`] snapshot pinned at
+//! begin, with a detached resolution cache), so a transaction reads its
+//! begin snapshot plus its own writes — with full inheritance semantics —
+//! and nothing uncommitted is ever visible outside it. Abort is "drop the
+//! `Txn`": the workspace goes away and the locks are released.
+//!
+//! §6 lives in one place, `Txn::acquire_capped`:
 //!
 //! - **lock inheritance** opposite to data inheritance: reading an inherited
-//!   item read-locks the *(transmitter, item)* pairs along the resolution
+//!   item S-locks the *(transmitter, item)* pairs along the resolution
 //!   chain, not whole transmitters;
 //! - **expansion locking**: one operation locks a composite's whole
 //!   visibility footprint;
-//! - **access-control coupling**: implicit locks taken by expansion are
-//!   capped to what the access-control manager admits (standard parts stay
-//!   read-locked even inside an update expansion).
+//! - **access-control coupling**: every lock is capped to what the
+//!   access-control manager admits (standard parts stay read-locked even
+//!   inside an update expansion), and writes need [`Right::Update`].
+//!
+//! Whether those locks are actually *taken* is the [`Policy`]:
+//! [`Policy::Pessimistic`] for short transactions (embedded and wire),
+//! [`Policy::Optimistic`] for long design check-outs, which hold nothing
+//! for days and rely on commit-time validation alone.
+//!
+//! Commit is one [`SharedStore::try_write`] cycle: **validate**
+//! (first-committer-wins — no item this transaction wrote may carry a write
+//! stamp newer than the begin version), **check** (optionally, the deferred
+//! constraint pass, on the workspace, which already holds the final state),
+//! **replay** the log once on the master, **publish**. A replay error —
+//! an object deleted since begin, a binding slot taken meanwhile — rolls
+//! the master back to the last published version, so a half-applied commit
+//! is impossible.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 use ccdb_core::expand::{expand, expansion_footprint, ExpandedObject};
-use ccdb_core::object::ObjectData;
-use ccdb_core::store::DeletionRecord;
-use ccdb_core::store::ObjectStore;
-use ccdb_core::{CoreError, Surrogate, Value};
-use parking_lot::{Mutex, RwLock};
+use ccdb_core::shared::SharedStore;
+use ccdb_core::store::{ObjectStore, Violation};
+use ccdb_core::{lockprobe, CoreError, CoreResult, Surrogate, Value};
+use parking_lot::RwLock;
 
 use crate::access::{AccessControl, Right};
 use crate::lock::{LockError, LockManager, LockMode, Resource, TxnId};
@@ -37,6 +62,18 @@ pub enum TxnError {
         /// The protected object.
         object: Surrogate,
     },
+    /// First-committer-wins validation failed at commit: a newer version of
+    /// an item this transaction wrote was published after it began.
+    WriteConflict {
+        /// The contended object.
+        obj: Surrogate,
+        /// The contended attribute.
+        attr: String,
+        /// The version that beat this transaction to the item.
+        committed_version: u64,
+    },
+    /// [`Txn::commit_checked`] found violated integrity constraints.
+    Violations(Vec<Violation>),
 }
 
 impl std::fmt::Display for TxnError {
@@ -47,6 +84,16 @@ impl std::fmt::Display for TxnError {
             TxnError::AccessDenied { user, object } => {
                 write!(f, "access denied: user `{user}` may not update {object}")
             }
+            TxnError::WriteConflict {
+                obj,
+                attr,
+                committed_version,
+            } => write!(
+                f,
+                "write-write conflict on {obj}.{attr}: version {committed_version} \
+                 committed after this transaction began"
+            ),
+            TxnError::Violations(v) => write!(f, "{} integrity constraint(s) violated", v.len()),
         }
     }
 }
@@ -68,586 +115,666 @@ impl From<CoreError> for TxnError {
 /// Result alias.
 pub type TxnResult<T> = Result<T, TxnError>;
 
-/// What a persistence layer must do at commit (see
-/// [`Database::persistence_delta`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PersistenceDelta {
-    /// Live objects whose records must be (re)written.
-    pub save: Vec<Surrogate>,
-    /// Surrogates whose records must be removed.
-    pub delete: Vec<Surrogate>,
+/// Whether a transaction takes its §6 locks or only validates at commit.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Policy {
+    /// Take every lock (short transactions: embedded callers, the wire).
+    Pessimistic,
+    /// Take none; access rights are still enforced and commit still
+    /// validates (long design check-outs).
+    Optimistic,
 }
 
-/// Handle of an open transaction.
-#[derive(Clone, Debug)]
-pub struct TxnHandle {
-    /// Lock-manager id.
-    pub id: TxnId,
-    /// The user on whose behalf the transaction runs.
-    pub user: String,
-}
-
-enum UndoOp {
+/// One logged mutation. Creating ops carry the surrogate the workspace
+/// handed out, so the object keeps it when the log is replayed.
+#[derive(Clone, Debug, PartialEq)]
+#[allow(missing_docs)]
+pub enum Op {
     SetAttr {
         obj: Surrogate,
         attr: String,
-        old: Value,
+        value: Value,
     },
-    Created {
-        obj: Surrogate,
+    CreateObject {
+        s: Surrogate,
+        type_name: String,
+        attrs: Vec<(String, Value)>,
     },
-    Bound {
+    CreateSubobject {
+        s: Surrogate,
+        parent: Surrogate,
+        subclass: String,
+        attrs: Vec<(String, Value)>,
+    },
+    CreateRel {
+        s: Surrogate,
+        rel_type: String,
+        participants: Vec<(String, Vec<Surrogate>)>,
+        attrs: Vec<(String, Value)>,
+    },
+    CreateSubrel {
+        s: Surrogate,
+        parent: Surrogate,
+        subrel: String,
+        participants: Vec<(String, Vec<Surrogate>)>,
+        attrs: Vec<(String, Value)>,
+    },
+    Bind {
+        s: Surrogate,
+        rel_type: String,
+        transmitter: Surrogate,
+        inheritor: Surrogate,
+    },
+    Unbind {
         rel_obj: Surrogate,
+        inheritor: Surrogate,
     },
-    Unbound {
-        rel: Box<ObjectData>,
-    },
-    DeletedTree {
-        rec: Box<DeletionRecord>,
-        parent: Option<Surrogate>,
+    /// `touched`: everything the cascade removes plus the surviving owners
+    /// it detaches from, as seen by the workspace when the op was logged.
+    Delete {
+        obj: Surrogate,
+        touched: Vec<Surrogate>,
     },
 }
 
-/// A multi-user database: object store + lock manager + access control.
-pub struct Database {
-    store: RwLock<ObjectStore>,
+fn owned<T: Clone>(pairs: &[(&str, T)]) -> Vec<(String, T)> {
+    pairs
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.clone()))
+        .collect()
+}
+
+fn borrowed<T: Clone>(pairs: &[(String, T)]) -> Vec<(&str, T)> {
+    pairs.iter().map(|(k, v)| (k.as_str(), v.clone())).collect()
+}
+
+impl Op {
+    /// Apply this op to `st` — the transaction's workspace first, the
+    /// master at commit.
+    fn replay(&self, st: &mut ObjectStore) -> CoreResult<()> {
+        match self {
+            Op::SetAttr { obj, attr, value } => st.set_attr(*obj, attr, value.clone()),
+            Op::CreateObject {
+                s,
+                type_name,
+                attrs,
+            } => st
+                .create_as(*s, |st| st.create_object(type_name, borrowed(attrs)))
+                .map(drop),
+            Op::CreateSubobject {
+                s,
+                parent,
+                subclass,
+                attrs,
+            } => st
+                .create_as(*s, |st| {
+                    st.create_subobject(*parent, subclass, borrowed(attrs))
+                })
+                .map(drop),
+            Op::CreateRel {
+                s,
+                rel_type,
+                participants,
+                attrs,
+            } => st
+                .create_as(*s, |st| {
+                    st.create_rel(rel_type, borrowed(participants), borrowed(attrs))
+                })
+                .map(drop),
+            Op::CreateSubrel {
+                s,
+                parent,
+                subrel,
+                participants,
+                attrs,
+            } => st
+                .create_as(*s, |st| {
+                    st.create_subrel(*parent, subrel, borrowed(participants), borrowed(attrs))
+                })
+                .map(drop),
+            Op::Bind {
+                s,
+                rel_type,
+                transmitter,
+                inheritor,
+            } => st
+                .create_as(*s, |st| st.bind(rel_type, *transmitter, *inheritor, vec![]))
+                .map(drop),
+            Op::Unbind { rel_obj, .. } => st.unbind(*rel_obj),
+            Op::Delete { obj, .. } => st.delete(*obj),
+        }
+    }
+
+    /// The objects whose stored records `log` changes, creates or removes.
+    pub fn touched_by(log: &[Op]) -> BTreeSet<Surrogate> {
+        log.iter().flat_map(Op::touched).collect()
+    }
+
+    /// Objects whose stored record this op changes, creates or removes.
+    fn touched(&self) -> Vec<Surrogate> {
+        match self {
+            Op::SetAttr { obj, .. } => vec![*obj],
+            Op::CreateObject { s, .. } | Op::CreateRel { s, .. } => vec![*s],
+            Op::CreateSubobject { s, parent, .. } | Op::CreateSubrel { s, parent, .. } => {
+                vec![*s, *parent]
+            }
+            Op::Bind { s, inheritor, .. } => vec![*s, *inheritor],
+            Op::Unbind { rel_obj, inheritor } => vec![*rel_obj, *inheritor],
+            Op::Delete { touched, .. } => touched.clone(),
+        }
+    }
+}
+
+/// Outcome of a successful commit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommitInfo {
+    /// The store version this commit published (0 for a read-only
+    /// transaction, which publishes nothing).
+    pub version: u64,
+    /// Logged ops replayed.
+    pub writes: usize,
+}
+
+struct ManagerState {
     locks: LockManager,
     access: RwLock<AccessControl>,
     next_txn: AtomicU64,
-    undo: Mutex<HashMap<TxnId, Vec<UndoOp>>>,
 }
 
-impl Database {
-    /// Wrap a store.
-    pub fn new(store: ObjectStore) -> Self {
-        Database {
-            store: RwLock::new(store),
-            locks: LockManager::new(),
-            access: RwLock::new(AccessControl::new()),
-            next_txn: AtomicU64::new(1),
-            undo: Mutex::new(HashMap::new()),
-        }
+/// What transactions share: the lock manager, access control and the id
+/// counter. It holds no data — a transaction names its [`SharedStore`] at
+/// begin and at commit. A cheap, cloneable handle.
+#[derive(Clone)]
+pub struct TxnManager {
+    state: Arc<ManagerState>,
+}
+
+impl Default for TxnManager {
+    fn default() -> Self {
+        TxnManager::new()
+    }
+}
+
+impl TxnManager {
+    /// Manager with the lock manager's default wait timeout.
+    pub fn new() -> Self {
+        TxnManager::with_lock_manager(LockManager::new())
     }
 
     /// Use a pre-configured lock manager (e.g. short timeouts in tests).
-    pub fn with_lock_manager(store: ObjectStore, locks: LockManager) -> Self {
-        Database {
-            locks,
-            ..Self::new(store)
+    pub fn with_lock_manager(locks: LockManager) -> Self {
+        TxnManager {
+            state: Arc::new(ManagerState {
+                locks,
+                access: RwLock::new(AccessControl::new()),
+                next_txn: AtomicU64::new(1),
+            }),
         }
     }
 
-    /// The lock manager (for stats).
+    /// The lock manager (stats/diagnostics).
     pub fn locks(&self) -> &LockManager {
-        &self.locks
-    }
-
-    /// Run read-only logic against the store (no locking — for setup and
-    /// verification code outside transactions).
-    pub fn with_store<R>(&self, f: impl FnOnce(&ObjectStore) -> R) -> R {
-        f(&self.store.read())
-    }
-
-    /// Run mutating logic against the store outside any transaction (setup).
-    pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut ObjectStore) -> R) -> R {
-        f(&mut self.store.write())
+        &self.state.locks
     }
 
     /// Configure access control.
     pub fn with_access_mut<R>(&self, f: impl FnOnce(&mut AccessControl) -> R) -> R {
-        f(&mut self.access.write())
+        f(&mut self.state.access.write())
     }
 
-    /// Begin a transaction for `user`.
-    pub fn begin(&self, user: &str) -> TxnHandle {
-        let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
-        TxnHandle {
-            id,
+    /// Begin a short, lock-taking transaction for `user` on the currently
+    /// published snapshot of `store`.
+    pub fn begin(&self, user: &str, store: &SharedStore) -> Txn {
+        self.begin_with(user, store, Policy::Pessimistic)
+    }
+
+    /// Check a design out (§6 long transactions, after \[KSUW85\]): the same
+    /// [`Txn`] under [`Policy::Optimistic`] — the designer works on the
+    /// private workspace for as long as they like, holding no locks, and
+    /// checks in with [`Txn::commit`], which fails if someone else changed
+    /// one of the same items meanwhile.
+    pub fn checkout(&self, designer: &str, store: &SharedStore) -> Txn {
+        self.begin_with(designer, store, Policy::Optimistic)
+    }
+
+    /// Begin a transaction under an explicit locking policy.
+    pub fn begin_with(&self, user: &str, store: &SharedStore, policy: Policy) -> Txn {
+        let snap = store.snapshot();
+        let mut workspace = (*snap).clone();
+        workspace.detach_resolution_cache();
+        Txn {
+            mgr: self.clone(),
+            id: TxnId(self.state.next_txn.fetch_add(1, Ordering::Relaxed)),
             user: user.to_string(),
+            policy,
+            begin_version: snap.version(),
+            workspace,
+            log: Vec::new(),
+        }
+    }
+}
+
+/// An open transaction. Dropping it aborts: the workspace is discarded and
+/// every lock released.
+pub struct Txn {
+    mgr: TxnManager,
+    id: TxnId,
+    user: String,
+    policy: Policy,
+    begin_version: u64,
+    workspace: ObjectStore,
+    log: Vec<Op>,
+}
+
+impl Drop for Txn {
+    fn drop(&mut self) {
+        self.mgr.state.locks.release_all(self.id);
+    }
+}
+
+impl Txn {
+    /// Lock-manager id.
+    pub fn id(&self) -> TxnId {
+        self.id
+    }
+
+    /// The published version this transaction reads.
+    pub fn begin_version(&self) -> u64 {
+        self.begin_version
+    }
+
+    /// The transaction's view: its begin snapshot plus its own writes.
+    /// Reading it directly takes no locks.
+    pub fn workspace(&self) -> &ObjectStore {
+        &self.workspace
+    }
+
+    /// The ops logged so far, in order.
+    pub fn log(&self) -> &[Op] {
+        &self.log
+    }
+
+    /// Objects this transaction has written so far (sorted, deduplicated).
+    pub fn write_set(&self) -> Vec<Surrogate> {
+        Op::touched_by(&self.log).into_iter().collect()
+    }
+
+    // ------------------------------------------------------------------
+    // §6 locking policy
+    // ------------------------------------------------------------------
+
+    fn right_of(&self, obj: Surrogate) -> Right {
+        let access = self.mgr.state.access.read();
+        if !access.has_grants(&self.user) {
+            // The common case (every wire session): skip the class scan.
+            return Right::Update;
+        }
+        access.right(&self.user, obj, &self.workspace.classes_of(obj))
+    }
+
+    fn denied(&self, object: Surrogate) -> TxnError {
+        TxnError::AccessDenied {
+            user: self.user.clone(),
+            object,
         }
     }
 
-    fn push_undo(&self, tx: &TxnHandle, op: UndoOp) {
-        self.undo.lock().entry(tx.id).or_default().push(op);
-    }
-
-    fn right_of(&self, tx: &TxnHandle, obj: Surrogate) -> Right {
-        let store = self.store.read();
-        let classes = store.classes_of(obj);
-        self.access.read().right(&tx.user, obj, &classes)
-    }
-
-    fn acquire_capped(
-        &self,
-        tx: &TxnHandle,
-        res: Resource,
-        requested: LockMode,
-    ) -> TxnResult<LockMode> {
-        let right = self.right_of(tx, res.object());
-        let Some(mode) = right.cap(requested) else {
-            return Err(TxnError::AccessDenied {
-                user: tx.user.clone(),
-                object: res.object(),
-            });
-        };
-        self.locks.acquire(tx.id, res, mode)?;
+    /// The one place locks are taken: cap `requested` to what access
+    /// control admits for this user (`AccessDenied` if not even readable),
+    /// then — under [`Policy::Pessimistic`] — acquire it, charging the wait
+    /// to the calling thread's `lock` phase. Returns the granted mode.
+    fn acquire_capped(&self, res: Resource, requested: LockMode) -> TxnResult<LockMode> {
+        let object = res.object();
+        let mode = self
+            .right_of(object)
+            .cap(requested)
+            .ok_or_else(|| self.denied(object))?;
+        if self.policy == Policy::Pessimistic {
+            let t0 = Instant::now();
+            let out = self.mgr.state.locks.acquire(self.id, res, mode);
+            lockprobe::charge_exclusive_wait(
+                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            );
+            out?;
+        }
         Ok(mode)
+    }
+
+    /// X-lock `res` for a write; the user must hold [`Right::Update`] on it
+    /// (a write is never silently degraded).
+    fn acquire_update(&self, res: Resource) -> TxnResult<()> {
+        if self.right_of(res.object()) != Right::Update {
+            return Err(self.denied(res.object()));
+        }
+        self.acquire_capped(res, LockMode::X).map(drop)
+    }
+
+    /// Lock inheritance: S-lock every `(object, item)` of the resolution
+    /// chain, computed on the workspace so it follows the transaction's own
+    /// uncommitted bindings.
+    fn lock_chain(&self, obj: Surrogate, item: &str) -> TxnResult<()> {
+        for (o, item) in self.workspace.resolution_chain(obj, item)? {
+            self.acquire_capped(Resource::Item(o, item), LockMode::S)?;
+        }
+        Ok(())
+    }
+
+    /// Apply `op` to the workspace and log it for replay at commit.
+    fn apply(&mut self, op: Op) -> TxnResult<()> {
+        op.replay(&mut self.workspace)?;
+        self.log.push(op);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
 
-    /// Read an attribute under lock inheritance: S-locks each
-    /// `(object, item)` pair of the resolution chain.
-    pub fn read_attr(&self, tx: &TxnHandle, obj: Surrogate, attr: &str) -> TxnResult<Value> {
-        let chain = self.store.read().resolution_chain(obj, attr)?;
-        for (o, item) in &chain {
-            self.acquire_capped(tx, Resource::Item(*o, item.clone()), LockMode::S)?;
-        }
-        Ok(self.store.read().attr(obj, attr)?)
+    /// Read an attribute under lock inheritance.
+    pub fn read_attr(&self, obj: Surrogate, attr: &str) -> TxnResult<Value> {
+        self.lock_chain(obj, attr)?;
+        Ok(self.workspace.attr(obj, attr)?)
     }
 
     /// Read subclass members under lock inheritance.
-    pub fn read_subclass(
-        &self,
-        tx: &TxnHandle,
-        obj: Surrogate,
-        name: &str,
-    ) -> TxnResult<Vec<Surrogate>> {
-        let chain = self.store.read().resolution_chain(obj, name)?;
-        for (o, item) in &chain {
-            self.acquire_capped(tx, Resource::Item(*o, item.clone()), LockMode::S)?;
-        }
-        Ok(self.store.read().subclass_members(obj, name)?)
+    pub fn read_subclass(&self, obj: Surrogate, name: &str) -> TxnResult<Vec<Surrogate>> {
+        self.lock_chain(obj, name)?;
+        Ok(self.workspace.subclass_members(obj, name)?)
     }
-
-    // ------------------------------------------------------------------
-    // Writes
-    // ------------------------------------------------------------------
-
-    /// Write a local attribute under an X item lock.
-    pub fn write_attr(
-        &self,
-        tx: &TxnHandle,
-        obj: Surrogate,
-        attr: &str,
-        value: Value,
-    ) -> TxnResult<()> {
-        let right = self.right_of(tx, obj);
-        if right != Right::Update {
-            return Err(TxnError::AccessDenied {
-                user: tx.user.clone(),
-                object: obj,
-            });
-        }
-        self.locks
-            .acquire(tx.id, Resource::Item(obj, attr.to_string()), LockMode::X)?;
-        let mut store = self.store.write();
-        let old = store
-            .object(obj)?
-            .attrs
-            .get(attr)
-            .cloned()
-            .unwrap_or(Value::Missing);
-        store.set_attr(obj, attr, value)?;
-        drop(store);
-        self.push_undo(
-            tx,
-            UndoOp::SetAttr {
-                obj,
-                attr: attr.to_string(),
-                old,
-            },
-        );
-        Ok(())
-    }
-
-    /// Create a top-level object (X on the new object).
-    pub fn create_object(
-        &self,
-        tx: &TxnHandle,
-        type_name: &str,
-        attrs: Vec<(&str, Value)>,
-    ) -> TxnResult<Surrogate> {
-        let s = self.store.write().create_object(type_name, attrs)?;
-        self.locks
-            .acquire(tx.id, Resource::Object(s), LockMode::X)?;
-        self.push_undo(tx, UndoOp::Created { obj: s });
-        Ok(s)
-    }
-
-    /// Create a subobject (X on the new object, IX+item X on the parent
-    /// subclass).
-    pub fn create_subobject(
-        &self,
-        tx: &TxnHandle,
-        parent: Surrogate,
-        subclass: &str,
-        attrs: Vec<(&str, Value)>,
-    ) -> TxnResult<Surrogate> {
-        self.acquire_capped(
-            tx,
-            Resource::Item(parent, subclass.to_string()),
-            LockMode::X,
-        )?;
-        let s = self
-            .store
-            .write()
-            .create_subobject(parent, subclass, attrs)?;
-        self.locks
-            .acquire(tx.id, Resource::Object(s), LockMode::X)?;
-        self.push_undo(tx, UndoOp::Created { obj: s });
-        Ok(s)
-    }
-
-    /// Create a top-level relationship object (X on it; S on participants
-    /// so they cannot vanish mid-transaction).
-    pub fn create_rel(
-        &self,
-        tx: &TxnHandle,
-        rel_type: &str,
-        participants: Vec<(&str, Vec<Surrogate>)>,
-        attrs: Vec<(&str, Value)>,
-    ) -> TxnResult<Surrogate> {
-        for (_, members) in &participants {
-            for m in members {
-                self.acquire_capped(tx, Resource::Object(*m), LockMode::S)?;
-            }
-        }
-        let s = self
-            .store
-            .write()
-            .create_rel(rel_type, participants, attrs)?;
-        self.locks
-            .acquire(tx.id, Resource::Object(s), LockMode::X)?;
-        self.push_undo(tx, UndoOp::Created { obj: s });
-        Ok(s)
-    }
-
-    /// Create a relationship member in a local subrel class of `parent`.
-    pub fn create_subrel(
-        &self,
-        tx: &TxnHandle,
-        parent: Surrogate,
-        subrel: &str,
-        participants: Vec<(&str, Vec<Surrogate>)>,
-        attrs: Vec<(&str, Value)>,
-    ) -> TxnResult<Surrogate> {
-        self.acquire_capped(tx, Resource::Item(parent, subrel.to_string()), LockMode::X)?;
-        for (_, members) in &participants {
-            for m in members {
-                self.acquire_capped(tx, Resource::Object(*m), LockMode::S)?;
-            }
-        }
-        let s = self
-            .store
-            .write()
-            .create_subrel(parent, subrel, participants, attrs)?;
-        self.locks
-            .acquire(tx.id, Resource::Object(s), LockMode::X)?;
-        self.push_undo(tx, UndoOp::Created { obj: s });
-        Ok(s)
-    }
-
-    /// Bind an inheritor to a transmitter (X on the inheritor's binding
-    /// slot, S on the transmitter's permeable items).
-    pub fn bind(
-        &self,
-        tx: &TxnHandle,
-        rel_type: &str,
-        transmitter: Surrogate,
-        inheritor: Surrogate,
-    ) -> TxnResult<Surrogate> {
-        let permeable: Vec<String> = self
-            .store
-            .read()
-            .catalog()
-            .inher_rel_type(rel_type)
-            .map(|d| d.inheriting.clone())?;
-        self.acquire_capped(
-            tx,
-            Resource::Item(inheritor, format!("@{rel_type}")),
-            LockMode::X,
-        )?;
-        for item in &permeable {
-            self.acquire_capped(tx, Resource::Item(transmitter, item.clone()), LockMode::S)?;
-        }
-        let rel = self
-            .store
-            .write()
-            .bind(rel_type, transmitter, inheritor, vec![])?;
-        self.push_undo(tx, UndoOp::Bound { rel_obj: rel });
-        Ok(rel)
-    }
-
-    /// Transactional cascade delete (§3): X-locks the whole subtree, removes
-    /// it, and can restore it exactly on abort. Transmitters with live
-    /// external inheritors are protected, as in
-    /// [`ObjectStore::delete`](ccdb_core::store::ObjectStore::delete).
-    pub fn delete(&self, tx: &TxnHandle, obj: Surrogate) -> TxnResult<()> {
-        // Lock the subtree (and implicitly protect concurrent readers).
-        let subtree: Vec<Surrogate> = {
-            let store = self.store.read();
-            let mut out = Vec::new();
-            let mut stack = vec![obj];
-            while let Some(s) = stack.pop() {
-                let o = store.object(s)?;
-                out.push(s);
-                stack.extend(o.all_subclass_members());
-            }
-            out
-        };
-        for s in &subtree {
-            let right = self.right_of(tx, *s);
-            if right != Right::Update {
-                return Err(TxnError::AccessDenied {
-                    user: tx.user.clone(),
-                    object: *s,
-                });
-            }
-            self.locks
-                .acquire(tx.id, Resource::Object(*s), LockMode::X)?;
-        }
-        let parent = self
-            .store
-            .read()
-            .object(obj)?
-            .owner
-            .as_ref()
-            .map(|o| o.parent);
-        let rec = self.store.write().delete_recorded(obj)?;
-        self.push_undo(
-            tx,
-            UndoOp::DeletedTree {
-                rec: Box::new(rec),
-                parent,
-            },
-        );
-        Ok(())
-    }
-
-    /// Dissolve a binding.
-    pub fn unbind(&self, tx: &TxnHandle, rel_obj: Surrogate) -> TxnResult<()> {
-        let snapshot = self.store.read().object(rel_obj)?.clone();
-        self.acquire_capped(
-            tx,
-            Resource::Item(
-                snapshot
-                    .inheritor()
-                    .ok_or(CoreError::NoSuchObject(rel_obj))
-                    .map_err(TxnError::Core)?,
-                format!("@{}", snapshot.type_name),
-            ),
-            LockMode::X,
-        )?;
-        self.store.write().unbind(rel_obj)?;
-        self.push_undo(
-            tx,
-            UndoOp::Unbound {
-                rel: Box::new(snapshot),
-            },
-        );
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Expansion locking (§6)
-    // ------------------------------------------------------------------
 
     /// Expand a composite for reading: S-locks every object in the
     /// visibility footprint, then materializes the expansion.
-    pub fn expand_read(&self, tx: &TxnHandle, obj: Surrogate) -> TxnResult<ExpandedObject> {
-        let store = self.store.read();
-        let footprint = expansion_footprint(&store, obj)?;
-        drop(store);
-        for s in &footprint {
-            self.acquire_capped(tx, Resource::Object(*s), LockMode::S)?;
+    pub fn expand_read(&self, obj: Surrogate) -> TxnResult<ExpandedObject> {
+        for s in expansion_footprint(&self.workspace, obj)? {
+            self.acquire_capped(Resource::Object(s), LockMode::S)?;
         }
-        Ok(expand(&self.store.read(), obj, usize::MAX)?)
+        Ok(expand(&self.workspace, obj, usize::MAX)?)
     }
 
     /// Expand a composite for update: requests X on every object in the
     /// footprint but — following the paper — consults access control and
     /// silently degrades to S on objects the user may only read (standard
     /// cells). Returns the objects actually granted X.
-    pub fn expand_update(&self, tx: &TxnHandle, obj: Surrogate) -> TxnResult<Vec<Surrogate>> {
-        let store = self.store.read();
-        let footprint = expansion_footprint(&store, obj)?;
-        drop(store);
+    pub fn expand_update(&self, obj: Surrogate) -> TxnResult<Vec<Surrogate>> {
         let mut writable = Vec::new();
-        for s in &footprint {
-            let granted = self.acquire_capped(tx, Resource::Object(*s), LockMode::X)?;
-            if granted == LockMode::X {
-                writable.push(*s);
+        for s in expansion_footprint(&self.workspace, obj)? {
+            if self.acquire_capped(Resource::Object(s), LockMode::X)? == LockMode::X {
+                writable.push(s);
             }
         }
         Ok(writable)
     }
 
     // ------------------------------------------------------------------
+    // Writes (workspace now, master at commit)
+    // ------------------------------------------------------------------
+
+    /// Write a local attribute under an X item lock.
+    pub fn write_attr(&mut self, obj: Surrogate, attr: &str, value: Value) -> TxnResult<()> {
+        self.acquire_update(Resource::Item(obj, attr.to_string()))?;
+        self.apply(Op::SetAttr {
+            obj,
+            attr: attr.to_string(),
+            value,
+        })
+    }
+
+    /// Create a top-level object. It is invisible to everyone else until
+    /// commit, so it needs no lock; the returned surrogate is final.
+    pub fn create_object(
+        &mut self,
+        type_name: &str,
+        attrs: Vec<(&str, Value)>,
+    ) -> TxnResult<Surrogate> {
+        let s = self.workspace.reserve_surrogate();
+        self.apply(Op::CreateObject {
+            s,
+            type_name: type_name.to_string(),
+            attrs: owned(&attrs),
+        })?;
+        Ok(s)
+    }
+
+    /// Create a subobject (X on the parent's subclass item).
+    pub fn create_subobject(
+        &mut self,
+        parent: Surrogate,
+        subclass: &str,
+        attrs: Vec<(&str, Value)>,
+    ) -> TxnResult<Surrogate> {
+        self.acquire_update(Resource::Item(parent, subclass.to_string()))?;
+        let s = self.workspace.reserve_surrogate();
+        self.apply(Op::CreateSubobject {
+            s,
+            parent,
+            subclass: subclass.to_string(),
+            attrs: owned(&attrs),
+        })?;
+        Ok(s)
+    }
+
+    /// S-lock relationship participants so they cannot vanish under a
+    /// concurrent transactional delete.
+    fn lock_participants(&self, participants: &[(&str, Vec<Surrogate>)]) -> TxnResult<()> {
+        for m in participants.iter().flat_map(|(_, members)| members) {
+            self.acquire_capped(Resource::Object(*m), LockMode::S)?;
+        }
+        Ok(())
+    }
+
+    /// Create a top-level relationship object (S on the participants).
+    pub fn create_rel(
+        &mut self,
+        rel_type: &str,
+        participants: Vec<(&str, Vec<Surrogate>)>,
+        attrs: Vec<(&str, Value)>,
+    ) -> TxnResult<Surrogate> {
+        self.lock_participants(&participants)?;
+        let s = self.workspace.reserve_surrogate();
+        self.apply(Op::CreateRel {
+            s,
+            rel_type: rel_type.to_string(),
+            participants: owned(&participants),
+            attrs: owned(&attrs),
+        })?;
+        Ok(s)
+    }
+
+    /// Create a relationship member in a local subrel class of `parent`
+    /// (X on the parent's subrel item, S on the participants).
+    pub fn create_subrel(
+        &mut self,
+        parent: Surrogate,
+        subrel: &str,
+        participants: Vec<(&str, Vec<Surrogate>)>,
+        attrs: Vec<(&str, Value)>,
+    ) -> TxnResult<Surrogate> {
+        self.acquire_update(Resource::Item(parent, subrel.to_string()))?;
+        self.lock_participants(&participants)?;
+        let s = self.workspace.reserve_surrogate();
+        self.apply(Op::CreateSubrel {
+            s,
+            parent,
+            subrel: subrel.to_string(),
+            participants: owned(&participants),
+            attrs: owned(&attrs),
+        })?;
+        Ok(s)
+    }
+
+    /// Bind an inheritor to a transmitter (X on the inheritor's binding
+    /// slot, S on the transmitter's permeable items).
+    pub fn bind(
+        &mut self,
+        rel_type: &str,
+        transmitter: Surrogate,
+        inheritor: Surrogate,
+    ) -> TxnResult<Surrogate> {
+        self.acquire_update(Resource::Item(inheritor, format!("@{rel_type}")))?;
+        let def = self.workspace.catalog().inher_rel_type(rel_type)?;
+        for item in &def.inheriting {
+            self.acquire_capped(Resource::Item(transmitter, item.clone()), LockMode::S)?;
+        }
+        let s = self.workspace.reserve_surrogate();
+        self.apply(Op::Bind {
+            s,
+            rel_type: rel_type.to_string(),
+            transmitter,
+            inheritor,
+        })?;
+        Ok(s)
+    }
+
+    /// Dissolve a binding (X on the inheritor's binding slot).
+    pub fn unbind(&mut self, rel_obj: Surrogate) -> TxnResult<()> {
+        let rel = self.workspace.object(rel_obj)?;
+        let inheritor = rel.inheritor().ok_or(CoreError::NoSuchObject(rel_obj))?;
+        self.acquire_update(Resource::Item(inheritor, format!("@{}", rel.type_name)))?;
+        self.apply(Op::Unbind { rel_obj, inheritor })
+    }
+
+    /// Transactional cascade delete (§3): X-locks everything the cascade
+    /// removes — the subtree, the bindings of doomed inheritors, and
+    /// relationship objects referencing a doomed participant. Transmitters
+    /// with live external inheritors are protected, as in
+    /// [`ObjectStore::delete`].
+    pub fn delete(&mut self, obj: Surrogate) -> TxnResult<()> {
+        let ws = &self.workspace;
+        ws.object(obj)?;
+        let mut doomed = BTreeSet::new();
+        let mut stack = vec![obj];
+        while let Some(s) = stack.pop() {
+            let Ok(o) = ws.object(s) else { continue };
+            if doomed.insert(s) {
+                stack.extend(o.all_subclass_members());
+                stack.extend(o.bindings.values());
+                stack.extend(ws.relationships_of(s));
+            }
+        }
+        for s in &doomed {
+            self.acquire_update(Resource::Object(*s))?;
+        }
+        let owners = doomed
+            .iter()
+            .filter_map(|s| ws.object(*s).ok()?.owner.as_ref().map(|w| w.parent));
+        let touched = doomed.iter().copied().chain(owners).collect();
+        self.apply(Op::Delete { obj, touched })
+    }
+
+    // ------------------------------------------------------------------
     // Commit / abort
     // ------------------------------------------------------------------
 
-    /// Commit: drop the undo log and release all locks.
-    pub fn commit(&self, tx: TxnHandle) {
-        self.undo.lock().remove(&tx.id);
-        self.locks.release_all(tx.id);
+    /// Abort: discard the workspace and the log, release all locks
+    /// (including inherited ones). Returns the number of locks released.
+    pub fn abort(self) -> usize {
+        // Only counts; dropping `self` does the releasing.
+        self.mgr.state.locks.held_count(self.id)
     }
 
-    /// Objects this transaction has written so far (from its undo log).
-    pub fn write_set(&self, tx: &TxnHandle) -> Vec<Surrogate> {
-        let undo = self.undo.lock();
-        let mut out: Vec<Surrogate> = undo
-            .get(&tx.id)
-            .map(|ops| {
-                ops.iter()
-                    .flat_map(|op| match op {
-                        UndoOp::SetAttr { obj, .. } | UndoOp::Created { obj } => vec![*obj],
-                        UndoOp::Bound { rel_obj } => vec![*rel_obj],
-                        UndoOp::Unbound { rel } => vec![rel.surrogate],
-                        UndoOp::DeletedTree { parent, .. } => parent.iter().copied().collect(),
-                    })
-                    .collect()
+    /// Commit: validate, replay, publish, release all locks. On any error
+    /// the transaction is gone and nothing of it was published.
+    pub fn commit(self, store: &SharedStore) -> TxnResult<CommitInfo> {
+        self.commit_with(store, false, |_, _| Ok(()))
+    }
+
+    /// Commit with deferred integrity checking (§3: constraints are
+    /// conditions the objects have to obey): every written object — and,
+    /// for subobjects, the owning complex objects whose constraints may
+    /// span them — is checked on the workspace first;
+    /// [`TxnError::Violations`] aborts the transaction.
+    pub fn commit_checked(self, store: &SharedStore) -> TxnResult<CommitInfo> {
+        self.commit_with(store, true, |_, _| Ok(()))
+    }
+
+    /// The commit protocol. `durable` runs inside the write cycle on the
+    /// master *after* the replay and *before* the publish — the point where
+    /// a persistence layer makes the commit durable; its `Err` rolls the
+    /// cycle back like a replay error.
+    pub fn commit_with(
+        self,
+        store: &SharedStore,
+        check: bool,
+        durable: impl FnOnce(&ObjectStore, &[Op]) -> TxnResult<()>,
+    ) -> TxnResult<CommitInfo> {
+        if self.log.is_empty() {
+            // Read-only: nothing to validate or publish.
+            return Ok(CommitInfo {
+                version: 0,
+                writes: 0,
+            });
+        }
+        if check {
+            let violations = self.violations();
+            if !violations.is_empty() {
+                return Err(TxnError::Violations(violations));
+            }
+        }
+        store
+            .try_write(|master| {
+                // A conflict is found before anything is mutated: publish
+                // the (unchanged) cycle rather than pay for a rollback.
+                if let Err(conflict) = self.validate(master) {
+                    return Ok(Err(conflict));
+                }
+                for op in &self.log {
+                    op.replay(master)?;
+                }
+                durable(master, &self.log)?;
+                Ok(Ok(CommitInfo {
+                    version: master.version(),
+                    writes: self.log.len(),
+                }))
             })
-            .unwrap_or_default();
-        out.sort();
-        out.dedup();
-        out
+            .and_then(|outcome| outcome)
     }
 
-    /// The records a persistence layer must write and delete to make this
-    /// transaction's effects durable: every written/created object, owners
-    /// whose subclass lists changed, inheritors whose bindings changed, and
-    /// the KV records of dissolved inheritance-relationship objects.
-    pub fn persistence_delta(&self, tx: &TxnHandle) -> PersistenceDelta {
-        let undo = self.undo.lock();
-        let store = self.store.read();
-        let mut save = Vec::new();
-        let mut delete = Vec::new();
-        for op in undo.get(&tx.id).map(Vec::as_slice).unwrap_or(&[]) {
-            match op {
-                UndoOp::SetAttr { obj, .. } => save.push(*obj),
-                UndoOp::Created { obj } => {
-                    save.push(*obj);
-                    if let Ok(o) = store.object(*obj) {
-                        if let Some(owner) = &o.owner {
-                            save.push(owner.parent);
-                        }
-                    }
-                }
-                UndoOp::Bound { rel_obj } => {
-                    save.push(*rel_obj);
-                    if let Ok(o) = store.object(*rel_obj) {
-                        if let Some(i) = o.inheritor() {
-                            save.push(i);
-                        }
-                    }
-                }
-                UndoOp::Unbound { rel } => {
-                    delete.push(rel.surrogate);
-                    if let Some(i) = rel.inheritor() {
-                        save.push(i);
-                    }
-                }
-                UndoOp::DeletedTree { rec, parent } => {
-                    delete.extend(rec.surrogates());
-                    if let Some(p) = parent {
-                        save.push(*p);
-                    }
+    /// First committer wins: no item this transaction wrote may have been
+    /// published by someone else since the begin snapshot. (Liveness of
+    /// the touched objects is checked by the replay itself.)
+    fn validate(&self, master: &ObjectStore) -> TxnResult<()> {
+        for op in &self.log {
+            if let Op::SetAttr { obj, attr, .. } = op {
+                let committed_version = master.write_stamp(*obj, attr);
+                if committed_version > self.begin_version {
+                    return Err(TxnError::WriteConflict {
+                        obj: *obj,
+                        attr: attr.clone(),
+                        committed_version,
+                    });
                 }
             }
         }
-        // An object both created-then-unbound etc.: keep only live ones in
-        // `save`; a surrogate that no longer exists must be deleted instead.
-        save.sort();
-        save.dedup();
-        let (live, gone): (Vec<_>, Vec<_>) =
-            save.into_iter().partition(|s| store.object(*s).is_ok());
-        delete.extend(gone);
-        delete.sort();
-        delete.dedup();
-        PersistenceDelta { save: live, delete }
+        Ok(())
     }
 
-    /// Deferred integrity checking (§3: constraints are conditions the
-    /// objects have to obey): validate every written object — and, for
-    /// subobjects, the owning complex objects whose constraints may span
-    /// them — then commit; on violation the transaction is aborted and the
-    /// violations returned.
-    pub fn commit_checked(&self, tx: TxnHandle) -> Result<(), Vec<ccdb_core::store::Violation>> {
-        let mut to_check = self.write_set(&tx);
-        {
-            let store = self.store.read();
-            // Pull in owner chains: a wire write must re-check its gate.
-            let mut extra = Vec::new();
-            for s in &to_check {
-                let mut cur = *s;
-                while let Some(owner) = store
-                    .object(cur)
-                    .ok()
-                    .and_then(|o| o.owner.as_ref().map(|w| w.parent))
-                {
-                    extra.push(owner);
-                    cur = owner;
+    /// Constraint violations of the write set and its owner chains,
+    /// evaluated on the workspace.
+    fn violations(&self) -> Vec<Violation> {
+        let ws = &self.workspace;
+        let mut to_check = BTreeSet::new();
+        for s in self.write_set() {
+            // A wire write must re-check its gate: pull in the owner chain.
+            let mut cur = Some(s);
+            while let Some(o) = cur.and_then(|c| ws.object(c).ok()) {
+                if !to_check.insert(o.surrogate) {
+                    break;
                 }
+                cur = o.owner.as_ref().map(|w| w.parent);
             }
-            to_check.extend(extra);
-            to_check.sort();
-            to_check.dedup();
         }
         let mut violations = Vec::new();
-        {
-            let store = self.store.read();
-            for s in &to_check {
-                if store.object(*s).is_ok() {
-                    match store.check_constraints(*s) {
-                        Ok(v) => violations.extend(v),
-                        Err(e) => violations.push(ccdb_core::store::Violation {
-                            object: *s,
-                            constraint: "<check failed>".into(),
-                            detail: Some(e.to_string()),
-                        }),
-                    }
-                }
+        for s in to_check {
+            match ws.check_constraints(s) {
+                Ok(v) => violations.extend(v),
+                Err(e) => violations.push(Violation {
+                    object: s,
+                    constraint: "<check failed>".into(),
+                    detail: Some(e.to_string()),
+                }),
             }
         }
-        if violations.is_empty() {
-            self.commit(tx);
-            Ok(())
-        } else {
-            self.abort(tx);
-            Err(violations)
-        }
-    }
-
-    /// Abort: undo this transaction's effects newest-first, release locks.
-    pub fn abort(&self, tx: TxnHandle) {
-        let ops = self.undo.lock().remove(&tx.id).unwrap_or_default();
-        let mut store = self.store.write();
-        for op in ops.into_iter().rev() {
-            match op {
-                UndoOp::SetAttr { obj, attr, old } => {
-                    let _ = store.set_attr(obj, &attr, old);
-                }
-                UndoOp::Created { obj } => {
-                    let _ = store.delete_force(obj);
-                }
-                UndoOp::Bound { rel_obj } => {
-                    let _ = store.unbind(rel_obj);
-                }
-                UndoOp::Unbound { rel } => {
-                    if let (Some(t), Some(i)) = (rel.transmitter(), rel.inheritor()) {
-                        let _ = store.bind(&rel.type_name, t, i, vec![]);
-                    }
-                }
-                UndoOp::DeletedTree { rec, .. } => {
-                    let _ = store.undelete(*rec);
-                }
-            }
-        }
-        drop(store);
-        self.locks.release_all(tx.id);
+        violations
     }
 }
 

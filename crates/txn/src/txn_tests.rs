@@ -52,13 +52,43 @@ fn catalog() -> Catalog {
     c
 }
 
-fn quick_db() -> Database {
+/// A shared store plus a manager with a short lock leash — what an
+/// embedded caller holds.
+struct Db {
+    store: SharedStore,
+    mgr: TxnManager,
+}
+
+impl Db {
+    fn over(store: ObjectStore, locks: LockManager) -> Db {
+        Db {
+            store: SharedStore::from_store(store),
+            mgr: TxnManager::with_lock_manager(locks),
+        }
+    }
+
+    fn begin(&self, user: &str) -> Txn {
+        self.mgr.begin(user, &self.store)
+    }
+
+    /// Read the *published* store (what any non-transactional reader sees).
+    fn with_store<R>(&self, f: impl FnOnce(&ObjectStore) -> R) -> R {
+        self.store.read(f)
+    }
+
+    /// Plain, non-transactional write cycle (setup).
+    fn with_store_mut<R>(&self, f: impl FnOnce(&mut ObjectStore) -> R) -> R {
+        self.store.write(f)
+    }
+}
+
+fn quick_db() -> Db {
     let store = ObjectStore::new(catalog()).unwrap();
-    Database::with_lock_manager(store, LockManager::with_timeout(Duration::from_millis(80)))
+    Db::over(store, LockManager::with_timeout(Duration::from_millis(80)))
 }
 
 /// (interface, implementation) with the implementation bound.
-fn bound_pair(db: &Database) -> (Surrogate, Surrogate) {
+fn bound_pair(db: &Db) -> (Surrogate, Surrogate) {
     db.with_store_mut(|st| {
         let i = st
             .create_object(
@@ -80,10 +110,10 @@ fn bound_pair(db: &Database) -> (Surrogate, Surrogate) {
 fn read_write_commit_cycle() {
     let db = quick_db();
     let (i, _) = bound_pair(&db);
-    let tx = db.begin("alice");
-    assert_eq!(db.read_attr(&tx, i, "Length").unwrap(), Value::Int(5));
-    db.write_attr(&tx, i, "Length", Value::Int(6)).unwrap();
-    db.commit(tx);
+    let mut tx = db.begin("alice");
+    assert_eq!(tx.read_attr(i, "Length").unwrap(), Value::Int(5));
+    tx.write_attr(i, "Length", Value::Int(6)).unwrap();
+    tx.commit(&db.store).unwrap();
     assert_eq!(
         db.with_store(|st| st.attr(i, "Length").unwrap()),
         Value::Int(6)
@@ -94,12 +124,12 @@ fn read_write_commit_cycle() {
 fn abort_undoes_writes_and_creates() {
     let db = quick_db();
     let (i, _) = bound_pair(&db);
-    let tx = db.begin("alice");
-    db.write_attr(&tx, i, "Length", Value::Int(99)).unwrap();
-    let fresh = db
-        .create_object(&tx, "If", vec![("Length", Value::Int(1))])
+    let mut tx = db.begin("alice");
+    tx.write_attr(i, "Length", Value::Int(99)).unwrap();
+    let fresh = tx
+        .create_object("If", vec![("Length", Value::Int(1))])
         .unwrap();
-    db.abort(tx);
+    tx.abort();
     assert_eq!(
         db.with_store(|st| st.attr(i, "Length").unwrap()),
         Value::Int(5)
@@ -111,32 +141,145 @@ fn abort_undoes_writes_and_creates() {
 fn abort_undoes_bind_and_unbind() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
-    // Unbind inside a txn, then abort → binding restored.
+    // Unbind inside a txn, then abort → binding restored. The transaction
+    // itself sees the unbound state; the published store never does.
     let rel = db.with_store(|st| st.binding_of(imp, "AllOf_If").unwrap());
-    let tx = db.begin("alice");
-    db.unbind(&tx, rel).unwrap();
-    assert_eq!(
-        db.with_store(|st| st.attr(imp, "Length").unwrap()),
-        Value::Missing
-    );
-    db.abort(tx);
+    let mut tx = db.begin("alice");
+    tx.unbind(rel).unwrap();
+    assert_eq!(tx.read_attr(imp, "Length").unwrap(), Value::Missing);
+    tx.abort();
     assert_eq!(
         db.with_store(|st| st.attr(imp, "Length").unwrap()),
         Value::Int(5)
+    );
+    assert_eq!(
+        db.with_store(|st| st.binding_of(imp, "AllOf_If")),
+        Some(rel)
     );
     // Bind a second implementation inside a txn, abort → gone.
     let imp2 = db.with_store_mut(|st| st.create_object("Impl", vec![]).unwrap());
-    let tx = db.begin("alice");
-    db.bind(&tx, "AllOf_If", i, imp2).unwrap();
-    assert_eq!(
-        db.with_store(|st| st.attr(imp2, "Length").unwrap()),
-        Value::Int(5)
-    );
-    db.abort(tx);
+    let mut tx = db.begin("alice");
+    tx.bind("AllOf_If", i, imp2).unwrap();
+    assert_eq!(tx.read_attr(imp2, "Length").unwrap(), Value::Int(5));
+    tx.abort();
     assert_eq!(
         db.with_store(|st| st.attr(imp2, "Length").unwrap()),
         Value::Missing
     );
+}
+
+#[test]
+fn uncommitted_effects_are_invisible_to_plain_readers() {
+    let db = quick_db();
+    let (i, imp) = bound_pair(&db);
+    let before = db.store.published_version();
+    let mut tx = db.begin("alice");
+    tx.write_attr(i, "Length", Value::Int(99)).unwrap();
+    let fresh = tx.create_object("If", vec![]).unwrap();
+    tx.delete(imp).unwrap();
+    // The transaction sees all three...
+    assert_eq!(tx.read_attr(i, "Length").unwrap(), Value::Int(99));
+    assert!(tx.workspace().object(fresh).is_ok());
+    assert!(tx.workspace().object(imp).is_err());
+    // ...a plain reader of the shared store sees none: no dirty reads.
+    assert_eq!(db.store.published_version(), before);
+    assert_eq!(db.store.attr(imp, "Length").unwrap(), Value::Int(5));
+    db.with_store(|st| {
+        assert!(st.object(fresh).is_err());
+        assert!(st.object(imp).is_ok());
+    });
+    // Commit makes all three visible at once.
+    tx.commit(&db.store).unwrap();
+    db.with_store(|st| {
+        assert_eq!(st.attr(i, "Length").unwrap(), Value::Int(99));
+        assert!(st.object(fresh).is_ok());
+        assert!(st.object(imp).is_err());
+    });
+}
+
+#[test]
+fn surrogates_handed_out_in_a_transaction_survive_commit() {
+    let db = quick_db();
+    let (i, _) = bound_pair(&db);
+    // Two concurrent transactions create objects: the surrogates are
+    // distinct although neither has committed, and a plain create that
+    // slips in between collides with neither.
+    let mut t1 = db.begin("alice");
+    let mut t2 = db.begin("bob");
+    let a = t1
+        .create_object("Impl", vec![("Cost", Value::Int(1))])
+        .unwrap();
+    let b = t2
+        .create_object("Impl", vec![("Cost", Value::Int(2))])
+        .unwrap();
+    let plain = db.with_store_mut(|st| st.create_object("Impl", vec![]).unwrap());
+    let rel = t1.bind("AllOf_If", i, a).unwrap();
+    assert!(a != b && a != plain && b != plain);
+    t2.commit(&db.store).unwrap();
+    t1.commit(&db.store).unwrap();
+    // Each surrogate resolves, after commit, to the object it named inside
+    // its transaction.
+    db.with_store(|st| {
+        assert_eq!(st.attr(a, "Cost").unwrap(), Value::Int(1));
+        assert_eq!(st.attr(b, "Cost").unwrap(), Value::Int(2));
+        assert_eq!(st.attr(a, "Length").unwrap(), Value::Int(5));
+        assert_eq!(st.binding_of(a, "AllOf_If"), Some(rel));
+        assert!(st.verify_integrity().is_empty());
+    });
+}
+
+#[test]
+fn replay_error_mid_commit_rolls_the_master_back() {
+    let db = quick_db();
+    let (i, imp) = bound_pair(&db);
+    // Log: create an implementation, then bind it to the interface.
+    let mut tx = db.begin("alice");
+    let fresh = tx.create_object("Impl", vec![]).unwrap();
+    tx.bind("AllOf_If", i, fresh).unwrap();
+    // The interface is force-deleted after begin: the create replays fine,
+    // the bind cannot.
+    db.with_store_mut(|st| st.delete_force(i).unwrap());
+    let published = db.store.published_version();
+    let err = tx.commit(&db.store).unwrap_err();
+    assert!(
+        matches!(err, TxnError::Core(CoreError::NoSuchObject(s)) if s == i),
+        "{err}"
+    );
+    // Master == last published: the half-replayed create is gone, nothing
+    // was published, the failed cycle's version is burnt...
+    assert_eq!(db.store.published_version(), published);
+    db.with_store(|st| assert!(st.object(fresh).is_err()));
+    // ...and the next commit goes through against a clean master.
+    let mut tx = db.begin("alice");
+    tx.write_attr(imp, "Cost", Value::Int(8)).unwrap();
+    let info = tx.commit(&db.store).unwrap();
+    assert!(info.version > published + 1);
+    db.with_store(|st| {
+        assert_eq!(st.attr(imp, "Cost").unwrap(), Value::Int(8));
+        assert!(st.object(fresh).is_err());
+        assert!(st.verify_integrity().is_empty());
+    });
+}
+
+#[test]
+fn failing_durability_hook_rolls_the_commit_back() {
+    let db = quick_db();
+    let (i, _) = bound_pair(&db);
+    let published = db.store.published_version();
+    let mut tx = db.begin("alice");
+    tx.write_attr(i, "Length", Value::Int(6)).unwrap();
+    // The hook sees the master after the replay and before the publish...
+    let err = tx
+        .commit_with(&db.store, false, |master, log| {
+            assert_eq!(master.attr(i, "Length").unwrap(), Value::Int(6));
+            assert_eq!(log.len(), 1);
+            Err(CoreError::EvalError("disk full".into()).into())
+        })
+        .unwrap_err();
+    assert!(matches!(err, TxnError::Core(CoreError::EvalError(_))));
+    // ...and its failure means nothing was published.
+    assert_eq!(db.store.published_version(), published);
+    assert_eq!(db.store.attr(i, "Length").unwrap(), Value::Int(5));
 }
 
 #[test]
@@ -145,35 +288,37 @@ fn lock_inheritance_read_locks_the_permeable_item() {
     let (i, imp) = bound_pair(&db);
     let reader = db.begin("reader");
     // Reading the *inherited* Length locks (imp, Length) and (i, Length).
-    assert_eq!(db.read_attr(&reader, imp, "Length").unwrap(), Value::Int(5));
+    assert_eq!(reader.read_attr(imp, "Length").unwrap(), Value::Int(5));
     // A writer on the transmitter's permeable item blocks…
-    let writer = db.begin("writer");
-    let err = db
-        .write_attr(&writer, i, "Length", Value::Int(7))
-        .unwrap_err();
+    let mut writer = db.begin("writer");
+    let err = writer.write_attr(i, "Length", Value::Int(7)).unwrap_err();
     assert!(matches!(err, TxnError::Lock(_)), "{err}");
-    db.abort(writer);
+    writer.abort();
     // …but a writer on the transmitter's NON-permeable item does not —
     // this is the point of item-granular lock inheritance.
-    let writer2 = db.begin("writer2");
-    db.write_attr(&writer2, i, "Internal", Value::Int(8))
-        .unwrap();
-    db.commit(writer2);
-    db.commit(reader);
+    let mut writer2 = db.begin("writer2");
+    writer2.write_attr(i, "Internal", Value::Int(8)).unwrap();
+    writer2.commit(&db.store).unwrap();
+    reader.commit(&db.store).unwrap();
 }
 
 #[test]
 fn writer_on_transmitter_blocks_inherited_reader() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
-    let writer = db.begin("writer");
-    db.write_attr(&writer, i, "Length", Value::Int(7)).unwrap();
+    let mut writer = db.begin("writer");
+    writer.write_attr(i, "Length", Value::Int(7)).unwrap();
     let reader = db.begin("reader");
-    let err = db.read_attr(&reader, imp, "Length").unwrap_err();
+    let err = reader.read_attr(imp, "Length").unwrap_err();
     assert!(matches!(err, TxnError::Lock(_)));
-    db.commit(writer);
-    assert_eq!(db.read_attr(&reader, imp, "Length").unwrap(), Value::Int(7));
-    db.commit(reader);
+    writer.commit(&db.store).unwrap();
+    // The lock is free again. The old reader still reads its begin
+    // snapshot; a reader that begins after the commit sees the new value.
+    assert_eq!(reader.read_attr(imp, "Length").unwrap(), Value::Int(5));
+    reader.abort();
+    let reader = db.begin("reader");
+    assert_eq!(reader.read_attr(imp, "Length").unwrap(), Value::Int(7));
+    reader.commit(&db.store).unwrap();
 }
 
 #[test]
@@ -181,18 +326,15 @@ fn expansion_read_locks_footprint() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
     let tx = db.begin("alice");
-    let expanded = db.expand_read(&tx, imp).unwrap();
+    let expanded = tx.expand_read(imp).unwrap();
     assert_eq!(expanded.type_name, "Impl");
     // The transmitter is S-locked whole: updates elsewhere block.
-    let writer = db.begin("bob");
-    let err = db
-        .write_attr(&writer, i, "Internal", Value::Int(9))
-        .unwrap_err();
+    let mut writer = db.begin("bob");
+    let err = writer.write_attr(i, "Internal", Value::Int(9)).unwrap_err();
     assert!(matches!(err, TxnError::Lock(_)));
-    db.commit(tx);
-    db.write_attr(&writer, i, "Internal", Value::Int(9))
-        .unwrap();
-    db.commit(writer);
+    tx.commit(&db.store).unwrap();
+    writer.write_attr(i, "Internal", Value::Int(9)).unwrap();
+    writer.commit(&db.store).unwrap();
 }
 
 #[test]
@@ -200,30 +342,32 @@ fn expansion_update_respects_access_control() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
     // The interface is a protected standard part: bob may only read it.
-    db.with_access_mut(|ac| ac.grant_object("bob", i, Right::Read));
-    let tx = db.begin("bob");
-    let writable = db.expand_update(&tx, imp).unwrap();
+    db.mgr
+        .with_access_mut(|ac| ac.grant_object("bob", i, Right::Read));
+    let mut tx = db.begin("bob");
+    let writable = tx.expand_update(imp).unwrap();
     assert!(writable.contains(&imp), "own composite is writable");
     assert!(!writable.contains(&i), "standard part capped to S");
     // A concurrent reader of the standard part is NOT blocked (S vs S)…
     let tx2 = db.begin("carol");
-    assert_eq!(db.read_attr(&tx2, i, "Length").unwrap(), Value::Int(5));
-    db.commit(tx2);
+    assert_eq!(tx2.read_attr(i, "Length").unwrap(), Value::Int(5));
+    tx2.commit(&db.store).unwrap();
     // …and bob cannot write it either (access denied, not just unlocked).
-    let err = db.write_attr(&tx, i, "Length", Value::Int(0)).unwrap_err();
+    let err = tx.write_attr(i, "Length", Value::Int(0)).unwrap_err();
     assert!(matches!(err, TxnError::AccessDenied { .. }));
-    db.commit(tx);
+    tx.commit(&db.store).unwrap();
 }
 
 #[test]
 fn no_access_at_all_fails_expansion() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
-    db.with_access_mut(|ac| ac.grant_object("mallory", i, Right::None));
+    db.mgr
+        .with_access_mut(|ac| ac.grant_object("mallory", i, Right::None));
     let tx = db.begin("mallory");
-    let err = db.expand_read(&tx, imp).unwrap_err();
+    let err = tx.expand_read(imp).unwrap_err();
     assert!(matches!(err, TxnError::AccessDenied { object, .. } if object == i));
-    db.abort(tx);
+    tx.abort();
 }
 
 #[test]
@@ -249,9 +393,9 @@ fn concurrent_writers_on_different_implementations() {
         let imp = *imp;
         handles.push(std::thread::spawn(move || {
             for n in 0..50 {
-                let tx = db.begin(&format!("user{k}"));
-                db.write_attr(&tx, imp, "Cost", Value::Int(n)).unwrap();
-                db.commit(tx);
+                let mut tx = db.begin(&format!("user{k}"));
+                tx.write_attr(imp, "Cost", Value::Int(n)).unwrap();
+                tx.commit(&db.store).unwrap();
             }
         }));
     }
@@ -270,20 +414,20 @@ fn concurrent_writers_on_different_implementations() {
 fn create_subobject_under_txn() {
     let db = quick_db();
     let (i, _) = bound_pair(&db);
-    let tx = db.begin("alice");
-    let pin = db
-        .create_subobject(&tx, i, "Pins", vec![("Id", Value::Int(2))])
+    let mut tx = db.begin("alice");
+    let pin = tx
+        .create_subobject(i, "Pins", vec![("Id", Value::Int(2))])
         .unwrap();
-    db.abort(tx);
+    tx.abort();
     assert!(
         db.with_store(|st| st.object(pin).is_err()),
         "aborted create rolled back"
     );
-    let tx = db.begin("alice");
-    let pin = db
-        .create_subobject(&tx, i, "Pins", vec![("Id", Value::Int(2))])
+    let mut tx = db.begin("alice");
+    let pin = tx
+        .create_subobject(i, "Pins", vec![("Id", Value::Int(2))])
         .unwrap();
-    db.commit(tx);
+    tx.commit(&db.store).unwrap();
     assert!(db.with_store(|st| st.object(pin).is_ok()));
 }
 
@@ -291,13 +435,13 @@ fn create_subobject_under_txn() {
 fn write_set_tracks_all_mutations() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
-    let tx = db.begin("alice");
-    db.write_attr(&tx, i, "Length", Value::Int(7)).unwrap();
-    let fresh = db.create_object(&tx, "If", vec![]).unwrap();
-    let ws = db.write_set(&tx);
+    let mut tx = db.begin("alice");
+    tx.write_attr(i, "Length", Value::Int(7)).unwrap();
+    let fresh = tx.create_object("If", vec![]).unwrap();
+    let ws = tx.write_set();
     assert!(ws.contains(&i) && ws.contains(&fresh));
     assert!(!ws.contains(&imp));
-    db.abort(tx);
+    tx.abort();
 }
 
 #[test]
@@ -318,25 +462,27 @@ fn commit_checked_rejects_constraint_violations() {
         ..Default::default()
     })
     .unwrap();
-    let db = Database::new(ObjectStore::new(c).unwrap());
+    let db = Db::over(ObjectStore::new(c).unwrap(), LockManager::new());
     let part = db.with_store_mut(|st| {
         st.create_object("Part", vec![("Length", Value::Int(10))])
             .unwrap()
     });
 
     // A valid write commits.
-    let tx = db.begin("alice");
-    db.write_attr(&tx, part, "Length", Value::Int(50)).unwrap();
-    db.commit_checked(tx).unwrap();
+    let mut tx = db.begin("alice");
+    tx.write_attr(part, "Length", Value::Int(50)).unwrap();
+    tx.commit_checked(&db.store).unwrap();
     assert_eq!(
         db.with_store(|st| st.attr(part, "Length").unwrap()),
         Value::Int(50)
     );
 
     // An invalid write is rejected AND rolled back.
-    let tx = db.begin("alice");
-    db.write_attr(&tx, part, "Length", Value::Int(200)).unwrap();
-    let violations = db.commit_checked(tx).unwrap_err();
+    let mut tx = db.begin("alice");
+    tx.write_attr(part, "Length", Value::Int(200)).unwrap();
+    let Err(TxnError::Violations(violations)) = tx.commit_checked(&db.store) else {
+        panic!("expected violations");
+    };
     assert_eq!(violations.len(), 1);
     assert_eq!(violations[0].constraint, "Length < 100");
     assert_eq!(
@@ -377,19 +523,18 @@ fn commit_checked_walks_owner_chain() {
         ..Default::default()
     })
     .unwrap();
-    let db = Database::new(ObjectStore::new(c).unwrap());
+    let db = Db::over(ObjectStore::new(c).unwrap(), LockManager::new());
     let parent = db.with_store_mut(|st| st.create_object("Parent", vec![]).unwrap());
 
-    let tx = db.begin("alice");
-    db.create_subobject(&tx, parent, "Children", vec![])
-        .unwrap();
-    db.commit_checked(tx).unwrap();
+    let mut tx = db.begin("alice");
+    tx.create_subobject(parent, "Children", vec![]).unwrap();
+    tx.commit_checked(&db.store).unwrap();
 
-    let tx = db.begin("alice");
-    let second = db
-        .create_subobject(&tx, parent, "Children", vec![])
-        .unwrap();
-    let violations = db.commit_checked(tx).unwrap_err();
+    let mut tx = db.begin("alice");
+    let second = tx.create_subobject(parent, "Children", vec![]).unwrap();
+    let Err(TxnError::Violations(violations)) = tx.commit_checked(&db.store) else {
+        panic!("expected violations");
+    };
     assert_eq!(violations[0].constraint, "at most one child");
     assert!(
         db.with_store(|st| st.object(second).is_err()),
@@ -411,41 +556,136 @@ fn class_level_access_grants_apply() {
         st.create_class("StandardCells", "If").unwrap();
         st.add_to_class("StandardCells", i).unwrap();
     });
-    db.with_access_mut(|ac| {
+    db.mgr.with_access_mut(|ac| {
         ac.grant_class("eve", "StandardCells", crate::access::Right::Read);
     });
-    let tx = db.begin("eve");
+    let mut tx = db.begin("eve");
     // Class members: read ok, write denied.
-    assert_eq!(db.read_attr(&tx, i, "Length").unwrap(), Value::Int(5));
+    assert_eq!(tx.read_attr(i, "Length").unwrap(), Value::Int(5));
     assert!(matches!(
-        db.write_attr(&tx, i, "Length", Value::Int(9)),
+        tx.write_attr(i, "Length", Value::Int(9)),
         Err(TxnError::AccessDenied { .. })
     ));
     // Non-members unaffected.
-    db.write_attr(&tx, imp, "Cost", Value::Int(4)).unwrap();
-    db.commit(tx);
+    tx.write_attr(imp, "Cost", Value::Int(4)).unwrap();
+    tx.commit(&db.store).unwrap();
 }
 
 #[test]
 fn transactional_delete_commits_and_aborts() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
-    // Abort: the implementation (and its binding) come back exactly.
-    let tx = db.begin("alice");
-    db.delete(&tx, imp).unwrap();
-    assert!(db.with_store(|st| st.object(imp).is_err()));
-    db.abort(tx);
+    // Abort: the implementation (and its binding) are exactly as before.
+    let mut tx = db.begin("alice");
+    tx.delete(imp).unwrap();
+    assert!(tx.workspace().object(imp).is_err());
+    tx.abort();
     assert!(db.with_store(|st| st.object(imp).is_ok()));
     assert_eq!(
         db.with_store(|st| st.attr(imp, "Length").unwrap()),
         Value::Int(5)
     );
     // Commit: gone for good; the interface no longer transmits.
-    let tx = db.begin("alice");
-    db.delete(&tx, imp).unwrap();
-    db.commit(tx);
+    let mut tx = db.begin("alice");
+    tx.delete(imp).unwrap();
+    tx.commit(&db.store).unwrap();
     assert!(db.with_store(|st| st.object(imp).is_err()));
     assert!(db.with_store(|st| st.inheritance_rels_of(i).is_empty()));
+}
+
+/// Chip-like schema for the cascade test: a gate with subgates bound to an
+/// external interface, and wires between the interface's pins.
+fn gate_catalog() -> Catalog {
+    let mut c = catalog();
+    c.register_rel_type(ccdb_core::schema::RelTypeDef {
+        name: "Wire".into(),
+        participants: vec![
+            ccdb_core::schema::ParticipantSpec::one("A", "Pin"),
+            ccdb_core::schema::ParticipantSpec::one("B", "Pin"),
+        ],
+        ..Default::default()
+    })
+    .unwrap();
+    c.register_object_type(ObjectTypeDef {
+        name: "Gate".into(),
+        subclasses: vec![SubclassSpec {
+            name: "SubGates".into(),
+            element_type: "Impl".into(),
+        }],
+        subrels: vec![ccdb_core::schema::SubrelSpec {
+            name: "Wires".into(),
+            rel_type: "Wire".into(),
+            member_constraints: vec![],
+        }],
+        ..Default::default()
+    })
+    .unwrap();
+    c
+}
+
+#[test]
+fn abort_restores_a_deleted_complex_subtree_exactly() {
+    let db = Db::over(
+        ObjectStore::new(gate_catalog()).unwrap(),
+        LockManager::new(),
+    );
+    let (interface, p1, p2, gate, sub, wire) = db.with_store_mut(|st| {
+        let interface = st
+            .create_object("If", vec![("Length", Value::Int(10))])
+            .unwrap();
+        let p1 = st.create_subobject(interface, "Pins", vec![]).unwrap();
+        let p2 = st.create_subobject(interface, "Pins", vec![]).unwrap();
+        let gate = st.create_object("Gate", vec![]).unwrap();
+        let sub = st
+            .create_subobject(gate, "SubGates", vec![("Cost", Value::Int(4))])
+            .unwrap();
+        st.bind("AllOf_If", interface, sub, vec![]).unwrap();
+        let wire = st
+            .create_subrel(
+                gate,
+                "Wires",
+                vec![("A", vec![p1]), ("B", vec![p2])],
+                vec![],
+            )
+            .unwrap();
+        st.create_class("Lib", "Gate").unwrap();
+        st.add_to_class("Lib", gate).unwrap();
+        (interface, p1, p2, gate, sub, wire)
+    });
+    let count_before = db.with_store(|st| st.object_count());
+
+    let mut tx = db.begin("alice");
+    tx.delete(gate).unwrap();
+    {
+        let ws = tx.workspace();
+        assert!(ws.object(gate).is_err());
+        assert!(ws.object(sub).is_err());
+        assert!(ws.object(wire).is_err(), "subrel member deleted with owner");
+        assert!(
+            ws.inheritance_rels_of(interface).is_empty(),
+            "binding dissolved"
+        );
+    }
+    tx.abort();
+
+    // Nothing of it ever reached the store: subclass membership, placement,
+    // inherited view, wire participants, indexes, class membership and
+    // transmitter protection are all as before.
+    db.with_store(|st| {
+        assert_eq!(st.object_count(), count_before);
+        assert_eq!(st.subclass_members(gate, "SubGates").unwrap(), vec![sub]);
+        assert_eq!(st.attr(sub, "Cost").unwrap(), Value::Int(4));
+        assert_eq!(st.attr(sub, "Length").unwrap(), Value::Int(10));
+        assert_eq!(st.object(wire).unwrap().participants("A"), Some(&[p1][..]));
+        assert_eq!(st.object(wire).unwrap().participants("B"), Some(&[p2][..]));
+        assert_eq!(st.relationships_of(p1), &[wire]);
+        assert_eq!(st.class_members("Lib").unwrap(), &[gate]);
+        assert!(st.verify_integrity().is_empty());
+    });
+    assert!(matches!(
+        db.with_store_mut(|st| st.delete(interface)),
+        Err(CoreError::TransmitterInUse { .. })
+    ));
 }
 
 #[test]
@@ -453,36 +693,40 @@ fn transactional_delete_respects_transmitter_protection_and_acl() {
     let db = quick_db();
     let (i, _imp) = bound_pair(&db);
     // The interface still transmits → delete refused, nothing locked burns.
-    let tx = db.begin("alice");
-    let err = db.delete(&tx, i).unwrap_err();
+    let mut tx = db.begin("alice");
+    let err = tx.delete(i).unwrap_err();
     assert!(matches!(
         err,
         TxnError::Core(CoreError::TransmitterInUse { .. })
     ));
-    db.abort(tx);
+    tx.abort();
     // A read-only user cannot delete.
-    db.with_access_mut(|ac| ac.grant_object("eve", i, Right::Read));
-    let tx = db.begin("eve");
-    let err = db.delete(&tx, i).unwrap_err();
+    db.mgr
+        .with_access_mut(|ac| ac.grant_object("eve", i, Right::Read));
+    let mut tx = db.begin("eve");
+    let err = tx.delete(i).unwrap_err();
     assert!(matches!(err, TxnError::AccessDenied { .. }));
-    db.abort(tx);
+    tx.abort();
 }
 
 #[test]
 fn delete_blocks_concurrent_readers_until_commit() {
     let db = quick_db();
     let (_i, imp) = bound_pair(&db);
-    let tx = db.begin("alice");
-    db.delete(&tx, imp).unwrap();
-    // Another txn cannot even read the doomed object (X held) — and after
-    // commit the object is simply gone.
+    let mut tx = db.begin("alice");
+    tx.delete(imp).unwrap();
+    // Another txn cannot even read the doomed object (X held)...
     let tx2 = db.begin("bob");
-    let err = db.read_attr(&tx2, imp, "Cost").unwrap_err();
-    assert!(matches!(err, TxnError::Lock(_) | TxnError::Core(_)));
-    db.commit(tx);
-    let err = db.read_attr(&tx2, imp, "Cost").unwrap_err();
+    let err = tx2.read_attr(imp, "Cost").unwrap_err();
+    assert!(matches!(err, TxnError::Lock(_)));
+    tx.commit(&db.store).unwrap();
+    tx2.abort();
+    // ...and for a transaction that begins after the commit the object is
+    // simply gone.
+    let tx3 = db.begin("bob");
+    let err = tx3.read_attr(imp, "Cost").unwrap_err();
     assert!(matches!(err, TxnError::Core(CoreError::NoSuchObject(_))));
-    db.abort(tx2);
+    tx3.abort();
 }
 
 #[test]
@@ -518,7 +762,7 @@ fn transactional_relationship_creation() {
         ..Default::default()
     })
     .unwrap();
-    let db = Database::new(ObjectStore::new(c).unwrap());
+    let db = Db::over(ObjectStore::new(c).unwrap(), LockManager::new());
     let (board, p1, p2) = db.with_store_mut(|st| {
         let b = st.create_object("Board", vec![]).unwrap();
         let p1 = st
@@ -530,39 +774,143 @@ fn transactional_relationship_creation() {
         (b, p1, p2)
     });
     // Abort removes both the top-level rel and the subrel member.
-    let tx = db.begin("alice");
-    let rel = db
-        .create_rel(&tx, "Wire2", vec![("A", vec![p1]), ("B", vec![p2])], vec![])
+    let mut tx = db.begin("alice");
+    let rel = tx
+        .create_rel("Wire2", vec![("A", vec![p1]), ("B", vec![p2])], vec![])
         .unwrap();
-    let wire = db
+    let wire = tx
         .create_subrel(
-            &tx,
             board,
             "Wires",
             vec![("A", vec![p1]), ("B", vec![p2])],
             vec![],
         )
         .unwrap();
-    db.abort(tx);
+    tx.abort();
     db.with_store(|st| {
         assert!(st.object(rel).is_err());
         assert!(st.object(wire).is_err());
         assert!(st.subclass_members(board, "Wires").unwrap().is_empty());
     });
     // Commit keeps them; participants hold S locks during the txn.
-    let tx = db.begin("alice");
-    let wire = db
+    let mut tx = db.begin("alice");
+    let wire = tx
         .create_subrel(
-            &tx,
             board,
             "Wires",
             vec![("A", vec![p1]), ("B", vec![p2])],
             vec![],
         )
         .unwrap();
-    db.commit(tx);
+    assert_eq!(
+        db.mgr.locks().held_mode(tx.id(), &Resource::Object(p1)),
+        Some(LockMode::S)
+    );
+    tx.commit(&db.store).unwrap();
     db.with_store(|st| {
         assert_eq!(st.subclass_members(board, "Wires").unwrap(), vec![wire]);
         assert_eq!(st.object(wire).unwrap().participants("A"), Some(&[p1][..]));
     });
+}
+
+// ----------------------------------------------------------------------
+// Long design transactions: the same Txn, optimistic, with a long lifetime
+// ----------------------------------------------------------------------
+
+#[test]
+fn checkout_modify_checkin() {
+    let db = quick_db();
+    let (i, imp) = bound_pair(&db);
+    let mut session = db.mgr.checkout("alice", &db.store);
+    session.write_attr(i, "Length", Value::Int(42)).unwrap();
+    assert_eq!(session.read_attr(imp, "Length").unwrap(), Value::Int(42));
+    // The store is untouched while the designer works, and the designer
+    // holds no locks meanwhile.
+    assert_eq!(db.store.attr(imp, "Length").unwrap(), Value::Int(5));
+    assert_eq!(db.mgr.locks().held_count(session.id()), 0);
+    session.commit(&db.store).unwrap();
+    assert_eq!(db.store.attr(imp, "Length").unwrap(), Value::Int(42));
+}
+
+#[test]
+fn concurrent_designers_first_wins() {
+    let db = quick_db();
+    let (i, _) = bound_pair(&db);
+    let mut alice = db.mgr.checkout("alice", &db.store);
+    let mut bob = db.mgr.checkout("bob", &db.store);
+    alice.write_attr(i, "Length", Value::Int(10)).unwrap();
+    bob.write_attr(i, "Length", Value::Int(20)).unwrap();
+    alice.commit(&db.store).unwrap();
+    let err = bob.commit(&db.store).unwrap_err();
+    assert!(
+        matches!(&err, TxnError::WriteConflict { obj, attr, .. } if *obj == i && attr == "Length"),
+        "{err}"
+    );
+    assert_eq!(db.store.attr(i, "Length").unwrap(), Value::Int(10));
+}
+
+#[test]
+fn disjoint_checkouts_do_not_conflict() {
+    let db = quick_db();
+    let (i, imp) = bound_pair(&db);
+    let mut alice = db.mgr.checkout("alice", &db.store);
+    let mut bob = db.mgr.checkout("bob", &db.store);
+    alice.write_attr(i, "Length", Value::Int(10)).unwrap();
+    bob.write_attr(imp, "Cost", Value::Int(20)).unwrap();
+    alice.commit(&db.store).unwrap();
+    bob.commit(&db.store).unwrap();
+    assert_eq!(db.store.attr(i, "Length").unwrap(), Value::Int(10));
+    assert_eq!(db.store.attr(imp, "Cost").unwrap(), Value::Int(20));
+}
+
+#[test]
+fn checkout_edits_go_through_the_validated_write_path() {
+    let db = quick_db();
+    let (i, imp) = bound_pair(&db);
+    let mut session = db.mgr.checkout("alice", &db.store);
+    // A domain-violating private edit is refused on the spot, as is a
+    // write to an inherited (read-only) attribute.
+    assert!(matches!(
+        session.write_attr(i, "Length", Value::Bool(true)),
+        Err(TxnError::Core(CoreError::DomainMismatch { .. }))
+    ));
+    assert!(matches!(
+        session.write_attr(imp, "Length", Value::Int(1)),
+        Err(TxnError::Core(CoreError::InheritedReadOnly { .. }))
+    ));
+    // Access rights are enforced although no locks are taken.
+    db.mgr
+        .with_access_mut(|ac| ac.grant_object("alice", i, Right::Read));
+    assert!(matches!(
+        session.write_attr(i, "Length", Value::Int(1)),
+        Err(TxnError::AccessDenied { .. })
+    ));
+    assert!(session.log().is_empty());
+}
+
+#[test]
+fn first_committer_wins_against_plain_writers() {
+    let db = quick_db();
+    let (i, imp) = bound_pair(&db);
+    for policy in [Policy::Pessimistic, Policy::Optimistic] {
+        let mut tx = db.mgr.begin_with("alice", &db.store, policy);
+        tx.write_attr(i, "Length", Value::Int(100)).unwrap();
+        // A plain writer takes no locks, so only commit-time validation
+        // can catch it — under either policy.
+        let current = db.store.attr(i, "Length").unwrap().as_int().unwrap();
+        db.store
+            .set_attr(i, "Length", Value::Int(current + 1))
+            .unwrap();
+        let begin = tx.begin_version();
+        match tx.commit(&db.store).unwrap_err() {
+            TxnError::WriteConflict {
+                committed_version, ..
+            } => assert!(committed_version > begin),
+            other => panic!("expected WriteConflict, got {other}"),
+        }
+        assert_eq!(
+            db.store.attr(imp, "Length").unwrap(),
+            Value::Int(current + 1)
+        );
+    }
 }

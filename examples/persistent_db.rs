@@ -52,10 +52,9 @@ fn main() {
     let (module, placement, doomed);
     {
         let pdb = PersistentDatabase::create(dir.path(), fresh_store()).unwrap();
-        let tx = pdb.begin("alice");
-        module = pdb
+        let mut tx = pdb.begin("alice");
+        module = tx
             .create_object(
-                &tx,
                 "Module",
                 vec![
                     ("Name", Value::Str("CPU".into())),
@@ -63,33 +62,28 @@ fn main() {
                 ],
             )
             .unwrap();
-        pdb.create_subobject(&tx, module, "Pads", vec![("Size", Value::Int(3))])
+        tx.create_subobject(module, "Pads", vec![("Size", Value::Int(3))])
             .unwrap();
-        placement = pdb
-            .create_object(
-                &tx,
-                "Placement",
-                vec![("Pos", Value::Point { x: 10, y: 20 })],
-            )
+        placement = tx
+            .create_object("Placement", vec![("Pos", Value::Point { x: 10, y: 20 })])
             .unwrap();
-        pdb.bind(&tx, "AllOf_Module", module, placement).unwrap();
+        tx.bind("AllOf_Module", module, placement).unwrap();
         pdb.commit(tx).unwrap();
         println!("session 1: committed module + placement (binding inherited Revision = 1)");
 
         // A transaction that never commits: its effects must not survive.
-        let tx = pdb.begin("alice");
-        doomed = pdb
-            .create_object(&tx, "Module", vec![("Revision", Value::Int(666))])
+        let mut tx = pdb.begin("alice");
+        doomed = tx
+            .create_object("Module", vec![("Revision", Value::Int(666))])
             .unwrap();
-        pdb.write_attr(&tx, module, "Revision", Value::Int(999))
-            .unwrap();
+        tx.write_attr(module, "Revision", Value::Int(999)).unwrap();
         // Crash before commit: drop everything.
     }
 
     // Session 2: reopen — recovery replays exactly the committed state.
     {
         let pdb = PersistentDatabase::open(dir.path()).unwrap();
-        pdb.db().with_store(|st| {
+        pdb.store().read(|st| {
             assert_eq!(st.attr(placement, "Revision").unwrap(), Value::Int(1));
             assert!(st.object(doomed).is_err(), "uncommitted module gone");
             println!(
@@ -100,34 +94,31 @@ fn main() {
         });
 
         // Transactional cascade delete: abort restores the module tree.
-        let tx = pdb.begin("bob");
-        pdb.db()
-            .unbind(
-                &tx,
-                pdb.db()
-                    .with_store(|st| st.binding_of(placement, "AllOf_Module").unwrap()),
-            )
-            .unwrap();
-        pdb.db().delete(&tx, module).unwrap();
-        assert!(pdb.db().with_store(|st| st.object(module).is_err()));
-        pdb.abort(tx);
-        assert!(pdb.db().with_store(|st| st.object(module).is_ok()));
-        println!("session 2: cascade delete aborted — module (and pads, binding) restored");
+        let rel = pdb
+            .store()
+            .read(|st| st.binding_of(placement, "AllOf_Module").unwrap());
+        let mut tx = pdb.begin("bob");
+        tx.unbind(rel).unwrap();
+        tx.delete(module).unwrap();
+        assert!(tx.workspace().object(module).is_err());
+        tx.abort();
+        pdb.store().read(|st| {
+            assert!(st.object(module).is_ok());
+            assert_eq!(st.binding_of(placement, "AllOf_Module"), Some(rel));
+        });
+        println!("session 2: cascade delete aborted — module (and pads, binding) untouched");
 
         // Now delete for real and make it durable.
-        let tx = pdb.begin("bob");
-        let rel = pdb
-            .db()
-            .with_store(|st| st.binding_of(placement, "AllOf_Module").unwrap());
-        pdb.unbind(&tx, rel).unwrap();
-        pdb.db().delete(&tx, module).unwrap();
+        let mut tx = pdb.begin("bob");
+        tx.unbind(rel).unwrap();
+        tx.delete(module).unwrap();
         pdb.commit(tx).unwrap();
         pdb.checkpoint().unwrap();
     }
 
     // Session 3: the delete survived.
     let pdb = PersistentDatabase::open(dir.path()).unwrap();
-    pdb.db().with_store(|st| {
+    pdb.store().read(|st| {
         assert!(st.object(module).is_err());
         assert!(st.object(placement).is_ok(), "placement survives, unbound");
         assert_eq!(st.attr(placement, "Revision").unwrap(), Value::Missing);

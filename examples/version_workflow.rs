@@ -7,11 +7,12 @@ use std::time::Duration;
 
 use ccdb_core::domain::Domain;
 use ccdb_core::schema::{AttrDef, Catalog, InherRelTypeDef, ObjectTypeDef};
+use ccdb_core::shared::SharedStore;
 use ccdb_core::store::ObjectStore;
 use ccdb_core::Value;
 use ccdb_txn::lock::LockManager;
-use ccdb_txn::txn::{Database, TxnError};
-use ccdb_txn::{DesignTxn, Right, StampRegistry};
+use ccdb_txn::txn::{TxnError, TxnManager};
+use ccdb_txn::Right;
 use ccdb_version::{
     Configuration, EnvironmentRegistry, GenericBindings, GenericRef, RebindOutcome, Selector,
     VersionManager, VersionStatus,
@@ -69,60 +70,60 @@ fn main() {
         .unwrap();
     store.bind("AllOf_Cell", cell_v1, part, vec![]).unwrap();
 
-    let db =
-        Database::with_lock_manager(store, LockManager::with_timeout(Duration::from_millis(50)));
+    // One shared MVCC store, one transaction manager (locks + access
+    // control) over it.
+    let db = SharedStore::from_store(store);
+    let txns = TxnManager::with_lock_manager(LockManager::with_timeout(Duration::from_millis(50)));
 
     // ---------------------------------------------------------------
     // Lock inheritance: alice reads the part's inherited Area — this
     // read-locks only (cell, Area). bob can still update Delay, but not
     // Area, until alice commits.
     // ---------------------------------------------------------------
-    let alice = db.begin("alice");
-    let area = db.read_attr(&alice, part, "Area").unwrap();
+    let alice = txns.begin("alice", &db);
+    let area = alice.read_attr(part, "Area").unwrap();
     println!("alice reads part.Area = {area} (inherited; locks the permeable item)");
 
-    let bob = db.begin("bob");
-    db.write_attr(&bob, cell_v1, "Delay", Value::Int(8))
-        .unwrap();
+    let mut bob = txns.begin("bob", &db);
+    bob.write_attr(cell_v1, "Delay", Value::Int(8)).unwrap();
     println!("bob updates cell.Delay concurrently: OK (not permeable)");
-    match db.write_attr(&bob, cell_v1, "Area", Value::Int(120)) {
+    match bob.write_attr(cell_v1, "Area", Value::Int(120)) {
         Err(TxnError::Lock(e)) => println!("bob updates cell.Area: blocked ({e})"),
         other => panic!("expected lock conflict, got {other:?}"),
     }
-    db.abort(bob);
-    db.commit(alice);
+    bob.abort();
+    alice.commit(&db).unwrap();
 
     // ---------------------------------------------------------------
     // Access control: the standard cell is read-only for designers; an
     // expansion-for-update degrades its lock to S instead of failing.
     // ---------------------------------------------------------------
-    db.with_access_mut(|ac| ac.grant_object("carol", cell_v1, Right::Read));
-    let carol = db.begin("carol");
-    let writable = db.expand_update(&carol, part).unwrap();
+    txns.with_access_mut(|ac| ac.grant_object("carol", cell_v1, Right::Read));
+    let carol = txns.begin("carol", &db);
+    let writable = carol.expand_update(part).unwrap();
     println!(
         "carol expands the part for update: {} writable object(s); the standard cell is protected",
         writable.len()
     );
     assert!(!writable.contains(&cell_v1));
-    db.commit(carol);
+    carol.commit(&db).unwrap();
 
     // ---------------------------------------------------------------
     // Long design transaction: dave designs a new cell version in a
-    // private workspace (optimistic; no locks held for the session).
+    // private workspace — the same transaction object, checked out
+    // optimistically (no locks held for the session) and checked in by
+    // its commit.
     // ---------------------------------------------------------------
-    let stamps = StampRegistry::new();
-    let cell_v2 = db.with_store_mut(|st| {
-        st.create_object(
+    let mut session = txns.checkout("dave", &db);
+    let cell_v2 = session
+        .create_object(
             "CellInterface",
             vec![("Area", Value::Int(90)), ("Delay", Value::Int(7))],
         )
-        .unwrap()
-    });
-    let mut session =
-        db.with_store(|st| DesignTxn::checkout("dave", st, &stamps, &[cell_v2]).unwrap());
-    session.set_attr(cell_v2, "Area", Value::Int(85)).unwrap();
-    db.with_store_mut(|st| session.checkin(st, &stamps))
         .unwrap();
+    session.write_attr(cell_v2, "Area", Value::Int(85)).unwrap();
+    assert!(db.read(|st| st.object(cell_v2).is_err()), "still private");
+    session.commit(&db).unwrap();
     println!("dave's design session checked in: new cell Area = 85");
 
     // ---------------------------------------------------------------
@@ -140,14 +141,14 @@ fn main() {
         selector: Selector::LatestWithStatus(VersionStatus::Released),
     });
     let envs = EnvironmentRegistry::new();
-    let report = db.with_store_mut(|st| gb.refresh(st, &vm, &envs));
+    let report = db.write(|st| gb.refresh(st, &vm, &envs));
     match &report[0].1 {
         RebindOutcome::Rebound { from, to } => {
             println!("part rebound from {from:?} to {to} (new released version)")
         }
         other => panic!("expected rebind, got {other:?}"),
     }
-    let new_area = db.with_store(|st| st.attr(part, "Area").unwrap());
+    let new_area = db.read(|st| st.attr(part, "Area").unwrap());
     println!("part.Area now = {new_area} (inherited from the new version)");
     assert_eq!(new_area, Value::Int(85));
 
@@ -155,27 +156,24 @@ fn main() {
     // Configuration control: snapshot the shipped binding state, move the
     // design forward, then restore the shipped configuration exactly.
     // ---------------------------------------------------------------
-    let shipped = db.with_store(|st| Configuration::capture("ship-1", st, part).unwrap());
+    let shipped = db.read(|st| Configuration::capture("ship-1", st, part).unwrap());
     // Design marches on: rebind the part back to v1.
-    db.with_store_mut(|st| {
+    db.write(|st| {
         let rel = st.binding_of(part, "AllOf_Cell").unwrap();
         st.unbind(rel).unwrap();
         st.bind("AllOf_Cell", cell_v1, part, vec![]).unwrap();
     });
     assert_eq!(
-        db.with_store(|st| st.attr(part, "Area").unwrap()),
+        db.read(|st| st.attr(part, "Area").unwrap()),
         Value::Int(100)
     );
-    let report = db.with_store_mut(|st| shipped.apply(st));
+    let report = db.write(|st| shipped.apply(st));
     println!(
         "configuration `{}` re-applied: {} slot(s) rebound — part.Area = {}",
         shipped.name,
         report.rebound,
-        db.with_store(|st| st.attr(part, "Area").unwrap())
+        db.read(|st| st.attr(part, "Area").unwrap())
     );
-    assert_eq!(
-        db.with_store(|st| st.attr(part, "Area").unwrap()),
-        Value::Int(85)
-    );
+    assert_eq!(db.read(|st| st.attr(part, "Area").unwrap()), Value::Int(85));
     println!("version_workflow OK");
 }

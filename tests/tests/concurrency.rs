@@ -1,16 +1,33 @@
-//! Concurrency integration tests: many designers against one Database,
-//! exercising lock inheritance, deadlock recovery, and serializability of
-//! the final state.
+//! Concurrency integration tests: many designers against one shared store
+//! and transaction manager, exercising lock inheritance, deadlock recovery,
+//! and serializability of the final state.
+//!
+//! A transaction reads its begin snapshot, so a retry loop treats a
+//! commit-time write conflict exactly like a lock failure: abort, begin
+//! again.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ccdb_core::domain::Domain;
 use ccdb_core::schema::{AttrDef, Catalog, InherRelTypeDef, ObjectTypeDef};
+use ccdb_core::shared::SharedStore;
 use ccdb_core::store::ObjectStore;
 use ccdb_core::{Surrogate, Value};
 use ccdb_txn::lock::LockManager;
-use ccdb_txn::txn::{Database, TxnError};
+use ccdb_txn::txn::{Txn, TxnError, TxnManager};
+
+/// A shared store plus the transaction manager over it.
+struct Db {
+    store: SharedStore,
+    mgr: TxnManager,
+}
+
+impl Db {
+    fn begin(&self, user: &str) -> Txn {
+        self.mgr.begin(user, &self.store)
+    }
+}
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -42,7 +59,7 @@ fn catalog() -> Catalog {
     c
 }
 
-fn setup(n_impls: usize) -> (Database, Surrogate, Vec<Surrogate>) {
+fn setup(n_impls: usize) -> (Db, Surrogate, Vec<Surrogate>) {
     let mut st = ObjectStore::new(catalog()).unwrap();
     let interface = st
         .create_object("If", vec![("A", Value::Int(0)), ("B", Value::Int(0))])
@@ -56,7 +73,10 @@ fn setup(n_impls: usize) -> (Database, Surrogate, Vec<Surrogate>) {
             i
         })
         .collect();
-    let db = Database::with_lock_manager(st, LockManager::with_timeout(Duration::from_millis(200)));
+    let db = Db {
+        store: SharedStore::from_store(st),
+        mgr: TxnManager::with_lock_manager(LockManager::with_timeout(Duration::from_millis(200))),
+    };
     (db, interface, imps)
 }
 
@@ -74,20 +94,15 @@ fn concurrent_increments_no_lost_updates() {
             std::thread::spawn(move || {
                 for _ in 0..per_thread {
                     loop {
-                        let tx = db.begin("worker");
-                        let cur = match db.read_attr(&tx, imp, "Counter") {
-                            Ok(v) => v.as_int().unwrap(),
-                            Err(_) => {
-                                db.abort(tx);
-                                continue;
-                            }
+                        let mut tx = db.begin("worker");
+                        let Ok(cur) = tx.read_attr(imp, "Counter") else {
+                            continue; // dropping the txn aborts it
                         };
-                        match db.write_attr(&tx, imp, "Counter", Value::Int(cur + 1)) {
-                            Ok(()) => {
-                                db.commit(tx);
-                                break;
-                            }
-                            Err(_) => db.abort(tx),
+                        let next = Value::Int(cur.as_int().unwrap() + 1);
+                        if tx.write_attr(imp, "Counter", next).is_ok()
+                            && tx.commit(&db.store).is_ok()
+                        {
+                            break;
                         }
                     }
                 }
@@ -99,7 +114,7 @@ fn concurrent_increments_no_lost_updates() {
     }
     for imp in imps {
         assert_eq!(
-            db.with_store(|s| s.attr(imp, "Counter").unwrap()),
+            db.store.attr(imp, "Counter").unwrap(),
             Value::Int(per_thread)
         );
     }
@@ -122,19 +137,16 @@ fn deadlocks_are_detected_and_recovered() {
             let (first, second) = if t % 2 == 0 { (a, b) } else { (b, a) };
             for n in 0..30 {
                 loop {
-                    let tx = db.begin(&format!("t{t}"));
-                    let r1 = db.write_attr(&tx, first, "Counter", Value::Int(n));
-                    if r1.is_err() {
-                        db.abort(tx);
-                        continue;
+                    let mut tx = db.begin(&format!("t{t}"));
+                    if tx.write_attr(first, "Counter", Value::Int(n)).is_err() {
+                        continue; // dropping the txn aborts it
                     }
-                    let r2 = db.write_attr(&tx, second, "Counter", Value::Int(n));
+                    let r2 = tx
+                        .write_attr(second, "Counter", Value::Int(n))
+                        .and_then(|()| tx.commit(&db.store));
                     match r2 {
-                        Ok(()) => {
-                            db.commit(tx);
-                            break;
-                        }
-                        Err(TxnError::Lock(_)) => db.abort(tx),
+                        Ok(_) => break,
+                        Err(TxnError::Lock(_) | TxnError::WriteConflict { .. }) => {}
                         Err(e) => panic!("unexpected error: {e}"),
                     }
                 }
@@ -145,8 +157,8 @@ fn deadlocks_are_detected_and_recovered() {
         h.join().unwrap();
     }
     // Both objects ended at the final value of some thread.
-    let va = db.with_store(|s| s.attr(a, "Counter").unwrap());
-    let vb = db.with_store(|s| s.attr(b, "Counter").unwrap());
+    let va = db.store.attr(a, "Counter").unwrap();
+    let vb = db.store.attr(b, "Counter").unwrap();
     assert_eq!(va, Value::Int(29));
     assert_eq!(vb, Value::Int(29));
 }
@@ -164,10 +176,10 @@ fn lock_inheritance_allows_disjoint_parallelism() {
         let mut sum = 0i64;
         for _ in 0..200 {
             let tx = reader_db.begin("reader");
-            if let Ok(v) = reader_db.read_attr(&tx, imp, "A") {
+            if let Ok(v) = tx.read_attr(imp, "A") {
                 sum += v.as_int().unwrap_or(0);
             }
-            reader_db.commit(tx);
+            tx.commit(&reader_db.store).unwrap();
         }
         sum
     });
@@ -176,13 +188,12 @@ fn lock_inheritance_allows_disjoint_parallelism() {
     let writer = std::thread::spawn(move || {
         let mut failures = 0;
         for n in 0..200 {
-            let tx = writer_db.begin("writer");
-            match writer_db.write_attr(&tx, interface, "B", Value::Int(n)) {
-                Ok(()) => writer_db.commit(tx),
-                Err(_) => {
-                    failures += 1;
-                    writer_db.abort(tx);
-                }
+            let mut tx = writer_db.begin("writer");
+            let done = tx
+                .write_attr(interface, "B", Value::Int(n))
+                .and_then(|()| tx.commit(&writer_db.store));
+            if done.is_err() {
+                failures += 1;
             }
         }
         failures
@@ -226,13 +237,10 @@ fn persistent_database_durability_under_concurrency() {
                 std::thread::spawn(move || {
                     for n in 1..=25i64 {
                         loop {
-                            let tx = pdb.begin("w");
-                            match pdb.write_attr(&tx, imp, "Counter", Value::Int(n)) {
-                                Ok(()) => {
-                                    pdb.commit(tx).unwrap();
-                                    break;
-                                }
-                                Err(_) => pdb.abort(tx),
+                            let mut tx = pdb.begin("w");
+                            if tx.write_attr(imp, "Counter", Value::Int(n)).is_ok() {
+                                pdb.commit(tx).unwrap();
+                                break;
                             }
                         }
                     }
@@ -246,9 +254,6 @@ fn persistent_database_durability_under_concurrency() {
     }
     let pdb = PersistentDatabase::open(dir.path()).unwrap();
     for imp in imps {
-        assert_eq!(
-            pdb.db().with_store(|s| s.attr(imp, "Counter").unwrap()),
-            Value::Int(25)
-        );
+        assert_eq!(pdb.store().attr(imp, "Counter").unwrap(), Value::Int(25));
     }
 }

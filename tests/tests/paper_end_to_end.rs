@@ -4,11 +4,12 @@
 
 use ccdb_core::expand::expand;
 use ccdb_core::persist::{load_store, save_store};
+use ccdb_core::shared::SharedStore;
 use ccdb_core::store::ObjectStore;
 use ccdb_core::{Surrogate, Value};
 use ccdb_lang::paper::chip_catalog;
 use ccdb_storage::kv::DurableKv;
-use ccdb_txn::txn::Database;
+use ccdb_txn::txn::TxnManager;
 use ccdb_version::{
     EnvironmentRegistry, GenericBindings, GenericRef, Selector, VersionManager, VersionStatus,
 };
@@ -84,28 +85,25 @@ fn full_chip_pipeline() {
     // 4. Constraints hold across the design.
     assert!(st.check_all().unwrap().is_empty());
 
-    // 5. Transactions: concurrent-style read/write through the Database.
-    let db = Database::new(st);
-    let tx = db.begin("designer");
-    assert_eq!(db.read_attr(&tx, sub, "Length").unwrap(), Value::Int(4));
-    db.write_attr(&tx, nand_if, "Length", Value::Int(6))
-        .unwrap();
-    db.commit(tx);
-    assert_eq!(
-        db.with_store(|s| s.attr(sub, "Length").unwrap()),
-        Value::Int(6)
-    );
+    // 5. Transactions: concurrent-style read/write over the shared store.
+    let db = SharedStore::from_store(st);
+    let mut tx = TxnManager::new().begin("designer", &db);
+    assert_eq!(tx.read_attr(sub, "Length").unwrap(), Value::Int(4));
+    tx.write_attr(nand_if, "Length", Value::Int(6)).unwrap();
+    tx.commit(&db).unwrap();
+    assert_eq!(db.attr(sub, "Length").unwrap(), Value::Int(6));
     // The adaptation flag was raised by the transactional write too.
-    let rel = db.with_store(|s| s.binding_of(sub, "AllOf_GateInterface").unwrap());
-    assert!(db.with_store(|s| s.needs_adaptation(rel).unwrap()));
+    let rel = db.read(|s| s.binding_of(sub, "AllOf_GateInterface").unwrap());
+    assert!(db.read(|s| s.needs_adaptation(rel).unwrap()));
 
     // 6. Versions: a second implementation becomes the released one and a
     // generic reference follows it.
     let mut st = {
-        // Take the store back out of the Database by rebuilding: persist it.
+        // Take the store back out of the shared handle by rebuilding:
+        // persist it.
         let dir = tempfile::tempdir().unwrap();
         let kv = DurableKv::open(dir.path()).unwrap();
-        db.with_store(|s| save_store(s, &kv)).unwrap();
+        db.read(|s| save_store(s, &kv)).unwrap();
         load_store(&kv).unwrap()
     };
     let mut vm = VersionManager::new();

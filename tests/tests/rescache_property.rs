@@ -3,7 +3,7 @@
 //! and after every operation every resolvable attribute must read the same
 //! through both. This is the §4.1 instant-visibility guarantee — the memo
 //! may never serve a stale value past a write, a (re)bind, an unbind, or a
-//! delete/undelete.
+//! delete and re-create.
 
 use ccdb_core::domain::Domain;
 use ccdb_core::schema::{AttrDef, Catalog, InherRelTypeDef, ObjectTypeDef};
@@ -108,10 +108,17 @@ fn apply(st: &mut ObjectStore, p: &Population, op: usize, t: usize, v: i64) {
             }
         }
         _ => {
-            // Recorded delete + undelete of a leaf: the restored binding
+            // Delete a leaf and create it again under the same surrogate
+            // (as a transaction replay does): the re-created, re-bound leaf
             // must resolve the *current* transmitter values afterwards.
-            let rec = st.delete_recorded(p.leafs[t]).unwrap();
-            st.undelete(rec).unwrap();
+            let leaf = p.leafs[t];
+            let was_bound = st.binding_of(leaf, "AllOf_Mid").is_some();
+            st.delete(leaf).unwrap();
+            st.create_as(leaf, |st| st.create_object("Leaf", vec![]))
+                .unwrap();
+            if was_bound {
+                st.bind("AllOf_Mid", p.mids[t], leaf, vec![]).unwrap();
+            }
         }
     }
 }

@@ -1,10 +1,11 @@
 //! Integration test of the §5 steel-construction scenario combined with
 //! design transactions and relationship-based conflict detection.
 
+use ccdb_core::shared::SharedStore;
 use ccdb_core::store::ObjectStore;
 use ccdb_core::{Surrogate, Value};
 use ccdb_lang::paper::steel_catalog;
-use ccdb_txn::{potential_conflicts, ConflictKind, DesignTxn, StampRegistry};
+use ccdb_txn::{potential_conflicts, ConflictKind, TxnError, TxnManager};
 
 /// Build the library + one structure (smaller sibling of the bench
 /// generator, kept local so this test exercises the public API directly).
@@ -164,37 +165,47 @@ fn structure_is_consistent_and_constraints_localize_faults() {
 
 #[test]
 fn design_sessions_and_conflict_detection() {
-    let (mut st, structure, girder_if, bolt) = build();
-    let stamps = StampRegistry::new();
+    let (st, structure, girder_if, bolt) = build();
+    let g_component = st.subclass_members(structure, "Girders").unwrap()[0];
+    let store = SharedStore::from_store(st);
+    let mgr = TxnManager::new();
 
-    // Two designers check out overlapping parts of the design.
-    let mut alice = DesignTxn::checkout("alice", &st, &stamps, &[girder_if]).unwrap();
-    let mut bob = DesignTxn::checkout("bob", &st, &stamps, &[girder_if, bolt]).unwrap();
+    // Two designers check out the design and work on overlapping parts of
+    // it, in private workspaces, holding no locks.
+    let mut alice = mgr.checkout("alice", &store);
+    let mut bob = mgr.checkout("bob", &store);
+    alice
+        .write_attr(girder_if, "Length", Value::Int(120))
+        .unwrap();
+    bob.write_attr(girder_if, "Length", Value::Int(130))
+        .unwrap();
+    bob.write_attr(bolt, "Length", Value::Int(14)).unwrap();
 
     // Conflict analysis over their write sets: both touch the girder
     // interface → SameObject; bolt vs girder-if are unrelated.
-    let conflicts = potential_conflicts(&st, &[girder_if], &[girder_if, bolt]);
+    let st = store.snapshot();
+    let conflicts = potential_conflicts(&st, &alice.write_set(), &bob.write_set());
     assert_eq!(conflicts.len(), 1);
     assert_eq!(conflicts[0].kind, ConflictKind::SameObject);
 
     // The structure's component subobject is related to the interface by an
     // inheritance edge — a transaction updating the interface potentially
     // conflicts with one updating the component.
-    let g_component = st.subclass_members(structure, "Girders").unwrap()[0];
     let conflicts = potential_conflicts(&st, &[girder_if], &[g_component]);
     assert!(conflicts
         .iter()
         .any(|c| c.kind == ConflictKind::InheritanceEdge));
 
-    // Optimistic check-in: alice lands, bob's overlapping session is stale.
-    alice
-        .set_attr(girder_if, "Length", Value::Int(120))
-        .unwrap();
-    alice.checkin(&mut st, &stamps).unwrap();
-    bob.set_attr(girder_if, "Length", Value::Int(130)).unwrap();
-    assert!(bob.checkin(&mut st, &stamps).is_err());
-    assert_eq!(st.attr(girder_if, "Length").unwrap(), Value::Int(120));
+    // Optimistic check-in: alice lands, bob's overlapping session is stale
+    // and nothing of it — the bolt edit included — is applied.
+    alice.commit(&store).unwrap();
+    assert!(matches!(
+        bob.commit(&store),
+        Err(TxnError::WriteConflict { obj, .. }) if obj == girder_if
+    ));
+    assert_eq!(store.attr(girder_if, "Length").unwrap(), Value::Int(120));
+    assert_eq!(store.attr(bolt, "Length").unwrap(), Value::Int(12));
 
     // The structure's view reflects alice's change instantly.
-    assert_eq!(st.attr(g_component, "Length").unwrap(), Value::Int(120));
+    assert_eq!(store.attr(g_component, "Length").unwrap(), Value::Int(120));
 }
