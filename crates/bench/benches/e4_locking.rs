@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let tx = txns.begin("u", &store);
             black_box(tx.read_attr(imps[0], "A0").unwrap());
-            tx.commit(&store).unwrap();
+            tx.commit().unwrap();
         });
     });
     g.bench_function("txn_read_local_attr", |b| {
@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let tx = txns.begin("u", &store);
             black_box(tx.read_attr(imps[0], "Local").unwrap());
-            tx.commit(&store).unwrap();
+            tx.commit().unwrap();
         });
     });
     g.bench_function("txn_write_attr", |b| {
@@ -36,7 +36,7 @@ fn bench(c: &mut Criterion) {
             let mut tx = txns.begin("u", &store);
             tx.write_attr(interface, "A7", ccdb_core::Value::Int(n))
                 .unwrap();
-            tx.commit(&store).unwrap();
+            tx.commit().unwrap();
         });
     });
     g.finish();

@@ -51,12 +51,12 @@ pub fn run(quick: bool) -> Table {
             let mut writer = txns.begin("writer", &store);
             match writer.write_attr(interface, &format!("A{j}"), Value::Int(-1)) {
                 Ok(()) => {
-                    writer.commit(&store).unwrap();
+                    writer.commit().unwrap();
                 }
                 Err(_) => blocked_item += 1, // dropping the writer aborts it
             }
         }
-        reader.commit(&store).unwrap();
+        reader.commit().unwrap();
 
         // --- naive whole-object locking ---
         let lm = LockManager::with_timeout(Duration::from_millis(10));
@@ -122,7 +122,7 @@ fn measure_writer_throughput(k: usize, quick: bool) -> f64 {
                     // abort; only commits count.
                     let committed = tx
                         .write_attr(interface, &target, Value::Int(n))
-                        .and_then(|()| tx.commit(&store));
+                        .and_then(|()| tx.commit());
                     if committed.is_ok() {
                         done += 1;
                     }
@@ -133,7 +133,7 @@ fn measure_writer_throughput(k: usize, quick: bool) -> f64 {
         .collect();
     let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     let secs = start.elapsed().as_secs_f64();
-    reader.commit(&store).unwrap();
+    reader.commit().unwrap();
     total as f64 / secs
 }
 

@@ -269,6 +269,13 @@ impl ObjectStore {
             .unwrap_or(0)
     }
 
+    /// The newest [`ObjectStore::write_stamp`] over all items of `obj`: what
+    /// a whole-object write (a cascade delete) is validated against.
+    pub fn object_stamp(&self, obj: Surrogate) -> u64 {
+        let stamps = self.write_stamps.get(&obj);
+        stamps.and_then(|m| m.values().copied().max()).unwrap_or(0)
+    }
+
     /// Enable/disable the effective-schema memo (ablation for experiment E2).
     pub fn set_schema_cache(&self, enabled: bool) {
         self.cache_enabled.store(enabled, Ordering::Relaxed);
@@ -535,18 +542,28 @@ impl ObjectStore {
     /// creates gets the reserved surrogate `s` instead of a fresh one. This
     /// is how a transaction logs a create once and applies it twice, to its
     /// workspace and at commit to the master, under one surrogate.
-    pub fn create_as<R>(&mut self, s: Surrogate, create: impl FnOnce(&mut Self) -> R) -> R {
+    /// A surrogate that is already live is refused, not overwritten.
+    pub fn create_as(
+        &mut self,
+        s: Surrogate,
+        create: impl FnOnce(&mut Self) -> CoreResult<Surrogate>,
+    ) -> CoreResult<()> {
+        if self.objects.contains_key(&s) {
+            return Err(CoreError::Duplicate {
+                kind: "surrogate",
+                name: s.to_string(),
+            });
+        }
         self.replay_as = Some(s);
-        let out = create(self);
+        let made = create(self);
         self.replay_as = None;
-        out
+        made.map(|made| debug_assert_eq!(made, s))
     }
 
     /// The one way objects enter `self.objects`: inserts the object and
     /// records it in its type's extent index, so the two can never
     /// disagree ([`ObjectStore::verify_integrity`] cross-checks them).
     fn insert_object(&mut self, obj: ObjectData) {
-        debug_assert!(!self.objects.contains_key(&obj.surrogate));
         self.extent
             .entry_or_default(obj.type_name.clone())
             .insert(obj.surrogate);

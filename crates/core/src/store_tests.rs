@@ -1557,3 +1557,36 @@ fn select_equality_fast_path_matches_interpreter() {
         .unwrap()
         .is_empty());
 }
+
+#[test]
+fn create_as_pins_the_surrogate_and_refuses_a_live_one() {
+    let mut st = store();
+    let s = st.reserve_surrogate();
+    let made = st.create_as(s, |st| st.create_object("GateInterface", vec![]));
+    assert_eq!(made, Ok(()));
+    assert!(st.object(s).is_ok());
+    // A second object under the same surrogate is refused before anything
+    // is touched — the live one is not overwritten.
+    st.set_attr(s, "Length", Value::Int(3)).unwrap();
+    let again = st.create_as(s, |st| st.create_object("GateInterface_I", vec![]));
+    assert!(matches!(again, Err(CoreError::Duplicate { .. })));
+    assert_eq!(st.attr(s, "Length").unwrap(), Value::Int(3));
+    assert_eq!(st.extent_of("GateInterface"), vec![s]);
+    assert!(st.extent_of("GateInterface_I").is_empty());
+    assert!(st.verify_integrity().is_empty());
+    // The pin does not leak into the next, ordinary create.
+    assert_ne!(st.create_object("GateInterface", vec![]).unwrap(), s);
+}
+
+#[test]
+fn object_stamp_is_the_newest_item_stamp() {
+    let mut st = store();
+    let s = st.create_object("GateInterface", vec![]).unwrap();
+    assert_eq!(st.object_stamp(s), 0);
+    st.set_version(4);
+    st.set_attr(s, "Length", Value::Int(1)).unwrap();
+    st.set_version(9);
+    st.set_attr(s, "Width", Value::Int(2)).unwrap();
+    assert_eq!(st.write_stamp(s, "Length"), 4);
+    assert_eq!(st.object_stamp(s), 9);
+}

@@ -27,15 +27,6 @@ pub enum Right {
 }
 
 impl Right {
-    /// The strongest lock mode this right admits.
-    pub fn max_mode(self) -> Option<LockMode> {
-        match self {
-            Right::None => None,
-            Right::Read => Some(LockMode::S),
-            Right::Update => Some(LockMode::X),
-        }
-    }
-
     /// Cap a requested mode to this right. `None` = not even readable.
     pub fn cap(self, requested: LockMode) -> Option<LockMode> {
         match self {
@@ -90,22 +81,24 @@ impl AccessControl {
         self.user_mut(user).objects.insert(obj, right);
     }
 
-    /// Does `user` have any grant at all? If not, [`AccessControl::right`]
-    /// is [`Right::Update`] whatever the object and its classes.
-    pub fn has_grants(&self, user: &str) -> bool {
-        self.users.contains_key(user)
-    }
-
-    /// Effective right of `user` on `obj` (member of `classes`). Consulted
-    /// on every lock acquisition, so it allocates nothing.
-    pub fn right(&self, user: &str, obj: Surrogate, classes: &[&str]) -> Right {
+    /// Effective right of `user` on `obj`. Consulted on every lock
+    /// acquisition, so `classes` — the classes `obj` is a member of — is
+    /// only asked for once the user turns out to have grants, none of them
+    /// on `obj` itself (a user without any gets [`Right::Update`]
+    /// everywhere, which is every wire session).
+    pub fn right<'c>(
+        &self,
+        user: &str,
+        obj: Surrogate,
+        classes: impl FnOnce() -> Vec<&'c str>,
+    ) -> Right {
         let Some(u) = self.users.get(user) else {
             return Right::Update;
         };
         if let Some(r) = u.objects.get(&obj) {
             return *r;
         }
-        classes
+        classes()
             .iter()
             .filter_map(|c| u.classes.get(*c).copied())
             .max()
@@ -125,7 +118,6 @@ mod tests {
         assert_eq!(Right::Read.cap(LockMode::IX), Some(LockMode::IS));
         assert_eq!(Right::Update.cap(LockMode::X), Some(LockMode::X));
         assert_eq!(Right::None.cap(LockMode::S), None);
-        assert_eq!(Right::Read.max_mode(), Some(LockMode::S));
     }
 
     #[test]
@@ -134,13 +126,13 @@ mod tests {
         ac.set_default("eve", Right::None);
         ac.grant_class("eve", "StandardCells", Right::Read);
         ac.grant_object("eve", Surrogate(7), Right::Update);
-        assert_eq!(ac.right("eve", Surrogate(1), &[]), Right::None);
+        assert_eq!(ac.right("eve", Surrogate(1), Vec::new), Right::None);
         assert_eq!(
-            ac.right("eve", Surrogate(2), &["StandardCells"]),
+            ac.right("eve", Surrogate(2), || vec!["StandardCells"]),
             Right::Read
         );
         assert_eq!(
-            ac.right("eve", Surrogate(7), &["StandardCells"]),
+            ac.right("eve", Surrogate(7), || vec!["StandardCells"]),
             Right::Update
         );
     }
@@ -148,7 +140,7 @@ mod tests {
     #[test]
     fn unknown_users_default_to_update() {
         let ac = AccessControl::new();
-        assert_eq!(ac.right("nobody", Surrogate(1), &[]), Right::Update);
+        assert_eq!(ac.right("nobody", Surrogate(1), Vec::new), Right::Update);
     }
 
     #[test]
@@ -156,6 +148,9 @@ mod tests {
         let mut ac = AccessControl::new();
         ac.grant_class("amy", "A", Right::Read);
         ac.grant_class("amy", "B", Right::Update);
-        assert_eq!(ac.right("amy", Surrogate(1), &["A", "B"]), Right::Update);
+        assert_eq!(
+            ac.right("amy", Surrogate(1), || vec!["A", "B"]),
+            Right::Update
+        );
     }
 }

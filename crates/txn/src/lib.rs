@@ -15,9 +15,11 @@
 //!   transmitters along the resolution chain), **expansion locking**, and
 //!   the access-control cap, all through one acquisition routine; commit =
 //!   validate (first committer wins) → check → replay → publish, atomic by
-//!   rollback. [`txn::Policy::Pessimistic`] takes the locks (short
-//!   transactions), [`txn::Policy::Optimistic`] takes none (long design
-//!   check-outs: `checkout` … `commit`);
+//!   rollback, on the store the transaction began on.
+//!   [`txn::Policy::Pessimistic`] takes the locks (short transactions),
+//!   [`txn::Policy::Optimistic`] takes none and confines the work to a
+//!   checked-out object set (long design check-outs: `checkout` …
+//!   `commit`);
 //! - a hierarchical [`lock::LockManager`] with attribute-group granularity
 //!   and deadlock detection;
 //! - an [`access::AccessControl`] manager coupled to locking, so implicit

@@ -85,6 +85,8 @@ impl PersistentDatabase {
     }
 
     /// Begin a transaction; all reads and writes go through the [`Txn`].
+    /// End a writing one with [`PersistentDatabase::commit`] —
+    /// [`Txn::commit`] publishes without persisting.
     pub fn begin(&self, user: &str) -> Txn {
         self.mgr.begin(user, &self.store)
     }
@@ -93,7 +95,7 @@ impl PersistentDatabase {
     /// transaction, then publish and release locks. On persistence failure
     /// nothing is published and the error is returned.
     pub fn commit(&self, tx: Txn) -> TxnResult<CommitInfo> {
-        tx.commit_with(&self.store, false, |committed, log| {
+        tx.commit_with(false, |committed, log| {
             let delta = PersistenceDelta::of(log, committed);
             let kv_tx = self.kv.begin().map_err(CoreError::from)?;
             for s in &delta.save {
@@ -176,7 +178,7 @@ mod tests {
         let pdb = PersistentDatabase::open(dir.path()).unwrap();
         let tx = pdb.begin("bob");
         assert_eq!(tx.read_attr(imp, "Length").unwrap(), Value::Int(5));
-        tx.commit(pdb.store()).unwrap();
+        tx.commit().unwrap();
     }
 
     #[test]

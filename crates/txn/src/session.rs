@@ -74,12 +74,6 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-impl From<CoreError> for SessionError {
-    fn from(e: CoreError) -> Self {
-        SessionError::Core(e)
-    }
-}
-
 impl From<TxnError> for SessionError {
     fn from(e: TxnError) -> Self {
         match e {
@@ -94,11 +88,12 @@ impl From<TxnError> for SessionError {
                 attr,
                 committed_version,
             },
-            // Wire sessions run without access grants and commit unchecked,
-            // so these cannot arise; keep them an error, not a panic.
-            e @ (TxnError::AccessDenied { .. } | TxnError::Violations(_)) => {
-                SessionError::Core(CoreError::EvalError(e.to_string()))
-            }
+            // Wire sessions run without access grants or a check-out set and
+            // commit unchecked, so these cannot arise; keep them an error,
+            // not a panic.
+            e @ (TxnError::AccessDenied { .. }
+            | TxnError::NotCheckedOut(_)
+            | TxnError::Violations(_)) => SessionError::Core(CoreError::EvalError(e.to_string())),
         }
     }
 }
@@ -223,9 +218,10 @@ impl TxnRegistry {
     /// Commit ([`Txn::commit`]): validate, replay as one atomic write
     /// cycle, publish, release all locks — including the inherited S-locks
     /// along every resolution chain this transaction read. On any error the
-    /// transaction is aborted and nothing is published from it.
-    pub fn commit(&self, session: u64, store: &SharedStore) -> Result<CommitInfo, SessionError> {
-        let outcome = self.take(session)?.commit(store);
+    /// transaction is aborted and nothing is published from it. It commits
+    /// to the store it began on; `_store` is that store again.
+    pub fn commit(&self, session: u64, _store: &SharedStore) -> Result<CommitInfo, SessionError> {
+        let outcome = self.take(session)?.commit();
         let m = txn_metrics();
         match &outcome {
             Ok(_) => m.wire_commits.inc(),

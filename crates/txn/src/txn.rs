@@ -9,7 +9,9 @@
 //! and nothing uncommitted is ever visible outside it. Abort is "drop the
 //! `Txn`": the workspace goes away and the locks are released.
 //!
-//! §6 lives in one place, `Txn::acquire_capped`:
+//! §6 lives in one place — `Txn::cap` consults access control,
+//! `Txn::take` acquires — and what a write X-locks is what commit
+//! validates: both read it off `Op::writes`.
 //!
 //! - **lock inheritance** opposite to data inheritance: reading an inherited
 //!   item S-locks the *(transmitter, item)* pairs along the resolution
@@ -18,21 +20,25 @@
 //!   visibility footprint;
 //! - **access-control coupling**: every lock is capped to what the
 //!   access-control manager admits (standard parts stay read-locked even
-//!   inside an update expansion), and writes need [`Right::Update`].
+//!   inside an update expansion), and writes need
+//!   [`Right::Update`](crate::access::Right::Update).
 //!
 //! Whether those locks are actually *taken* is the [`Policy`]:
 //! [`Policy::Pessimistic`] for short transactions (embedded and wire),
 //! [`Policy::Optimistic`] for long design check-outs, which hold nothing
-//! for days and rely on commit-time validation alone.
+//! for days, rely on commit-time validation alone, and may touch only the
+//! objects they checked out or created.
 //!
-//! Commit is one [`SharedStore::try_write`] cycle: **validate**
-//! (first-committer-wins — no item this transaction wrote may carry a write
-//! stamp newer than the begin version), **check** (optionally, the deferred
-//! constraint pass, on the workspace, which already holds the final state),
-//! **replay** the log once on the master, **publish**. A replay error —
-//! an object deleted since begin, a binding slot taken meanwhile — rolls
-//! the master back to the last published version, so a half-applied commit
-//! is impossible.
+//! Commit is one [`SharedStore::try_write`] cycle on the store the
+//! transaction began on: **validate** (first-committer-wins — no item this
+//! transaction wrote, and no item of an object it deletes, may carry a
+//! write stamp newer than the begin version), **check** (optionally, the
+//! deferred constraint pass, on the workspace, which already holds the
+//! final state), **replay** the log once on the master, **publish**. A
+//! replay error — an object deleted since begin, a binding slot taken
+//! meanwhile, a delete whose cascade is no longer the one the transaction
+//! saw — rolls the master back to the last published version, so a
+//! half-applied commit is impossible.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,12 +46,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ccdb_core::expand::{expand, expansion_footprint, ExpandedObject};
+use ccdb_core::object::Owner;
 use ccdb_core::shared::SharedStore;
 use ccdb_core::store::{ObjectStore, Violation};
 use ccdb_core::{lockprobe, CoreError, CoreResult, Surrogate, Value};
 use parking_lot::RwLock;
 
-use crate::access::{AccessControl, Right};
+use crate::access::AccessControl;
 use crate::lock::{LockError, LockManager, LockMode, Resource, TxnId};
 
 /// Transaction-layer errors.
@@ -62,14 +69,19 @@ pub enum TxnError {
         /// The protected object.
         object: Surrogate,
     },
+    /// A design check-out touched an object outside its declared set.
+    NotCheckedOut(Surrogate),
     /// First-committer-wins validation failed at commit: a newer version of
     /// an item this transaction wrote was published after it began.
     WriteConflict {
         /// The contended object.
         obj: Surrogate,
-        /// The contended attribute.
+        /// The contended item; `*` when the whole object was written (a
+        /// delete) and any item of it, or its cascade, changed.
         attr: String,
-        /// The version that beat this transaction to the item.
+        /// The version that beat this transaction to the item (for a
+        /// changed cascade, the version this commit was building — an
+        /// upper bound).
         committed_version: u64,
     },
     /// [`Txn::commit_checked`] found violated integrity constraints.
@@ -84,6 +96,7 @@ impl std::fmt::Display for TxnError {
             TxnError::AccessDenied { user, object } => {
                 write!(f, "access denied: user `{user}` may not update {object}")
             }
+            TxnError::NotCheckedOut(s) => write!(f, "object {s} is not checked out"),
             TxnError::WriteConflict {
                 obj,
                 attr,
@@ -116,13 +129,17 @@ impl From<CoreError> for TxnError {
 pub type TxnResult<T> = Result<T, TxnError>;
 
 /// Whether a transaction takes its §6 locks or only validates at commit.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Policy {
     /// Take every lock (short transactions: embedded callers, the wire).
     Pessimistic,
     /// Take none; access rights are still enforced and commit still
-    /// validates (long design check-outs).
-    Optimistic,
+    /// validates (long design check-outs). The work is confined to the
+    /// checked-out objects and whatever the transaction creates.
+    Optimistic {
+        /// The declared object set, grown by every create.
+        checked_out: BTreeSet<Surrogate>,
+    },
 }
 
 /// One logged mutation. Creating ops carry the surrogate the workspace
@@ -167,14 +184,35 @@ pub enum Op {
     },
     Unbind {
         rel_obj: Surrogate,
+        rel_type: String,
         inheritor: Surrogate,
     },
-    /// `touched`: everything the cascade removes plus the surviving owners
-    /// it detaches from, as seen by the workspace when the op was logged.
+    /// `doomed`: everything the cascade removes (`cascade`), as seen by
+    /// the workspace when the op was logged; `owner`: the surviving complex
+    /// object's subclass `obj` is detached from.
     Delete {
         obj: Surrogate,
-        touched: Vec<Surrogate>,
+        doomed: Vec<Surrogate>,
+        owner: Option<Owner>,
     },
+}
+
+/// What deleting `obj` removes from `st` (§3), sorted: its subtree, the
+/// bindings of doomed inheritors, and relationship objects referencing a
+/// doomed participant.
+fn cascade(st: &ObjectStore, obj: Surrogate) -> CoreResult<Vec<Surrogate>> {
+    st.object(obj)?;
+    let mut doomed = BTreeSet::new();
+    let mut stack = vec![obj];
+    while let Some(s) = stack.pop() {
+        let Ok(o) = st.object(s) else { continue };
+        if doomed.insert(s) {
+            stack.extend(o.all_subclass_members());
+            stack.extend(o.bindings.values());
+            stack.extend(st.relationships_of(s));
+        }
+    }
+    Ok(doomed.into_iter().collect())
 }
 
 fn owned<T: Clone>(pairs: &[(&str, T)]) -> Vec<(String, T)> {
@@ -198,75 +236,103 @@ impl Op {
                 s,
                 type_name,
                 attrs,
-            } => st
-                .create_as(*s, |st| st.create_object(type_name, borrowed(attrs)))
-                .map(drop),
+            } => st.create_as(*s, |st| st.create_object(type_name, borrowed(attrs))),
             Op::CreateSubobject {
                 s,
                 parent,
                 subclass,
                 attrs,
-            } => st
-                .create_as(*s, |st| {
-                    st.create_subobject(*parent, subclass, borrowed(attrs))
-                })
-                .map(drop),
+            } => st.create_as(*s, |st| {
+                st.create_subobject(*parent, subclass, borrowed(attrs))
+            }),
             Op::CreateRel {
                 s,
                 rel_type,
                 participants,
                 attrs,
-            } => st
-                .create_as(*s, |st| {
-                    st.create_rel(rel_type, borrowed(participants), borrowed(attrs))
-                })
-                .map(drop),
+            } => st.create_as(*s, |st| {
+                st.create_rel(rel_type, borrowed(participants), borrowed(attrs))
+            }),
             Op::CreateSubrel {
                 s,
                 parent,
                 subrel,
                 participants,
                 attrs,
-            } => st
-                .create_as(*s, |st| {
-                    st.create_subrel(*parent, subrel, borrowed(participants), borrowed(attrs))
-                })
-                .map(drop),
+            } => st.create_as(*s, |st| {
+                st.create_subrel(*parent, subrel, borrowed(participants), borrowed(attrs))
+            }),
             Op::Bind {
                 s,
                 rel_type,
                 transmitter,
                 inheritor,
-            } => st
-                .create_as(*s, |st| st.bind(rel_type, *transmitter, *inheritor, vec![]))
-                .map(drop),
+            } => st.create_as(*s, |st| st.bind(rel_type, *transmitter, *inheritor, vec![])),
             Op::Unbind { rel_obj, .. } => st.unbind(*rel_obj),
             Op::Delete { obj, .. } => st.delete(*obj),
         }
     }
 
-    /// The objects whose stored records `log` changes, creates or removes.
-    pub fn touched_by(log: &[Op]) -> BTreeSet<Surrogate> {
-        log.iter().flat_map(Op::touched).collect()
+    /// The resources this op writes: what a lock-taking transaction X-locks
+    /// before applying it, and what commit validates against the begin
+    /// version (first committer wins). A created object is nobody else's
+    /// yet and needs neither.
+    fn writes(&self) -> Vec<Resource> {
+        match self {
+            Op::SetAttr { obj, attr, .. } => vec![Resource::Item(*obj, attr.clone())],
+            Op::CreateObject { .. } | Op::CreateRel { .. } => vec![],
+            Op::CreateSubobject {
+                parent, subclass, ..
+            } => vec![Resource::Item(*parent, subclass.clone())],
+            Op::CreateSubrel { parent, subrel, .. } => {
+                vec![Resource::Item(*parent, subrel.clone())]
+            }
+            Op::Bind {
+                rel_type,
+                inheritor,
+                ..
+            } => vec![Resource::Item(*inheritor, format!("@{rel_type}"))],
+            Op::Unbind {
+                rel_obj,
+                rel_type,
+                inheritor,
+            } => vec![
+                Resource::Item(*inheritor, format!("@{rel_type}")),
+                Resource::Object(*rel_obj),
+            ],
+            Op::Delete { doomed, owner, .. } => {
+                let mut out: Vec<_> = doomed.iter().map(|s| Resource::Object(*s)).collect();
+                out.extend(
+                    owner
+                        .iter()
+                        .map(|w| Resource::Item(w.parent, w.subclass.clone())),
+                );
+                out
+            }
+        }
     }
 
-    /// Objects whose stored record this op changes, creates or removes.
-    fn touched(&self) -> Vec<Surrogate> {
+    /// The surrogate this op gives a new object, if it creates one.
+    fn created(&self) -> Option<Surrogate> {
         match self {
-            Op::SetAttr { obj, .. } => vec![*obj],
-            Op::CreateObject { s, .. } | Op::CreateRel { s, .. } => vec![*s],
-            Op::CreateSubobject { s, parent, .. } | Op::CreateSubrel { s, parent, .. } => {
-                vec![*s, *parent]
-            }
-            Op::Bind { s, inheritor, .. } => vec![*s, *inheritor],
-            Op::Unbind { rel_obj, inheritor } => vec![*rel_obj, *inheritor],
-            Op::Delete { touched, .. } => touched.clone(),
+            Op::CreateObject { s, .. }
+            | Op::CreateSubobject { s, .. }
+            | Op::CreateRel { s, .. }
+            | Op::CreateSubrel { s, .. }
+            | Op::Bind { s, .. } => Some(*s),
+            Op::SetAttr { .. } | Op::Unbind { .. } | Op::Delete { .. } => None,
         }
+    }
+
+    /// The objects whose stored records `log` changes, creates or removes.
+    pub fn touched_by(log: &[Op]) -> BTreeSet<Surrogate> {
+        let written = log.iter().flat_map(Op::writes).map(|res| res.object());
+        written.chain(log.iter().filter_map(Op::created)).collect()
     }
 }
 
 /// Outcome of a successful commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitInfo {
     /// The store version this commit published (0 for a read-only
     /// transaction, which publishes nothing).
@@ -283,7 +349,7 @@ struct ManagerState {
 
 /// What transactions share: the lock manager, access control and the id
 /// counter. It holds no data — a transaction names its [`SharedStore`] at
-/// begin and at commit. A cheap, cloneable handle.
+/// begin and commits to that one. A cheap, cloneable handle.
 #[derive(Clone)]
 pub struct TxnManager {
     state: Arc<ManagerState>,
@@ -325,32 +391,42 @@ impl TxnManager {
     /// Begin a short, lock-taking transaction for `user` on the currently
     /// published snapshot of `store`.
     pub fn begin(&self, user: &str, store: &SharedStore) -> Txn {
-        self.begin_with(user, store, Policy::Pessimistic)
-    }
-
-    /// Check a design out (§6 long transactions, after \[KSUW85\]): the same
-    /// [`Txn`] under [`Policy::Optimistic`] — the designer works on the
-    /// private workspace for as long as they like, holding no locks, and
-    /// checks in with [`Txn::commit`], which fails if someone else changed
-    /// one of the same items meanwhile.
-    pub fn checkout(&self, designer: &str, store: &SharedStore) -> Txn {
-        self.begin_with(designer, store, Policy::Optimistic)
-    }
-
-    /// Begin a transaction under an explicit locking policy.
-    pub fn begin_with(&self, user: &str, store: &SharedStore, policy: Policy) -> Txn {
         let snap = store.snapshot();
         let mut workspace = (*snap).clone();
         workspace.detach_resolution_cache();
         Txn {
             mgr: self.clone(),
+            store: store.clone(),
             id: TxnId(self.state.next_txn.fetch_add(1, Ordering::Relaxed)),
             user: user.to_string(),
-            policy,
+            policy: Policy::Pessimistic,
             begin_version: snap.version(),
             workspace,
             log: Vec::new(),
         }
+    }
+
+    /// Check `objects` out (§6 long transactions, after \[KSUW85\]): the
+    /// same [`Txn`] under [`Policy::Optimistic`] — the designer works on the
+    /// private workspace for as long as they like, holding no locks, and
+    /// checks in with [`Txn::commit`], which fails if someone else changed
+    /// one of the same items meanwhile. The check-out may read and write
+    /// only `objects` and what it creates itself; anything else — a
+    /// transmitter an inherited read resolves through included — is
+    /// [`TxnError::NotCheckedOut`].
+    pub fn checkout(
+        &self,
+        designer: &str,
+        store: &SharedStore,
+        objects: &[Surrogate],
+    ) -> TxnResult<Txn> {
+        let mut txn = self.begin(designer, store);
+        for s in objects {
+            txn.workspace.object(*s)?;
+        }
+        let checked_out = objects.iter().copied().collect();
+        txn.policy = Policy::Optimistic { checked_out };
+        Ok(txn)
     }
 }
 
@@ -358,6 +434,8 @@ impl TxnManager {
 /// every lock released.
 pub struct Txn {
     mgr: TxnManager,
+    /// The store this transaction began on and commits to.
+    store: SharedStore,
     id: TxnId,
     user: String,
     policy: Policy,
@@ -403,13 +481,17 @@ impl Txn {
     // §6 locking policy
     // ------------------------------------------------------------------
 
-    fn right_of(&self, obj: Surrogate) -> Right {
-        let access = self.mgr.state.access.read();
-        if !access.has_grants(&self.user) {
-            // The common case (every wire session): skip the class scan.
-            return Right::Update;
+    /// Cap `requested` on `object` to what access control admits for this
+    /// user (`AccessDenied` if not even readable); a check-out may not
+    /// reach outside its object set at all.
+    fn cap(&self, object: Surrogate, requested: LockMode) -> TxnResult<LockMode> {
+        if matches!(&self.policy, Policy::Optimistic { checked_out } if !checked_out.contains(&object))
+        {
+            return Err(TxnError::NotCheckedOut(object));
         }
-        access.right(&self.user, obj, &self.workspace.classes_of(obj))
+        let access = self.mgr.state.access.read();
+        let right = access.right(&self.user, object, || self.workspace.classes_of(object));
+        right.cap(requested).ok_or_else(|| self.denied(object))
     }
 
     fn denied(&self, object: Surrogate) -> TxnError {
@@ -419,34 +501,35 @@ impl Txn {
         }
     }
 
-    /// The one place locks are taken: cap `requested` to what access
-    /// control admits for this user (`AccessDenied` if not even readable),
-    /// then — under [`Policy::Pessimistic`] — acquire it, charging the wait
-    /// to the calling thread's `lock` phase. Returns the granted mode.
-    fn acquire_capped(&self, res: Resource, requested: LockMode) -> TxnResult<LockMode> {
-        let object = res.object();
-        let mode = self
-            .right_of(object)
-            .cap(requested)
-            .ok_or_else(|| self.denied(object))?;
+    /// The one place locks are taken: under [`Policy::Pessimistic`],
+    /// acquire `mode` on `res`, charging the wait to the calling thread's
+    /// `lock` phase.
+    fn take(&self, res: Resource, mode: LockMode) -> TxnResult<()> {
         if self.policy == Policy::Pessimistic {
             let t0 = Instant::now();
             let out = self.mgr.state.locks.acquire(self.id, res, mode);
-            lockprobe::charge_exclusive_wait(
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+            lockprobe::charge_exclusive_wait(t0.elapsed().as_nanos() as u64);
             out?;
         }
+        Ok(())
+    }
+
+    /// Lock `res` in `requested` mode capped to the user's right; returns
+    /// the granted mode.
+    fn acquire_capped(&self, res: Resource, requested: LockMode) -> TxnResult<LockMode> {
+        let mode = self.cap(res.object(), requested)?;
+        self.take(res, mode)?;
         Ok(mode)
     }
 
-    /// X-lock `res` for a write; the user must hold [`Right::Update`] on it
+    /// X-lock `res` for a write; the user must hold
+    /// [`Right::Update`](crate::access::Right::Update) on it
     /// (a write is never silently degraded).
     fn acquire_update(&self, res: Resource) -> TxnResult<()> {
-        if self.right_of(res.object()) != Right::Update {
+        if self.cap(res.object(), LockMode::X)? != LockMode::X {
             return Err(self.denied(res.object()));
         }
-        self.acquire_capped(res, LockMode::X).map(drop)
+        self.take(res, LockMode::X)
     }
 
     /// Lock inheritance: S-lock every `(object, item)` of the resolution
@@ -459,9 +542,16 @@ impl Txn {
         Ok(())
     }
 
-    /// Apply `op` to the workspace and log it for replay at commit.
+    /// X-lock what `op` writes, apply it to the workspace and log it for
+    /// replay at commit.
     fn apply(&mut self, op: Op) -> TxnResult<()> {
+        for res in op.writes() {
+            self.acquire_update(res)?;
+        }
         op.replay(&mut self.workspace)?;
+        if let (Policy::Optimistic { checked_out }, Some(s)) = (&mut self.policy, op.created()) {
+            checked_out.insert(s);
+        }
         self.log.push(op);
         Ok(())
     }
@@ -511,7 +601,6 @@ impl Txn {
 
     /// Write a local attribute under an X item lock.
     pub fn write_attr(&mut self, obj: Surrogate, attr: &str, value: Value) -> TxnResult<()> {
-        self.acquire_update(Resource::Item(obj, attr.to_string()))?;
         self.apply(Op::SetAttr {
             obj,
             attr: attr.to_string(),
@@ -542,7 +631,6 @@ impl Txn {
         subclass: &str,
         attrs: Vec<(&str, Value)>,
     ) -> TxnResult<Surrogate> {
-        self.acquire_update(Resource::Item(parent, subclass.to_string()))?;
         let s = self.workspace.reserve_surrogate();
         self.apply(Op::CreateSubobject {
             s,
@@ -589,7 +677,6 @@ impl Txn {
         participants: Vec<(&str, Vec<Surrogate>)>,
         attrs: Vec<(&str, Value)>,
     ) -> TxnResult<Surrogate> {
-        self.acquire_update(Resource::Item(parent, subrel.to_string()))?;
         self.lock_participants(&participants)?;
         let s = self.workspace.reserve_surrogate();
         self.apply(Op::CreateSubrel {
@@ -610,7 +697,6 @@ impl Txn {
         transmitter: Surrogate,
         inheritor: Surrogate,
     ) -> TxnResult<Surrogate> {
-        self.acquire_update(Resource::Item(inheritor, format!("@{rel_type}")))?;
         let def = self.workspace.catalog().inher_rel_type(rel_type)?;
         for item in &def.inheriting {
             self.acquire_capped(Resource::Item(transmitter, item.clone()), LockMode::S)?;
@@ -625,40 +711,27 @@ impl Txn {
         Ok(s)
     }
 
-    /// Dissolve a binding (X on the inheritor's binding slot).
+    /// Dissolve a binding (X on the inheritor's binding slot and on the
+    /// relationship object, which goes away).
     pub fn unbind(&mut self, rel_obj: Surrogate) -> TxnResult<()> {
         let rel = self.workspace.object(rel_obj)?;
         let inheritor = rel.inheritor().ok_or(CoreError::NoSuchObject(rel_obj))?;
-        self.acquire_update(Resource::Item(inheritor, format!("@{}", rel.type_name)))?;
-        self.apply(Op::Unbind { rel_obj, inheritor })
+        let rel_type = rel.type_name.clone();
+        self.apply(Op::Unbind {
+            rel_obj,
+            rel_type,
+            inheritor,
+        })
     }
 
-    /// Transactional cascade delete (§3): X-locks everything the cascade
-    /// removes — the subtree, the bindings of doomed inheritors, and
-    /// relationship objects referencing a doomed participant. Transmitters
-    /// with live external inheritors are protected, as in
+    /// Transactional cascade delete (§3): X-locks everything the
+    /// `cascade` removes and the owner's subclass item `obj` leaves.
+    /// Transmitters with live external inheritors are protected, as in
     /// [`ObjectStore::delete`].
     pub fn delete(&mut self, obj: Surrogate) -> TxnResult<()> {
-        let ws = &self.workspace;
-        ws.object(obj)?;
-        let mut doomed = BTreeSet::new();
-        let mut stack = vec![obj];
-        while let Some(s) = stack.pop() {
-            let Ok(o) = ws.object(s) else { continue };
-            if doomed.insert(s) {
-                stack.extend(o.all_subclass_members());
-                stack.extend(o.bindings.values());
-                stack.extend(ws.relationships_of(s));
-            }
-        }
-        for s in &doomed {
-            self.acquire_update(Resource::Object(*s))?;
-        }
-        let owners = doomed
-            .iter()
-            .filter_map(|s| ws.object(*s).ok()?.owner.as_ref().map(|w| w.parent));
-        let touched = doomed.iter().copied().chain(owners).collect();
-        self.apply(Op::Delete { obj, touched })
+        let doomed = cascade(&self.workspace, obj)?;
+        let owner = self.workspace.object(obj)?.owner.clone();
+        self.apply(Op::Delete { obj, doomed, owner })
     }
 
     // ------------------------------------------------------------------
@@ -672,10 +745,11 @@ impl Txn {
         self.mgr.state.locks.held_count(self.id)
     }
 
-    /// Commit: validate, replay, publish, release all locks. On any error
-    /// the transaction is gone and nothing of it was published.
-    pub fn commit(self, store: &SharedStore) -> TxnResult<CommitInfo> {
-        self.commit_with(store, false, |_, _| Ok(()))
+    /// Commit to the store the transaction began on: validate, replay,
+    /// publish, release all locks. On any error the transaction is gone and
+    /// nothing of it was published.
+    pub fn commit(self) -> TxnResult<CommitInfo> {
+        self.commit_with(false, |_, _| Ok(()))
     }
 
     /// Commit with deferred integrity checking (§3: constraints are
@@ -683,8 +757,8 @@ impl Txn {
     /// for subobjects, the owning complex objects whose constraints may
     /// span them — is checked on the workspace first;
     /// [`TxnError::Violations`] aborts the transaction.
-    pub fn commit_checked(self, store: &SharedStore) -> TxnResult<CommitInfo> {
-        self.commit_with(store, true, |_, _| Ok(()))
+    pub fn commit_checked(self) -> TxnResult<CommitInfo> {
+        self.commit_with(true, |_, _| Ok(()))
     }
 
     /// The commit protocol. `durable` runs inside the write cycle on the
@@ -693,16 +767,12 @@ impl Txn {
     /// cycle back like a replay error.
     pub fn commit_with(
         self,
-        store: &SharedStore,
         check: bool,
         durable: impl FnOnce(&ObjectStore, &[Op]) -> TxnResult<()>,
     ) -> TxnResult<CommitInfo> {
         if self.log.is_empty() {
             // Read-only: nothing to validate or publish.
-            return Ok(CommitInfo {
-                version: 0,
-                writes: 0,
-            });
+            return Ok(CommitInfo::default());
         }
         if check {
             let violations = self.violations();
@@ -710,7 +780,7 @@ impl Txn {
                 return Err(TxnError::Violations(violations));
             }
         }
-        store
+        self.store
             .try_write(|master| {
                 // A conflict is found before anything is mutated: publish
                 // the (unchanged) cycle rather than pay for a rollback.
@@ -718,6 +788,17 @@ impl Txn {
                     return Ok(Err(conflict));
                 }
                 for op in &self.log {
+                    // A delete must remove exactly what the transaction saw
+                    // it remove — judged here, after the log's earlier ops.
+                    if let Op::Delete { obj, doomed, .. } = op {
+                        if cascade(master, *obj)? != *doomed {
+                            return Err(TxnError::WriteConflict {
+                                obj: *obj,
+                                attr: "*".into(),
+                                committed_version: master.version(),
+                            });
+                        }
+                    }
                     op.replay(master)?;
                 }
                 durable(master, &self.log)?;
@@ -729,20 +810,22 @@ impl Txn {
             .and_then(|outcome| outcome)
     }
 
-    /// First committer wins: no item this transaction wrote may have been
-    /// published by someone else since the begin snapshot. (Liveness of
-    /// the touched objects is checked by the replay itself.)
+    /// First committer wins: nothing this transaction wrote ([`Op::writes`])
+    /// may have been published by someone else since the begin snapshot —
+    /// for a whole object, none of its items. (Liveness of the touched
+    /// objects is checked by the replay itself.)
     fn validate(&self, master: &ObjectStore) -> TxnResult<()> {
-        for op in &self.log {
-            if let Op::SetAttr { obj, attr, .. } = op {
-                let committed_version = master.write_stamp(*obj, attr);
-                if committed_version > self.begin_version {
-                    return Err(TxnError::WriteConflict {
-                        obj: *obj,
-                        attr: attr.clone(),
-                        committed_version,
-                    });
-                }
+        for res in self.log.iter().flat_map(Op::writes) {
+            let (obj, committed_version, attr) = match res {
+                Resource::Item(o, item) => (o, master.write_stamp(o, &item), item),
+                Resource::Object(o) => (o, master.object_stamp(o), "*".to_string()),
+            };
+            if committed_version > self.begin_version {
+                return Err(TxnError::WriteConflict {
+                    obj,
+                    attr,
+                    committed_version,
+                });
             }
         }
         Ok(())

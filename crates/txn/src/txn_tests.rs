@@ -113,7 +113,7 @@ fn read_write_commit_cycle() {
     let mut tx = db.begin("alice");
     assert_eq!(tx.read_attr(i, "Length").unwrap(), Value::Int(5));
     tx.write_attr(i, "Length", Value::Int(6)).unwrap();
-    tx.commit(&db.store).unwrap();
+    tx.commit().unwrap();
     assert_eq!(
         db.with_store(|st| st.attr(i, "Length").unwrap()),
         Value::Int(6)
@@ -189,7 +189,7 @@ fn uncommitted_effects_are_invisible_to_plain_readers() {
         assert!(st.object(imp).is_ok());
     });
     // Commit makes all three visible at once.
-    tx.commit(&db.store).unwrap();
+    tx.commit().unwrap();
     db.with_store(|st| {
         assert_eq!(st.attr(i, "Length").unwrap(), Value::Int(99));
         assert!(st.object(fresh).is_ok());
@@ -215,8 +215,8 @@ fn surrogates_handed_out_in_a_transaction_survive_commit() {
     let plain = db.with_store_mut(|st| st.create_object("Impl", vec![]).unwrap());
     let rel = t1.bind("AllOf_If", i, a).unwrap();
     assert!(a != b && a != plain && b != plain);
-    t2.commit(&db.store).unwrap();
-    t1.commit(&db.store).unwrap();
+    t2.commit().unwrap();
+    t1.commit().unwrap();
     // Each surrogate resolves, after commit, to the object it named inside
     // its transaction.
     db.with_store(|st| {
@@ -240,7 +240,7 @@ fn replay_error_mid_commit_rolls_the_master_back() {
     // the bind cannot.
     db.with_store_mut(|st| st.delete_force(i).unwrap());
     let published = db.store.published_version();
-    let err = tx.commit(&db.store).unwrap_err();
+    let err = tx.commit().unwrap_err();
     assert!(
         matches!(err, TxnError::Core(CoreError::NoSuchObject(s)) if s == i),
         "{err}"
@@ -252,7 +252,7 @@ fn replay_error_mid_commit_rolls_the_master_back() {
     // ...and the next commit goes through against a clean master.
     let mut tx = db.begin("alice");
     tx.write_attr(imp, "Cost", Value::Int(8)).unwrap();
-    let info = tx.commit(&db.store).unwrap();
+    let info = tx.commit().unwrap();
     assert!(info.version > published + 1);
     db.with_store(|st| {
         assert_eq!(st.attr(imp, "Cost").unwrap(), Value::Int(8));
@@ -270,7 +270,7 @@ fn failing_durability_hook_rolls_the_commit_back() {
     tx.write_attr(i, "Length", Value::Int(6)).unwrap();
     // The hook sees the master after the replay and before the publish...
     let err = tx
-        .commit_with(&db.store, false, |master, log| {
+        .commit_with(false, |master, log| {
             assert_eq!(master.attr(i, "Length").unwrap(), Value::Int(6));
             assert_eq!(log.len(), 1);
             Err(CoreError::EvalError("disk full".into()).into())
@@ -298,8 +298,8 @@ fn lock_inheritance_read_locks_the_permeable_item() {
     // this is the point of item-granular lock inheritance.
     let mut writer2 = db.begin("writer2");
     writer2.write_attr(i, "Internal", Value::Int(8)).unwrap();
-    writer2.commit(&db.store).unwrap();
-    reader.commit(&db.store).unwrap();
+    writer2.commit().unwrap();
+    reader.commit().unwrap();
 }
 
 #[test]
@@ -311,14 +311,14 @@ fn writer_on_transmitter_blocks_inherited_reader() {
     let reader = db.begin("reader");
     let err = reader.read_attr(imp, "Length").unwrap_err();
     assert!(matches!(err, TxnError::Lock(_)));
-    writer.commit(&db.store).unwrap();
+    writer.commit().unwrap();
     // The lock is free again. The old reader still reads its begin
     // snapshot; a reader that begins after the commit sees the new value.
     assert_eq!(reader.read_attr(imp, "Length").unwrap(), Value::Int(5));
     reader.abort();
     let reader = db.begin("reader");
     assert_eq!(reader.read_attr(imp, "Length").unwrap(), Value::Int(7));
-    reader.commit(&db.store).unwrap();
+    reader.commit().unwrap();
 }
 
 #[test]
@@ -332,9 +332,9 @@ fn expansion_read_locks_footprint() {
     let mut writer = db.begin("bob");
     let err = writer.write_attr(i, "Internal", Value::Int(9)).unwrap_err();
     assert!(matches!(err, TxnError::Lock(_)));
-    tx.commit(&db.store).unwrap();
+    tx.commit().unwrap();
     writer.write_attr(i, "Internal", Value::Int(9)).unwrap();
-    writer.commit(&db.store).unwrap();
+    writer.commit().unwrap();
 }
 
 #[test]
@@ -351,11 +351,11 @@ fn expansion_update_respects_access_control() {
     // A concurrent reader of the standard part is NOT blocked (S vs S)…
     let tx2 = db.begin("carol");
     assert_eq!(tx2.read_attr(i, "Length").unwrap(), Value::Int(5));
-    tx2.commit(&db.store).unwrap();
+    tx2.commit().unwrap();
     // …and bob cannot write it either (access denied, not just unlocked).
     let err = tx.write_attr(i, "Length", Value::Int(0)).unwrap_err();
     assert!(matches!(err, TxnError::AccessDenied { .. }));
-    tx.commit(&db.store).unwrap();
+    tx.commit().unwrap();
 }
 
 #[test]
@@ -395,7 +395,7 @@ fn concurrent_writers_on_different_implementations() {
             for n in 0..50 {
                 let mut tx = db.begin(&format!("user{k}"));
                 tx.write_attr(imp, "Cost", Value::Int(n)).unwrap();
-                tx.commit(&db.store).unwrap();
+                tx.commit().unwrap();
             }
         }));
     }
@@ -427,7 +427,7 @@ fn create_subobject_under_txn() {
     let pin = tx
         .create_subobject(i, "Pins", vec![("Id", Value::Int(2))])
         .unwrap();
-    tx.commit(&db.store).unwrap();
+    tx.commit().unwrap();
     assert!(db.with_store(|st| st.object(pin).is_ok()));
 }
 
@@ -471,7 +471,7 @@ fn commit_checked_rejects_constraint_violations() {
     // A valid write commits.
     let mut tx = db.begin("alice");
     tx.write_attr(part, "Length", Value::Int(50)).unwrap();
-    tx.commit_checked(&db.store).unwrap();
+    tx.commit_checked().unwrap();
     assert_eq!(
         db.with_store(|st| st.attr(part, "Length").unwrap()),
         Value::Int(50)
@@ -480,7 +480,7 @@ fn commit_checked_rejects_constraint_violations() {
     // An invalid write is rejected AND rolled back.
     let mut tx = db.begin("alice");
     tx.write_attr(part, "Length", Value::Int(200)).unwrap();
-    let Err(TxnError::Violations(violations)) = tx.commit_checked(&db.store) else {
+    let Err(TxnError::Violations(violations)) = tx.commit_checked() else {
         panic!("expected violations");
     };
     assert_eq!(violations.len(), 1);
@@ -528,11 +528,11 @@ fn commit_checked_walks_owner_chain() {
 
     let mut tx = db.begin("alice");
     tx.create_subobject(parent, "Children", vec![]).unwrap();
-    tx.commit_checked(&db.store).unwrap();
+    tx.commit_checked().unwrap();
 
     let mut tx = db.begin("alice");
     let second = tx.create_subobject(parent, "Children", vec![]).unwrap();
-    let Err(TxnError::Violations(violations)) = tx.commit_checked(&db.store) else {
+    let Err(TxnError::Violations(violations)) = tx.commit_checked() else {
         panic!("expected violations");
     };
     assert_eq!(violations[0].constraint, "at most one child");
@@ -568,7 +568,7 @@ fn class_level_access_grants_apply() {
     ));
     // Non-members unaffected.
     tx.write_attr(imp, "Cost", Value::Int(4)).unwrap();
-    tx.commit(&db.store).unwrap();
+    tx.commit().unwrap();
 }
 
 #[test]
@@ -588,7 +588,7 @@ fn transactional_delete_commits_and_aborts() {
     // Commit: gone for good; the interface no longer transmits.
     let mut tx = db.begin("alice");
     tx.delete(imp).unwrap();
-    tx.commit(&db.store).unwrap();
+    tx.commit().unwrap();
     assert!(db.with_store(|st| st.object(imp).is_err()));
     assert!(db.with_store(|st| st.inheritance_rels_of(i).is_empty()));
 }
@@ -719,7 +719,7 @@ fn delete_blocks_concurrent_readers_until_commit() {
     let tx2 = db.begin("bob");
     let err = tx2.read_attr(imp, "Cost").unwrap_err();
     assert!(matches!(err, TxnError::Lock(_)));
-    tx.commit(&db.store).unwrap();
+    tx.commit().unwrap();
     tx2.abort();
     // ...and for a transaction that begins after the commit the object is
     // simply gone.
@@ -806,7 +806,7 @@ fn transactional_relationship_creation() {
         db.mgr.locks().held_mode(tx.id(), &Resource::Object(p1)),
         Some(LockMode::S)
     );
-    tx.commit(&db.store).unwrap();
+    tx.commit().unwrap();
     db.with_store(|st| {
         assert_eq!(st.subclass_members(board, "Wires").unwrap(), vec![wire]);
         assert_eq!(st.object(wire).unwrap().participants("A"), Some(&[p1][..]));
@@ -821,14 +821,14 @@ fn transactional_relationship_creation() {
 fn checkout_modify_checkin() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
-    let mut session = db.mgr.checkout("alice", &db.store);
+    let mut session = db.mgr.checkout("alice", &db.store, &[i, imp]).unwrap();
     session.write_attr(i, "Length", Value::Int(42)).unwrap();
     assert_eq!(session.read_attr(imp, "Length").unwrap(), Value::Int(42));
     // The store is untouched while the designer works, and the designer
     // holds no locks meanwhile.
     assert_eq!(db.store.attr(imp, "Length").unwrap(), Value::Int(5));
     assert_eq!(db.mgr.locks().held_count(session.id()), 0);
-    session.commit(&db.store).unwrap();
+    session.commit().unwrap();
     assert_eq!(db.store.attr(imp, "Length").unwrap(), Value::Int(42));
 }
 
@@ -836,12 +836,12 @@ fn checkout_modify_checkin() {
 fn concurrent_designers_first_wins() {
     let db = quick_db();
     let (i, _) = bound_pair(&db);
-    let mut alice = db.mgr.checkout("alice", &db.store);
-    let mut bob = db.mgr.checkout("bob", &db.store);
+    let mut alice = db.mgr.checkout("alice", &db.store, &[i]).unwrap();
+    let mut bob = db.mgr.checkout("bob", &db.store, &[i]).unwrap();
     alice.write_attr(i, "Length", Value::Int(10)).unwrap();
     bob.write_attr(i, "Length", Value::Int(20)).unwrap();
-    alice.commit(&db.store).unwrap();
-    let err = bob.commit(&db.store).unwrap_err();
+    alice.commit().unwrap();
+    let err = bob.commit().unwrap_err();
     assert!(
         matches!(&err, TxnError::WriteConflict { obj, attr, .. } if *obj == i && attr == "Length"),
         "{err}"
@@ -853,12 +853,12 @@ fn concurrent_designers_first_wins() {
 fn disjoint_checkouts_do_not_conflict() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
-    let mut alice = db.mgr.checkout("alice", &db.store);
-    let mut bob = db.mgr.checkout("bob", &db.store);
+    let mut alice = db.mgr.checkout("alice", &db.store, &[i]).unwrap();
+    let mut bob = db.mgr.checkout("bob", &db.store, &[imp]).unwrap();
     alice.write_attr(i, "Length", Value::Int(10)).unwrap();
     bob.write_attr(imp, "Cost", Value::Int(20)).unwrap();
-    alice.commit(&db.store).unwrap();
-    bob.commit(&db.store).unwrap();
+    alice.commit().unwrap();
+    bob.commit().unwrap();
     assert_eq!(db.store.attr(i, "Length").unwrap(), Value::Int(10));
     assert_eq!(db.store.attr(imp, "Cost").unwrap(), Value::Int(20));
 }
@@ -867,7 +867,7 @@ fn disjoint_checkouts_do_not_conflict() {
 fn checkout_edits_go_through_the_validated_write_path() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
-    let mut session = db.mgr.checkout("alice", &db.store);
+    let mut session = db.mgr.checkout("alice", &db.store, &[i, imp]).unwrap();
     // A domain-violating private edit is refused on the spot, as is a
     // write to an inherited (read-only) attribute.
     assert!(matches!(
@@ -889,11 +889,146 @@ fn checkout_edits_go_through_the_validated_write_path() {
 }
 
 #[test]
+fn touching_foreign_objects_rejected() {
+    let db = quick_db();
+    let (i, imp) = bound_pair(&db);
+    // A check-out is limited to its declared object set, for reads and
+    // writes alike...
+    let mut session = db.mgr.checkout("alice", &db.store, &[imp]).unwrap();
+    assert!(matches!(
+        session.write_attr(i, "Length", Value::Int(1)),
+        Err(TxnError::NotCheckedOut(s)) if s == i
+    ));
+    assert!(matches!(
+        session.read_attr(i, "Length"),
+        Err(TxnError::NotCheckedOut(s)) if s == i
+    ));
+    // ...including the transmitter an inherited read resolves through...
+    assert!(matches!(
+        session.read_attr(imp, "Length"),
+        Err(TxnError::NotCheckedOut(s)) if s == i
+    ));
+    assert!(matches!(session.delete(i), Err(TxnError::NotCheckedOut(_))));
+    assert!(session.log().is_empty());
+    // ...but what it checked out or created itself is its own.
+    session.write_attr(imp, "Cost", Value::Int(9)).unwrap();
+    let fresh = session.create_object("If", vec![]).unwrap();
+    session.write_attr(fresh, "Length", Value::Int(2)).unwrap();
+    assert_eq!(session.read_attr(fresh, "Length").unwrap(), Value::Int(2));
+    session.commit().unwrap();
+    assert_eq!(db.store.attr(fresh, "Length").unwrap(), Value::Int(2));
+    // Checking out something that does not exist fails at check-out.
+    assert!(matches!(
+        db.mgr.checkout("alice", &db.store, &[Surrogate(9_999)]),
+        Err(TxnError::Core(CoreError::NoSuchObject(_)))
+    ));
+}
+
+/// A stale delete or unbind must not swallow a write committed after its
+/// begin snapshot: whole-object writes validate every item of the object.
+#[test]
+fn stale_delete_and_unbind_lose_to_a_committed_write() {
+    let db = quick_db();
+    let (i, imp) = bound_pair(&db);
+    for optimistic in [false, true] {
+        let rel = db.with_store(|st| st.binding_of(imp, "AllOf_If").unwrap());
+        let begin = |objects: &[Surrogate]| match optimistic {
+            false => db.begin("alice"),
+            true => db.mgr.checkout("alice", &db.store, objects).unwrap(),
+        };
+        let mut deleter = begin(&[imp, rel]);
+        let mut unbinder = begin(&[imp, rel]);
+        deleter.delete(imp).unwrap();
+        // Bob's write lands after both began (plain: no locks in the way).
+        let published = db.store.published_version();
+        db.store.set_attr(imp, "Cost", Value::Int(77)).unwrap();
+        match deleter.commit().unwrap_err() {
+            TxnError::WriteConflict {
+                obj,
+                attr,
+                committed_version,
+            } => {
+                assert_eq!((obj, attr.as_str()), (imp, "*"));
+                assert!(committed_version > published);
+            }
+            other => panic!("expected WriteConflict, got {other}"),
+        }
+        assert_eq!(db.store.attr(imp, "Cost").unwrap(), Value::Int(77));
+        // An unbind writes only the binding slot and the relationship
+        // object, neither of which Bob wrote: it still goes through...
+        unbinder.unbind(rel).unwrap();
+        unbinder.commit().unwrap();
+        assert_eq!(db.store.attr(imp, "Cost").unwrap(), Value::Int(77));
+        // ...whereas one racing a re-bind of the same slot does not.
+        let rebound = db.store.bind("AllOf_If", i, imp, vec![]).unwrap();
+        let mut stale = begin(&[imp, rebound]);
+        stale.unbind(rebound).unwrap();
+        db.store.unbind(rebound).unwrap();
+        assert!(matches!(
+            stale.commit(),
+            Err(TxnError::Core(CoreError::NoSuchObject(s))) if s == rebound
+        ));
+        db.store.bind("AllOf_If", i, imp, vec![]).unwrap();
+        assert!(db.with_store(|st| st.verify_integrity().is_empty()));
+    }
+}
+
+/// A delete removes on the master exactly what it removed in the
+/// workspace: a cascade that grew after begin is a conflict, not a silent
+/// deletion of objects the transaction never saw (or locked, or reported
+/// to the persistence layer).
+#[test]
+fn stale_delete_with_a_grown_cascade_is_a_conflict() {
+    let db = quick_db();
+    let (i, imp) = bound_pair(&db);
+    db.store
+        .unbind(db.with_store(|st| st.binding_of(imp, "AllOf_If").unwrap()))
+        .unwrap();
+    let pins = db.with_store(|st| st.subclass_members(i, "Pins").unwrap());
+    let mut scope = vec![i];
+    scope.extend(&pins);
+    let mut alice = db.mgr.checkout("alice", &db.store, &scope).unwrap();
+    alice.delete(i).unwrap();
+    // Bob adds a pin alice's cascade does not know about.
+    let late_pin = db
+        .store
+        .write(|st| st.create_subobject(i, "Pins", vec![]).unwrap());
+    let published = db.store.published_version();
+    let err = alice.commit().unwrap_err();
+    assert!(
+        matches!(&err, TxnError::WriteConflict { obj, attr, .. } if *obj == i && attr == "*"),
+        "{err}"
+    );
+    // Nothing of the delete was applied; the refused cycle burned a version.
+    assert_eq!(db.store.published_version(), published);
+    db.with_store(|st| {
+        assert!(st.object(i).is_ok() && st.object(late_pin).is_ok());
+        assert!(st.verify_integrity().is_empty());
+    });
+    // A log that creates under the doomed object first is judged after its
+    // own earlier ops, and goes through.
+    let mut scope = vec![i, late_pin];
+    scope.extend(&pins);
+    let mut alice = db.mgr.checkout("alice", &db.store, &scope).unwrap();
+    let own_pin = alice.create_subobject(i, "Pins", vec![]).unwrap();
+    alice.delete(i).unwrap();
+    let info = alice.commit().unwrap();
+    assert!(info.version > published + 1);
+    db.with_store(|st| {
+        assert!(st.object(i).is_err() && st.object(own_pin).is_err());
+        assert!(st.verify_integrity().is_empty());
+    });
+}
+
+#[test]
 fn first_committer_wins_against_plain_writers() {
     let db = quick_db();
     let (i, imp) = bound_pair(&db);
-    for policy in [Policy::Pessimistic, Policy::Optimistic] {
-        let mut tx = db.mgr.begin_with("alice", &db.store, policy);
+    for optimistic in [false, true] {
+        let mut tx = match optimistic {
+            false => db.begin("alice"),
+            true => db.mgr.checkout("alice", &db.store, &[i]).unwrap(),
+        };
         tx.write_attr(i, "Length", Value::Int(100)).unwrap();
         // A plain writer takes no locks, so only commit-time validation
         // can catch it — under either policy.
@@ -902,7 +1037,7 @@ fn first_committer_wins_against_plain_writers() {
             .set_attr(i, "Length", Value::Int(current + 1))
             .unwrap();
         let begin = tx.begin_version();
-        match tx.commit(&db.store).unwrap_err() {
+        match tx.commit().unwrap_err() {
             TxnError::WriteConflict {
                 committed_version, ..
             } => assert!(committed_version > begin),

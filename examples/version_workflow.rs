@@ -92,7 +92,7 @@ fn main() {
         other => panic!("expected lock conflict, got {other:?}"),
     }
     bob.abort();
-    alice.commit(&db).unwrap();
+    alice.commit().unwrap();
 
     // ---------------------------------------------------------------
     // Access control: the standard cell is read-only for designers; an
@@ -106,7 +106,7 @@ fn main() {
         writable.len()
     );
     assert!(!writable.contains(&cell_v1));
-    carol.commit(&db).unwrap();
+    carol.commit().unwrap();
 
     // ---------------------------------------------------------------
     // Long design transaction: dave designs a new cell version in a
@@ -114,7 +114,7 @@ fn main() {
     // optimistically (no locks held for the session) and checked in by
     // its commit.
     // ---------------------------------------------------------------
-    let mut session = txns.checkout("dave", &db);
+    let mut session = txns.checkout("dave", &db, &[]).unwrap();
     let cell_v2 = session
         .create_object(
             "CellInterface",
@@ -123,7 +123,7 @@ fn main() {
         .unwrap();
     session.write_attr(cell_v2, "Area", Value::Int(85)).unwrap();
     assert!(db.read(|st| st.object(cell_v2).is_err()), "still private");
-    session.commit(&db).unwrap();
+    session.commit().unwrap();
     println!("dave's design session checked in: new cell Area = 85");
 
     // ---------------------------------------------------------------

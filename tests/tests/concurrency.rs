@@ -99,9 +99,7 @@ fn concurrent_increments_no_lost_updates() {
                             continue; // dropping the txn aborts it
                         };
                         let next = Value::Int(cur.as_int().unwrap() + 1);
-                        if tx.write_attr(imp, "Counter", next).is_ok()
-                            && tx.commit(&db.store).is_ok()
-                        {
+                        if tx.write_attr(imp, "Counter", next).is_ok() && tx.commit().is_ok() {
                             break;
                         }
                     }
@@ -143,7 +141,7 @@ fn deadlocks_are_detected_and_recovered() {
                     }
                     let r2 = tx
                         .write_attr(second, "Counter", Value::Int(n))
-                        .and_then(|()| tx.commit(&db.store));
+                        .and_then(|()| tx.commit());
                     match r2 {
                         Ok(_) => break,
                         Err(TxnError::Lock(_) | TxnError::WriteConflict { .. }) => {}
@@ -179,7 +177,7 @@ fn lock_inheritance_allows_disjoint_parallelism() {
             if let Ok(v) = tx.read_attr(imp, "A") {
                 sum += v.as_int().unwrap_or(0);
             }
-            tx.commit(&reader_db.store).unwrap();
+            tx.commit().unwrap();
         }
         sum
     });
@@ -191,7 +189,7 @@ fn lock_inheritance_allows_disjoint_parallelism() {
             let mut tx = writer_db.begin("writer");
             let done = tx
                 .write_attr(interface, "B", Value::Int(n))
-                .and_then(|()| tx.commit(&writer_db.store));
+                .and_then(|()| tx.commit());
             if done.is_err() {
                 failures += 1;
             }

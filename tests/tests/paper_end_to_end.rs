@@ -90,7 +90,7 @@ fn full_chip_pipeline() {
     let mut tx = TxnManager::new().begin("designer", &db);
     assert_eq!(tx.read_attr(sub, "Length").unwrap(), Value::Int(4));
     tx.write_attr(nand_if, "Length", Value::Int(6)).unwrap();
-    tx.commit(&db).unwrap();
+    tx.commit().unwrap();
     assert_eq!(db.attr(sub, "Length").unwrap(), Value::Int(6));
     // The adaptation flag was raised by the transactional write too.
     let rel = db.read(|s| s.binding_of(sub, "AllOf_GateInterface").unwrap());

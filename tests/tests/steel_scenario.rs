@@ -172,8 +172,8 @@ fn design_sessions_and_conflict_detection() {
 
     // Two designers check out the design and work on overlapping parts of
     // it, in private workspaces, holding no locks.
-    let mut alice = mgr.checkout("alice", &store);
-    let mut bob = mgr.checkout("bob", &store);
+    let mut alice = mgr.checkout("alice", &store, &[girder_if]).unwrap();
+    let mut bob = mgr.checkout("bob", &store, &[girder_if, bolt]).unwrap();
     alice
         .write_attr(girder_if, "Length", Value::Int(120))
         .unwrap();
@@ -198,9 +198,9 @@ fn design_sessions_and_conflict_detection() {
 
     // Optimistic check-in: alice lands, bob's overlapping session is stale
     // and nothing of it — the bolt edit included — is applied.
-    alice.commit(&store).unwrap();
+    alice.commit().unwrap();
     assert!(matches!(
-        bob.commit(&store),
+        bob.commit(),
         Err(TxnError::WriteConflict { obj, .. }) if obj == girder_if
     ));
     assert_eq!(store.attr(girder_if, "Length").unwrap(), Value::Int(120));

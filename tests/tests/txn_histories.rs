@@ -227,7 +227,9 @@ fn run(steps: &[Step]) -> History {
                     assert_eq!(version, snapshot.version());
                     None
                 } else {
-                    Some(designers.checkout("designer", &store))
+                    // The designer checks the whole (tiny) design out.
+                    let all: Vec<Surrogate> = readable.iter().map(|item| item.0).collect();
+                    Some(designers.checkout("designer", &store, &all).unwrap())
                 };
                 events.push(Event::Begin {
                     session: s,
@@ -300,7 +302,7 @@ fn run(steps: &[Step]) -> History {
             (Action::Commit, Some(_)) => {
                 let txn = live[s].take().unwrap();
                 let outcome = match txn.designer {
-                    Some(d) => d.commit(&store).map_err(SessionError::from),
+                    Some(d) => d.commit().map_err(SessionError::from),
                     None => registry.commit(s as u64, &store),
                 };
                 events.push(match outcome {
@@ -711,13 +713,15 @@ fn designer_and_wire_session_race_first_committer_wins() {
     let if_y = readable[1];
     let store = SharedStore::from_store(st);
     let registry = TxnRegistry::with_lock_manager(LockManager::with_timeout(Duration::ZERO));
-    let mut designer = TxnManager::new().checkout("dave", &store);
+    let mut designer = TxnManager::new()
+        .checkout("dave", &store, &[if_y.0])
+        .unwrap();
     registry.begin(0, &store).unwrap();
     designer.write_attr(if_y.0, "Y", Value::Int(5)).unwrap();
     registry.set_attr(0, if_y.0, "Y", Value::Int(6)).unwrap();
     registry.commit(0, &store).unwrap();
     assert!(matches!(
-        designer.commit(&store),
+        designer.commit(),
         Err(TxnError::WriteConflict { .. })
     ));
     assert_eq!(store.attr(if_y.0, "Y").unwrap(), Value::Int(6));
