@@ -14,8 +14,8 @@ use ccdb_core::{Surrogate, Value};
 use serde_json::Value as Json;
 
 use crate::proto::{
-    decode_response_v2, read_frame, write_frame, FrameError, Request, HELLO_V2, MAX_FRAME_BYTES,
-    PROTOCOL_V2,
+    decode_response_v2, read_frame, write_frame, FrameError, Request, Verb, HELLO_V2,
+    MAX_FRAME_BYTES, PROTOCOL_V2,
 };
 
 /// Client-side failure.
@@ -200,13 +200,14 @@ impl Client {
 
     /// `ping` → `{"pong": true, "server_info": {...}}`.
     pub fn ping(&mut self) -> ClientResult<()> {
-        self.request("ping", Json::Object(vec![])).map(|_| ())
+        self.request(Verb::Ping.name(), Json::Object(vec![]))
+            .map(|_| ())
     }
 
     /// `ping`, returning the `server_info` object (version, uptime,
     /// workers, queue depth, rescache shards).
     pub fn ping_info(&mut self) -> ClientResult<Json> {
-        let r = self.request("ping", Json::Object(vec![]))?;
+        let r = self.request(Verb::Ping.name(), Json::Object(vec![]))?;
         r.get("server_info")
             .cloned()
             .ok_or_else(|| ClientError::Protocol("ping: missing server_info".into()))
@@ -215,13 +216,13 @@ impl Client {
     /// The server's flight-recorder snapshot (recent + slowest requests
     /// with per-phase timelines).
     pub fn flight(&mut self) -> ClientResult<Json> {
-        self.request("flight", Json::Object(vec![]))
+        self.request(Verb::Flight.name(), Json::Object(vec![]))
     }
 
     /// `ping` with an artificial service delay (drain/load tests).
     pub fn ping_delay_ms(&mut self, ms: u64) -> ClientResult<()> {
         self.request(
-            "ping",
+            Verb::Ping.name(),
             Json::Object(vec![("delay_ms".into(), Json::UInt(ms))]),
         )
         .map(|_| ())
@@ -239,7 +240,7 @@ impl Client {
             ("type".into(), Json::String(ty.into())),
             ("attrs".into(), encoded),
         ]);
-        let r = self.request("create", params)?;
+        let r = self.request(Verb::Create.name(), params)?;
         r.as_u64()
             .map(Surrogate)
             .ok_or_else(|| ClientError::Protocol("create: non-integer surrogate".into()))
@@ -251,7 +252,7 @@ impl Client {
             ("obj".into(), Json::UInt(obj.0)),
             ("name".into(), Json::String(name.into())),
         ]);
-        let r = self.request("attr", params)?;
+        let r = self.request(Verb::Attr.name(), params)?;
         serde_json::from_value(&r)
             .map_err(|e| ClientError::Protocol(format!("attr: bad value encoding: {e}")))
     }
@@ -260,7 +261,7 @@ impl Client {
     /// Returns `(txn_id, snapshot_version)` — the published version the
     /// transaction's reads are pinned to.
     pub fn begin(&mut self) -> ClientResult<(u64, u64)> {
-        let r = self.request("begin", Json::Object(vec![]))?;
+        let r = self.request(Verb::Begin.name(), Json::Object(vec![]))?;
         match (
             r.get("txn").and_then(Json::as_u64),
             r.get("snapshot_version").and_then(Json::as_u64),
@@ -274,7 +275,7 @@ impl Client {
     /// writes. Returns `(version, writes)`; version 0 means the
     /// transaction was read-only and published nothing.
     pub fn commit(&mut self) -> ClientResult<(u64, u64)> {
-        let r = self.request("commit", Json::Object(vec![]))?;
+        let r = self.request(Verb::Commit.name(), Json::Object(vec![]))?;
         match (
             r.get("version").and_then(Json::as_u64),
             r.get("writes").and_then(Json::as_u64),
@@ -287,7 +288,7 @@ impl Client {
     /// `abort`: discards the transaction's workspace and buffered writes.
     /// Returns the number of locks released (inherited S-locks included).
     pub fn abort(&mut self) -> ClientResult<u64> {
-        let r = self.request("abort", Json::Object(vec![]))?;
+        let r = self.request(Verb::Abort.name(), Json::Object(vec![]))?;
         r.get("released")
             .and_then(Json::as_u64)
             .ok_or_else(|| ClientError::Protocol("abort: malformed result".into()))
@@ -300,7 +301,7 @@ impl Client {
             ("name".into(), Json::String(name.into())),
             ("value".into(), serde_json::to_value(&value)),
         ]);
-        self.request("set_attr", params).map(|_| ())
+        self.request(Verb::SetAttr.name(), params).map(|_| ())
     }
 
     /// Binds `inheritor` to `transmitter` in `rel`; returns the
@@ -316,7 +317,7 @@ impl Client {
             ("transmitter".into(), Json::UInt(transmitter.0)),
             ("inheritor".into(), Json::UInt(inheritor.0)),
         ]);
-        let r = self.request("bind", params)?;
+        let r = self.request(Verb::Bind.name(), params)?;
         r.as_u64()
             .map(Surrogate)
             .ok_or_else(|| ClientError::Protocol("bind: non-integer surrogate".into()))
@@ -325,7 +326,7 @@ impl Client {
     /// Dissolves an inheritance binding.
     pub fn unbind(&mut self, rel_obj: Surrogate) -> ClientResult<()> {
         let params = Json::Object(vec![("rel_obj".into(), Json::UInt(rel_obj.0))]);
-        self.request("unbind", params).map(|_| ())
+        self.request(Verb::Unbind.name(), params).map(|_| ())
     }
 
     /// Selects objects of `ty` matching the `where` expression source
@@ -335,7 +336,7 @@ impl Client {
         if let Some(src) = where_src {
             params.push(("where".into(), Json::String(src.into())));
         }
-        let r = self.request("select", Json::Object(params))?;
+        let r = self.request(Verb::Select.name(), Json::Object(params))?;
         r.as_array()
             .map(|items| {
                 items
@@ -349,7 +350,7 @@ impl Client {
 
     /// Constraint-checks every object; returns `(object, constraint)` pairs.
     pub fn check_all(&mut self) -> ClientResult<Vec<(Surrogate, String)>> {
-        let r = self.request("check_all", Json::Object(vec![]))?;
+        let r = self.request(Verb::CheckAll.name(), Json::Object(vec![]))?;
         r.as_array()
             .map(|items| {
                 items
@@ -368,7 +369,7 @@ impl Client {
     /// A type's effective schema with provenance.
     pub fn effective(&mut self, ty: &str) -> ClientResult<Json> {
         self.request(
-            "effective",
+            Verb::Effective.name(),
             Json::Object(vec![("type".into(), Json::String(ty.into()))]),
         )
     }
@@ -376,7 +377,7 @@ impl Client {
     /// The inheritance chain `ty.attr` resolves through.
     pub fn explain(&mut self, ty: &str, attr: &str) -> ClientResult<Json> {
         self.request(
-            "explain",
+            Verb::Explain.name(),
             Json::Object(vec![
                 ("type".into(), Json::String(ty.into())),
                 ("attr".into(), Json::String(attr.into())),
@@ -386,12 +387,12 @@ impl Client {
 
     /// The server's metrics snapshot as JSON.
     pub fn stats(&mut self) -> ClientResult<Json> {
-        self.request("stats", Json::Object(vec![]))
+        self.request(Verb::Stats.name(), Json::Object(vec![]))
     }
 
     /// The plaintext Prometheus scrape.
     pub fn metrics(&mut self) -> ClientResult<String> {
-        let r = self.request("metrics", Json::Object(vec![]))?;
+        let r = self.request(Verb::Metrics.name(), Json::Object(vec![]))?;
         r.as_str()
             .map(str::to_string)
             .ok_or_else(|| ClientError::Protocol("metrics: non-string result".into()))
@@ -403,7 +404,7 @@ impl Client {
     /// `points` / `window_ms` / `series` knobs (empty object for
     /// defaults).
     pub fn telemetry(&mut self, params: Json) -> ClientResult<Json> {
-        self.request("telemetry", params)
+        self.request(Verb::Telemetry.name(), params)
     }
 
     /// Subscribes this connection to streamed telemetry frames every
@@ -422,7 +423,7 @@ impl Client {
                 Json::Array(series.iter().map(|s| Json::String((*s).into())).collect()),
             ));
         }
-        self.request("watch", Json::Object(params))
+        self.request(Verb::Watch.name(), Json::Object(params))
     }
 
     /// Cancels this connection's watch subscription. Frames already in
@@ -430,7 +431,7 @@ impl Client {
     /// drain until they see the `watching: false` ack envelope.
     pub fn watch_stop(&mut self) -> ClientResult<Json> {
         self.request(
-            "watch",
+            Verb::Watch.name(),
             Json::Object(vec![("stop".into(), Json::Bool(true))]),
         )
     }
@@ -469,7 +470,10 @@ impl Client {
                 })
                 .collect(),
         );
-        let r = self.request("batch", Json::Object(vec![("requests".into(), requests)]))?;
+        let r = self.request(
+            Verb::Batch.name(),
+            Json::Object(vec![("requests".into(), requests)]),
+        )?;
         let slots = r
             .as_array()
             .ok_or_else(|| ClientError::Protocol("batch: non-array result".into()))?;
@@ -498,12 +502,13 @@ impl Client {
 
     /// This connection's session info.
     pub fn session(&mut self) -> ClientResult<Json> {
-        self.request("session", Json::Object(vec![]))
+        self.request(Verb::Session.name(), Json::Object(vec![]))
     }
 
     /// Asks the server to drain and stop.
     pub fn shutdown_server(&mut self) -> ClientResult<()> {
-        self.request("shutdown", Json::Object(vec![])).map(|_| ())
+        self.request(Verb::Shutdown.name(), Json::Object(vec![]))
+            .map(|_| ())
     }
 
     /// Reads one frame directly (after `send_raw`) and decodes it into

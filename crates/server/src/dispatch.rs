@@ -1,11 +1,11 @@
 //! Dispatch: what happens to one complete frame.
 //!
-//! [`handle_frame`] parses it, answers connection-level verbs on the
-//! spot, runs read-only snapshot verbs inline on the event-loop thread
-//! when the queue is shallow, and admits everything else to the worker
-//! queue; [`worker_loop`] drains that queue; [`run_request`] is the one
-//! execution path both share (handler, phase attribution, flight record,
-//! response).
+//! [`handle_frame`] parses it, resolves its [`Verb`] once, answers
+//! connection-level verbs on the spot, runs storeless and read verbs
+//! inline on the event-loop thread when the queue is shallow, and admits
+//! everything else to the worker queue; [`worker_loop`] drains that
+//! queue; [`run_request`] is the one execution path both share (handler,
+//! phase attribution, flight record, response).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -17,9 +17,9 @@ use ccdb_obs::flight::FlightRecord;
 use ccdb_obs::TraceId;
 use serde_json::Value as Json;
 
-use crate::handler::handle_verb;
+use crate::handler::Handler;
 use crate::metrics::server_metrics;
-use crate::proto::{err_response, ok_response, ErrorKind, Request, PROTOCOL_V2};
+use crate::proto::{err_response, ok_response, ErrorKind, Request, Verb, VerbClass, PROTOCOL_V2};
 use crate::queue::PushError;
 use crate::server::Inner;
 use crate::session::Session;
@@ -29,6 +29,8 @@ use crate::watch::register_watch;
 /// phase timings the event loop already banked for it.
 pub(crate) struct Job {
     request: Request,
+    /// The request's verb, resolved once from `request.verb`.
+    verb: Verb,
     session: Arc<Session>,
     admitted: Instant,
     /// When the frame's first byte arrived — origin of the phase timeline.
@@ -71,21 +73,25 @@ pub(crate) fn handle_frame(
     };
     let parse_ns = parse_start.elapsed().as_nanos() as u64;
     m.requests.inc();
-    if let Some(c) = m.verb_counter(&request.verb) {
-        c.inc();
-    }
     session.requests.fetch_add(1, Ordering::Relaxed);
-
-    // Session introspection never touches the store or the queue.
-    if request.verb == "session" {
-        session.send(&ok_response(request.id, session.info_json()));
+    let Some(verb) = Verb::from_name(&request.verb) else {
+        let msg = format!("unknown verb `{}`", request.verb);
+        session.send(&err_response(request.id, ErrorKind::BadRequest, &msg));
         return;
+    };
+    if let Some(vm) = m.verb(verb) {
+        vm.requests.inc();
     }
-    // `watch` is connection-level (it binds a stream to this session), so
-    // it is answered inline like `session`; frames are pushed later by the
-    // streamer thread through the session's ordinary outbound buffer.
-    if request.verb == "watch" {
-        session.send(&register_watch(inner, session, &request));
+
+    // Connection verbs never touch the store or the queue: `session`
+    // introspects this session; `watch` binds a stream to it, whose frames
+    // the streamer thread pushes later through the session's ordinary
+    // outbound buffer.
+    if verb.class() == VerbClass::Connection {
+        session.send(&match verb {
+            Verb::Watch => register_watch(inner, session, &request),
+            _ => ok_response(request.id, session.info_json()),
+        });
         return;
     }
     if inner.draining() {
@@ -96,14 +102,14 @@ pub(crate) fn handle_frame(
         ));
         return;
     }
-    // Inline fast path: a read-only snapshot verb from a session that is
+    // Inline fast path: a storeless or read verb from a session that is
     // not in a transaction can run right here against a pinned MVCC
     // snapshot — no enqueue, no worker wakeup, response through the same
     // never-blocking OutBuf. Gated on a shallow queue (when workers are
     // behind, queue-jumping reads would starve admitted writes of CPU)
     // and a per-iteration time budget (the loop's readiness duties come
     // first).
-    if is_inline_verb(&request) && !inner.txns.in_txn(session.id) {
+    if runs_inline(verb, &request) && !inner.txns.in_txn(session.id) {
         if inner.queue.len() <= inner.ctx.workers
             && inner.inline_spent_ns.load(Ordering::Relaxed) < INLINE_BUDGET_NS
         {
@@ -112,6 +118,7 @@ pub(crate) fn handle_frame(
                 inner,
                 Job {
                     request,
+                    verb,
                     session: Arc::clone(session),
                     admitted: started,
                     first_byte,
@@ -131,6 +138,7 @@ pub(crate) fn handle_frame(
     let id = request.id;
     let job = Job {
         request,
+        verb,
         session: Arc::clone(session),
         admitted: Instant::now(),
         first_byte,
@@ -157,34 +165,24 @@ pub(crate) fn handle_frame(
     }
 }
 
-/// Verbs the event loop may execute inline: read-only against a pinned
-/// MVCC snapshot (or touching no store at all), and never blocking.
-/// Write verbs, txn verbs, `batch` (it may carry writes), `shutdown`,
-/// and debug verbs are deliberately absent — they always take the queue.
-const INLINE_VERBS: &[&str] = &[
-    "ping",
-    "attr",
-    "select",
-    "effective",
-    "check_all",
-    "stats",
-    "metrics",
-    "telemetry",
-    "flight",
-];
-
 /// Inline-execution budget per event-loop iteration: once inline
 /// handlers have consumed this much of an iteration, further eligible
 /// requests are enqueued instead, so a read burst cannot starve the
 /// loop's accept/read/flush duties.
 const INLINE_BUDGET_NS: u64 = 1_000_000;
 
-/// Whether this request may run on the event-loop thread. A `ping`
-/// carrying `delay_ms` is an artificial sleep (drain/overload tests) and
-/// must park a worker, never the loop.
-fn is_inline_verb(request: &Request) -> bool {
-    INLINE_VERBS.contains(&request.verb.as_str())
-        && !(request.verb == "ping" && request.params.get("delay_ms").is_some())
+/// Whether this request may run on the event-loop thread: storeless and
+/// read verbs never block. Writes, txn verbs, `batch` (it may carry
+/// writes) and `shutdown` always take the queue, and so do the debug
+/// `boom` (a panic) and a `ping` carrying `delay_ms` (an artificial sleep
+/// for the drain/overload tests) — those must park a worker, never the
+/// loop.
+fn runs_inline(verb: Verb, request: &Request) -> bool {
+    match verb {
+        Verb::Boom => false,
+        Verb::Ping => request.params.get("delay_ms").is_none(),
+        _ => matches!(verb.class(), VerbClass::Storeless | VerbClass::Read),
+    }
 }
 
 pub(crate) fn worker_loop(inner: &Arc<Inner>, worker_idx: usize) {
@@ -222,6 +220,7 @@ fn run_request(inner: &Arc<Inner>, job: Job, queue_ns: u64) {
     let m = server_metrics();
     let Job {
         request,
+        verb,
         session,
         admitted,
         first_byte,
@@ -237,33 +236,29 @@ fn run_request(inner: &Arc<Inner>, job: Job, queue_ns: u64) {
         None => ccdb_obs::trace::span("server.request"),
     };
     if let Some(s) = span.as_mut() {
-        if let Some(verb) = crate::metrics::VERBS.iter().find(|v| **v == request.verb) {
-            s.str("verb", verb);
-        }
+        s.str("verb", verb.name());
         s.u64("session", session.id);
     }
 
     let handle_start = Instant::now();
     let wait0_lock = lockprobe::thread_lock_wait_ns();
     let wait0_snap = lockprobe::thread_snapshot_wait_ns();
-    let (response, outcome) = if request.verb == "shutdown" {
+    let (response, outcome) = if verb == Verb::Shutdown {
         inner.begin_shutdown();
         (
             ok_response(request.id, Json::String("draining".into())),
             "ok",
         )
     } else {
+        let handler = Handler {
+            store: &inner.store,
+            catalog: &inner.catalog,
+            ctx: &inner.ctx,
+            txns: &inner.txns,
+            debug_verbs: inner.cfg.debug_verbs,
+        };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_verb(
-                &inner.store,
-                &inner.catalog,
-                &inner.ctx,
-                &inner.txns,
-                session.id,
-                &request.verb,
-                &request.params,
-                inner.cfg.debug_verbs,
-            )
+            handler.handle(session.id, verb, &request.params)
         }));
         match outcome {
             Ok(Ok(result)) => (ok_response(request.id, result), "ok"),
@@ -317,7 +312,7 @@ fn run_request(inner: &Arc<Inner>, job: Job, queue_ns: u64) {
         h.observe(ns);
     }
     m.phase_all_total.observe(total_ns);
-    if let Some(vp) = m.verb_phases(&request.verb) {
+    if let Some(vp) = m.verb(verb) {
         for (h, ns) in vp.phases.iter().zip(phases) {
             h.observe(ns);
         }

@@ -1,23 +1,27 @@
 //! Verb dispatch: one parsed request against the shared store.
 //!
-//! Handlers are pure request → `Result<Json, (ErrorKind, message)>`
-//! functions over [`SharedStore`]; the threading, framing, and response
-//! writing live in [`crate::server`]. Read verbs take the store's shared
-//! lock (many in parallel across workers), write verbs the exclusive one —
-//! so a transmitter update by one session is visible to every other
-//! session's next read, which is the paper's instant-visibility semantics
-//! carried over the wire.
+//! [`Handler::handle`] is a pure request → `Result<Json, (ErrorKind,
+//! message)>` function; the threading, framing, and response writing live
+//! in [`crate::server`]. Every decision is a `match` on the request's
+//! [`Verb`] and its [`VerbClass`]. A store verb runs on one [`Target`]:
+//! the session's wire transaction when it has one, else a pinned snapshot
+//! (reads, many in parallel across workers) or one exclusive write cycle
+//! on the master — so a transmitter update by one session is visible to
+//! every other session's next read, which is the paper's
+//! instant-visibility semantics carried over the wire. Every write decodes
+//! into one [`Op`]: replayed on the master outside a transaction, handed
+//! to [`ccdb_txn::Txn::apply`] inside one.
 
 use std::time::Instant;
 
 use ccdb_core::expr::Expr;
 use ccdb_core::schema::{Catalog, ItemSource};
 use ccdb_core::shared::SharedStore;
-use ccdb_core::{CoreError, Surrogate, Value};
-use ccdb_txn::{SessionError, TxnRegistry};
+use ccdb_core::{CoreError, ObjectStore, Surrogate, Value};
+use ccdb_txn::{Op, SessionError, Txn, TxnError, TxnRegistry, TxnResult};
 use serde_json::Value as Json;
 
-use crate::proto::ErrorKind;
+use crate::proto::{ErrorKind, Verb, VerbClass};
 
 /// Handler failure: wire error kind plus client-safe message.
 pub(crate) type HandlerError = (ErrorKind, String);
@@ -129,23 +133,7 @@ fn handle_telemetry(params: &Json) -> HandlerResult {
         .max(interval_ms);
     let window_samples = (window_ms.div_ceil(interval_ms) as usize).clamp(1, retention);
     let window_secs = (window_samples as u64 * interval_ms) as f64 / 1_000.0;
-    let patterns = {
-        let named: Vec<String> = params
-            .get("series")
-            .and_then(Json::as_array)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|v| v.as_str().map(String::from))
-                    .collect()
-            })
-            .unwrap_or_default();
-        if named.is_empty() {
-            vec!["ccdb_server_*".to_string()]
-        } else {
-            named
-        }
-    };
+    let patterns = crate::watch::series_patterns(params);
 
     let mut series = Vec::new();
     for (name, kind) in ts.names_matching(&patterns) {
@@ -188,15 +176,16 @@ fn handle_telemetry(params: &Json) -> HandlerResult {
         series.push(Json::Object(fields));
     }
 
-    let verbs: Vec<Json> = crate::proto::VERBS
+    let verbs: Vec<Json> = Verb::PUBLIC
         .iter()
         .filter_map(|v| {
+            let v = v.name();
             let w = ts.hist_window(&format!("ccdb_server_phase_{v}_total_ns"), window_samples)?;
             if w.count == 0 {
                 return None;
             }
             let mut fields = vec![
-                ("verb".into(), Json::String((*v).into())),
+                ("verb".into(), Json::String(v.into())),
                 ("count".into(), Json::UInt(w.count)),
             ];
             for (label, q) in [("p50_ns", 0.5), ("p95_ns", 0.95), ("p99_ns", 0.99)] {
@@ -273,10 +262,10 @@ fn core_err(e: CoreError) -> HandlerError {
 /// retry from a fresh `begin`); bookkeeping misuse is `bad_request`.
 fn session_err(e: SessionError) -> HandlerError {
     match e {
-        SessionError::Lock(_) | SessionError::WriteConflict { .. } => {
+        SessionError::Txn(TxnError::Lock(_) | TxnError::WriteConflict { .. }) => {
             (ErrorKind::Conflict, e.to_string())
         }
-        SessionError::Core(e) => core_err(e),
+        SessionError::Txn(_) => (ErrorKind::Core, e.to_string()),
         SessionError::NoTxn | SessionError::AlreadyInTxn => bad(e.to_string()),
     }
 }
@@ -421,147 +410,48 @@ fn handle_explain(catalog: &Catalog, params: &Json) -> HandlerResult {
     ]))
 }
 
-/// Verbs that take the store's exclusive lock.
-fn is_write_verb(verb: &str) -> bool {
-    matches!(verb, "create" | "set_attr" | "bind" | "unbind")
-}
-
-/// Session-level transaction verbs: they mutate per-connection state, so
-/// they are never allowed inside a `batch` frame.
-fn is_txn_verb(verb: &str) -> bool {
-    matches!(verb, "begin" | "commit" | "abort")
-}
-
 /// `begin`/`commit`/`abort` against the session's wire transaction.
-fn handle_txn_verb(
-    store: &SharedStore,
-    txns: &TxnRegistry,
-    session: u64,
-    verb: &str,
-) -> HandlerResult {
+fn txn_verb(store: &SharedStore, txns: &TxnRegistry, session: u64, verb: Verb) -> HandlerResult {
     match verb {
-        "begin" => {
+        Verb::Begin => {
             let (txn, snapshot_version) = txns.begin(session, store).map_err(session_err)?;
             Ok(Json::Object(vec![
                 ("txn".into(), Json::UInt(txn)),
                 ("snapshot_version".into(), Json::UInt(snapshot_version)),
             ]))
         }
-        "commit" => {
+        Verb::Commit => {
             let info = txns.commit(session, store).map_err(session_err)?;
             Ok(Json::Object(vec![
                 ("version".into(), Json::UInt(info.version)),
                 ("writes".into(), Json::UInt(info.writes as u64)),
             ]))
         }
-        "abort" => {
+        Verb::Abort => {
             let released = txns.abort(session).map_err(session_err)?;
             Ok(Json::Object(vec![(
                 "released".into(),
                 Json::UInt(released as u64),
             )]))
         }
-        other => Err(bad(format!("unknown verb `{other}`"))),
+        other => Err(bad(format!("`{}` is not a transaction verb", other.name()))),
     }
 }
 
-/// A verb on a session with an open transaction. `attr` and `set_attr`
-/// run against the transaction's workspace under §6 lock inheritance;
-/// the structural write verbs and `batch` are refused (the wire
-/// transaction's scope is item values — structure changes go through
-/// plain writes outside a transaction); everything else falls through to
-/// normal dispatch (reads see the published store, not the workspace).
-fn handle_in_txn(
-    txns: &TxnRegistry,
-    session: u64,
-    verb: &str,
-    params: &Json,
-) -> Option<HandlerResult> {
+/// One read verb against one view of the store: a pinned snapshot, the
+/// master inside a write cycle, or a transaction's workspace.
+fn read(st: &ObjectStore, verb: Verb, params: &Json) -> HandlerResult {
     match verb {
-        "attr" => Some((|| {
-            let obj = surrogate_param(params, "obj")?;
-            let name = str_param(params, "name")?;
-            let value = txns.read_attr(session, obj, name).map_err(session_err)?;
-            Ok(serde_json::to_value(&value))
-        })()),
-        "set_attr" => Some((|| {
-            let obj = surrogate_param(params, "obj")?;
-            let name = str_param(params, "name")?;
-            let value = value_param(params, "value")?;
-            txns.set_attr(session, obj, name, value)
-                .map_err(session_err)?;
-            Ok(Json::Null)
-        })()),
-        "create" | "bind" | "unbind" | "batch" => Some(Err(bad(format!(
-            "verb `{verb}` is not allowed inside a transaction; commit or abort first"
-        )))),
-        _ => None,
-    }
-}
-
-/// Verbs that take the store's shared lock.
-fn is_read_verb(verb: &str) -> bool {
-    matches!(verb, "attr" | "select" | "check_all")
-}
-
-/// Verbs that never touch the store (so a batch can run them under
-/// whichever guard it already holds, and a lone `ping` holds no guard at
-/// all). Returns `None` for store verbs.
-fn storeless_verb(
-    catalog: &Catalog,
-    ctx: &ServerContext,
-    verb: &str,
-    params: &Json,
-    debug_verbs: bool,
-) -> Option<HandlerResult> {
-    match verb {
-        "ping" => {
-            // Optional artificial service time (capped); used by the drain
-            // and overload tests and the latency harness.
-            if let Some(ms) = params.get("delay_ms").and_then(Json::as_u64) {
-                std::thread::sleep(std::time::Duration::from_millis(ms.min(1_000)));
-            }
-            Some(Ok(Json::Object(vec![
-                ("pong".into(), Json::Bool(true)),
-                ("server_info".into(), ctx.info_json()),
-            ])))
-        }
-        "effective" => Some(handle_effective(catalog, params)),
-        "explain" => Some(handle_explain(catalog, params)),
-        "stats" => Some(
-            serde_json::from_str(&ccdb_obs::global().render_json())
-                .map_err(|e| (ErrorKind::Internal, format!("stats render: {e}"))),
-        ),
-        "metrics" => {
-            // The plaintext Prometheus scrape, `GET /metrics`-style, so the
-            // PR 1 exporter is reachable over the network.
-            Some(Ok(Json::String(ccdb_obs::global().render_prometheus())))
-        }
-        "flight" => Some(handle_flight()),
-        "telemetry" => Some(handle_telemetry(params)),
-        "boom" if debug_verbs => panic!("boom: requested handler panic"),
-        _ => None,
-    }
-}
-
-/// One read verb against an already-acquired shared guard.
-fn store_read_verb(
-    st: &ccdb_core::ObjectStore,
-    catalog: &Catalog,
-    verb: &str,
-    params: &Json,
-) -> HandlerResult {
-    match verb {
-        "attr" => {
+        Verb::Attr => {
             let obj = surrogate_param(params, "obj")?;
             let name = str_param(params, "name")?;
             let value = st.attr(obj, name).map_err(core_err)?;
             Ok(serde_json::to_value(&value))
         }
-        "select" => {
+        Verb::Select => {
             let ty = str_param(params, "type")?;
             let predicate = match params.get("where").and_then(Json::as_str) {
-                Some(src) => ccdb_lang::compile_expr(src, catalog)
+                Some(src) => ccdb_lang::compile_expr(src, st.catalog())
                     .map_err(|e| bad(format!("invalid `where` expression: {e}")))?,
                 // No predicate: match everything.
                 None => Expr::eq(Expr::int(0), Expr::int(0)),
@@ -569,7 +459,7 @@ fn store_read_verb(
             let hits = st.select(ty, &predicate).map_err(core_err)?;
             Ok(surrogates_json(&hits))
         }
-        "check_all" => {
+        Verb::CheckAll => {
             let violations = st.check_all().map_err(core_err)?;
             Ok(Json::Array(
                 violations
@@ -590,57 +480,69 @@ fn store_read_verb(
                     .collect(),
             ))
         }
-        other => Err(bad(format!("unknown verb `{other}`"))),
+        other => Err(bad(format!("`{}` is not a read verb", other.name()))),
     }
 }
 
-/// One write verb against an already-acquired exclusive guard.
-fn store_write_verb(st: &mut ccdb_core::ObjectStore, verb: &str, params: &Json) -> HandlerResult {
-    match verb {
-        "create" => {
-            let ty = str_param(params, "type")?;
-            let attrs = attrs_param(params, "attrs")?;
-            let owned: Vec<(&str, Value)> =
-                attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-            let s = st.create_object(ty, owned).map_err(core_err)?;
-            Ok(Json::UInt(s.0))
-        }
-        "set_attr" => {
-            let obj = surrogate_param(params, "obj")?;
-            let name = str_param(params, "name")?;
-            let value = value_param(params, "value")?;
-            st.set_attr(obj, name, value).map_err(core_err)?;
-            Ok(Json::Null)
-        }
-        "bind" => {
-            let rel = str_param(params, "rel")?;
-            let transmitter = surrogate_param(params, "transmitter")?;
-            let inheritor = surrogate_param(params, "inheritor")?;
-            let attrs = attrs_param(params, "attrs")?;
-            let borrowed: Vec<(&str, Value)> =
-                attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-            let rel_obj = st
-                .bind(rel, transmitter, inheritor, borrowed)
-                .map_err(core_err)?;
-            Ok(Json::UInt(rel_obj.0))
-        }
-        "unbind" => {
-            let rel_obj = surrogate_param(params, "rel_obj")?;
-            st.unbind(rel_obj).map_err(core_err)?;
-            Ok(Json::Null)
-        }
-        other => Err(bad(format!("unknown verb `{other}`"))),
+/// Decodes a write verb's params into its one [`Op`], against the store
+/// view the op will be applied to: a creating op draws its surrogate from
+/// that store's shared generator (last, so a malformed request burns
+/// none), an unbind names the binding it holds.
+fn decode_op(st: &ObjectStore, verb: Verb, params: &Json) -> Result<Op, HandlerError> {
+    Ok(match verb {
+        Verb::Create => Op::CreateObject {
+            type_name: str_param(params, "type")?.into(),
+            attrs: attrs_param(params, "attrs")?,
+            s: st.reserve_surrogate(),
+        },
+        Verb::SetAttr => Op::SetAttr {
+            obj: surrogate_param(params, "obj")?,
+            attr: str_param(params, "name")?.into(),
+            value: value_param(params, "value")?,
+        },
+        Verb::Bind => Op::Bind {
+            rel_type: str_param(params, "rel")?.into(),
+            transmitter: surrogate_param(params, "transmitter")?,
+            inheritor: surrogate_param(params, "inheritor")?,
+            attrs: attrs_param(params, "attrs")?,
+            s: st.reserve_surrogate(),
+        },
+        Verb::Unbind => Op::unbind(st, surrogate_param(params, "rel_obj")?).map_err(core_err)?,
+        other => return Err(bad(format!("`{}` is not a write verb", other.name()))),
+    })
+}
+
+/// A write's reply: the surrogate it creates, else `null`.
+fn created_json(op: &Op) -> Json {
+    op.created().map_or(Json::Null, |s| Json::UInt(s.0))
+}
+
+/// A read or write verb inside `session`'s wire transaction: reads see the
+/// workspace (`attr` under §6 lock inheritance), writes go through
+/// [`Txn::apply`]. A lock failure kills the transaction
+/// ([`TxnRegistry::with_txn`]), so later entries of a batch find none.
+fn in_txn(txns: &TxnRegistry, session: u64, verb: Verb, params: &Json) -> HandlerResult {
+    if verb == Verb::Attr {
+        let (obj, name) = (surrogate_param(params, "obj")?, str_param(params, "name")?);
+        let value = txns.read_attr(session, obj, name).map_err(session_err)?;
+        return Ok(serde_json::to_value(&value));
     }
+    let run = |txn: &mut Txn| -> TxnResult<HandlerResult> {
+        if verb.class() != VerbClass::Write {
+            return Ok(read(txn.workspace(), verb, params));
+        }
+        let op = match decode_op(txn.workspace(), verb, params) {
+            Ok(op) => op,
+            Err(e) => return Ok(Err(e)),
+        };
+        let out = created_json(&op);
+        txn.apply(op)?;
+        Ok(Ok(out))
+    };
+    txns.with_txn(session, run).map_err(session_err)?
 }
 
-/// One pre-parsed batch entry: verb + params, or a parse error carried to
-/// its response slot.
-enum BatchEntry<'a> {
-    Run { verb: &'a str, params: &'a Json },
-    Malformed(String),
-}
-
-/// Encodes a sub-request outcome into its positional response slot.
+/// Encodes a `batch` entry's outcome into its positional response slot.
 fn batch_slot(result: HandlerResult) -> Json {
     match result {
         Ok(v) => Json::Object(vec![("ok".into(), Json::Bool(true)), ("result".into(), v)]),
@@ -657,139 +559,158 @@ fn batch_slot(result: HandlerResult) -> Json {
     }
 }
 
-/// `batch`: execute `params.requests` (an array of `{verb, params}`
-/// objects) under **one** store guard acquisition, returning one result
-/// slot per entry in order. A failing entry fills its slot with an error
-/// and later entries still execute (per-entry isolation); the store guard
-/// is exclusive iff any entry is a write verb. Nested batches are
-/// rejected per entry — one frame, one guard, no recursion.
-fn handle_batch(
-    store: &SharedStore,
-    catalog: &Catalog,
-    ctx: &ServerContext,
-    params: &Json,
-    debug_verbs: bool,
-) -> HandlerResult {
-    let subs = param(params, "requests")?
-        .as_array()
-        .ok_or_else(|| bad("`requests` must be an array"))?;
-    let m = crate::metrics::server_metrics();
-    m.batch_frames.inc();
-    m.batch_subrequests.add(subs.len() as u64);
-    m.batch_size.observe(subs.len() as u64);
-    if subs.is_empty() {
-        return Ok(Json::Array(vec![]));
-    }
-    let empty = Json::Object(vec![]);
-    let entries: Vec<BatchEntry> = subs
-        .iter()
-        .map(|sub| {
-            let Some(verb) = sub.get("verb").and_then(Json::as_str) else {
-                return BatchEntry::Malformed("sub-request missing `verb`".into());
-            };
-            if verb == "batch" {
-                return BatchEntry::Malformed("nested `batch` is not allowed".into());
-            }
-            if is_txn_verb(verb) {
-                return BatchEntry::Malformed(format!(
-                    "transaction verb `{verb}` is not allowed inside `batch`"
-                ));
-            }
-            BatchEntry::Run {
-                verb,
-                params: sub.get("params").unwrap_or(&empty),
-            }
-        })
-        .collect();
-    let needs_write = entries
-        .iter()
-        .any(|e| matches!(e, BatchEntry::Run { verb, .. } if is_write_verb(verb)));
-    let slots: Vec<Json> = if needs_write {
-        store.write(|st| {
-            entries
-                .iter()
-                .map(|e| {
-                    batch_slot(match e {
-                        BatchEntry::Malformed(msg) => Err(bad(msg.clone())),
-                        BatchEntry::Run { verb, params } => {
-                            if let Some(r) = storeless_verb(catalog, ctx, verb, params, debug_verbs)
-                            {
-                                r
-                            } else if is_write_verb(verb) {
-                                store_write_verb(st, verb, params)
-                            } else if is_read_verb(verb) {
-                                store_read_verb(st, catalog, verb, params)
-                            } else {
-                                Err(bad(format!("unknown verb `{verb}`")))
-                            }
-                        }
-                    })
-                })
-                .collect()
-        })
-    } else {
-        store.read(|st| {
-            entries
-                .iter()
-                .map(|e| {
-                    batch_slot(match e {
-                        BatchEntry::Malformed(msg) => Err(bad(msg.clone())),
-                        BatchEntry::Run { verb, params } => {
-                            if let Some(r) = storeless_verb(catalog, ctx, verb, params, debug_verbs)
-                            {
-                                r
-                            } else if is_read_verb(verb) {
-                                store_read_verb(st, catalog, verb, params)
-                            } else {
-                                Err(bad(format!("unknown verb `{verb}`")))
-                            }
-                        }
-                    })
-                })
-                .collect()
-        })
-    };
-    Ok(Json::Array(slots))
+/// Where a store verb runs.
+enum Target<'a> {
+    /// A pinned published snapshot: reads only.
+    Snapshot(&'a ObjectStore),
+    /// The master inside one [`SharedStore::write`] cycle: a write replays
+    /// its op directly — no `Txn`, no locks.
+    Master(&'a mut ObjectStore),
+    /// The session's wire transaction.
+    Txn(&'a TxnRegistry, u64),
 }
 
-/// Dispatches one verb. `debug_verbs` additionally enables the
-/// test-only `boom` verb (panics inside the handler, exercising the
-/// worker's panic isolation). Store verbs acquire exactly one guard —
-/// a snapshot pin for reads, the exclusive master lock for writes, and
-/// for a `batch` frame one guard covering every sub-request.
-/// `begin`/`commit`/`abort` manage the session's wire transaction in
-/// `txns`; while one is open, `attr`/`set_attr` route through it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn handle_verb(
-    store: &SharedStore,
-    catalog: &Catalog,
-    ctx: &ServerContext,
-    txns: &TxnRegistry,
-    session: u64,
-    verb: &str,
-    params: &Json,
-    debug_verbs: bool,
-) -> HandlerResult {
-    if is_txn_verb(verb) {
-        return handle_txn_verb(store, txns, session, verb);
-    }
-    if txns.in_txn(session) {
-        if let Some(result) = handle_in_txn(txns, session, verb, params) {
-            return result;
+/// Everything a request may touch.
+pub(crate) struct Handler<'a> {
+    pub store: &'a SharedStore,
+    pub catalog: &'a Catalog,
+    pub ctx: &'a ServerContext,
+    pub txns: &'a TxnRegistry,
+    /// Enables the test-only `boom` verb (panics inside the handler,
+    /// exercising the worker's panic isolation).
+    pub debug_verbs: bool,
+}
+
+impl Handler<'_> {
+    /// Dispatches one verb for `session` by its class. A store verb
+    /// acquires exactly one guard — the session's transaction if it has
+    /// one, else a snapshot pin for reads or the exclusive master lock for
+    /// writes — and a `batch` frame one guard covering every sub-request.
+    pub(crate) fn handle(&self, session: u64, verb: Verb, params: &Json) -> HandlerResult {
+        match verb.class() {
+            VerbClass::Storeless => self.storeless(verb, params),
+            VerbClass::Read => self.on_target(session, false, |t| self.run(t, verb, params)),
+            VerbClass::Write => self.on_target(session, true, |t| self.run(t, verb, params)),
+            VerbClass::Batch => self.batch(session, params),
+            VerbClass::Txn => txn_verb(self.store, self.txns, session, verb),
+            // Answered by the event loop (`session`, `watch`) and by
+            // `dispatch::run_request` (`shutdown`) before reaching here.
+            VerbClass::Connection | VerbClass::Control => {
+                Err(bad(format!("verb `{}` cannot run here", verb.name())))
+            }
         }
     }
-    if verb == "batch" {
-        return handle_batch(store, catalog, ctx, params, debug_verbs);
+
+    /// Runs `f` on `session`'s target: its wire transaction when one is
+    /// open, else one write cycle on the master (`writes`) or a pinned
+    /// snapshot.
+    fn on_target<R>(&self, session: u64, writes: bool, f: impl FnOnce(&mut Target) -> R) -> R {
+        if self.txns.in_txn(session) {
+            f(&mut Target::Txn(self.txns, session))
+        } else if writes {
+            self.store.write(|st| f(&mut Target::Master(st)))
+        } else {
+            self.store.read(|st| f(&mut Target::Snapshot(st)))
+        }
     }
-    if let Some(result) = storeless_verb(catalog, ctx, verb, params, debug_verbs) {
-        return result;
+
+    /// One verb on `target`: the body of a lone request, and of every
+    /// `batch` entry.
+    fn run(&self, target: &mut Target, verb: Verb, params: &Json) -> HandlerResult {
+        match (verb.class(), target) {
+            (VerbClass::Storeless, _) => self.storeless(verb, params),
+            (VerbClass::Read, Target::Snapshot(st)) => read(st, verb, params),
+            (VerbClass::Read, Target::Master(st)) => read(st, verb, params),
+            (VerbClass::Write, Target::Master(st)) => {
+                let op = decode_op(st, verb, params)?;
+                op.replay(st).map_err(core_err)?;
+                Ok(created_json(&op))
+            }
+            (VerbClass::Read | VerbClass::Write, Target::Txn(txns, session)) => {
+                in_txn(txns, *session, verb, params)
+            }
+            (VerbClass::Batch, _) => Err(bad("nested `batch` is not allowed")),
+            (VerbClass::Txn, _) => Err(bad(format!(
+                "transaction verb `{}` is not allowed inside `batch`",
+                verb.name()
+            ))),
+            _ => Err(bad(format!(
+                "verb `{}` is not allowed inside `batch`",
+                verb.name()
+            ))),
+        }
     }
-    if is_write_verb(verb) {
-        store.write(|st| store_write_verb(st, verb, params))
-    } else if is_read_verb(verb) {
-        store.read(|st| store_read_verb(st, catalog, verb, params))
-    } else {
-        Err(bad(format!("unknown verb `{verb}`")))
+
+    /// Verbs that never touch the store.
+    fn storeless(&self, verb: Verb, params: &Json) -> HandlerResult {
+        match verb {
+            Verb::Ping => {
+                // Optional artificial service time (capped); used by the drain
+                // and overload tests and the latency harness.
+                if let Some(ms) = params.get("delay_ms").and_then(Json::as_u64) {
+                    std::thread::sleep(std::time::Duration::from_millis(ms.min(1_000)));
+                }
+                Ok(Json::Object(vec![
+                    ("pong".into(), Json::Bool(true)),
+                    ("server_info".into(), self.ctx.info_json()),
+                ]))
+            }
+            Verb::Effective => handle_effective(self.catalog, params),
+            Verb::Explain => handle_explain(self.catalog, params),
+            Verb::Stats => serde_json::from_str(&ccdb_obs::global().render_json())
+                .map_err(|e| (ErrorKind::Internal, format!("stats render: {e}"))),
+            // The plaintext Prometheus scrape, `GET /metrics`-style, so the
+            // PR 1 exporter is reachable over the network.
+            Verb::Metrics => Ok(Json::String(ccdb_obs::global().render_prometheus())),
+            Verb::Flight => handle_flight(),
+            Verb::Telemetry => handle_telemetry(params),
+            Verb::Boom if self.debug_verbs => panic!("boom: requested handler panic"),
+            other => Err(bad(format!("unknown verb `{}`", other.name()))),
+        }
+    }
+
+    /// `batch`: execute `params.requests` (an array of `{verb, params}`
+    /// objects) as one loop over [`Handler::run`] on **one** target —
+    /// inside a wire transaction every entry runs against it; outside, one
+    /// guard acquisition, exclusive iff any entry is a write verb — and
+    /// return one result slot per entry in order. A failing entry fills
+    /// its slot with an error and later entries still execute (per-entry
+    /// isolation); nested batches and transaction verbs are refused per
+    /// entry.
+    fn batch(&self, session: u64, params: &Json) -> HandlerResult {
+        let subs = param(params, "requests")?
+            .as_array()
+            .ok_or_else(|| bad("`requests` must be an array"))?;
+        let m = crate::metrics::server_metrics();
+        m.batch_frames.inc();
+        m.batch_subrequests.add(subs.len() as u64);
+        m.batch_size.observe(subs.len() as u64);
+        if subs.is_empty() {
+            return Ok(Json::Array(vec![]));
+        }
+        let empty = Json::Object(vec![]);
+        let entries: Vec<Result<(Verb, &Json), HandlerError>> = subs
+            .iter()
+            .map(|sub| {
+                let name = sub
+                    .get("verb")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| bad("sub-request missing `verb`"))?;
+                let verb =
+                    Verb::from_name(name).ok_or_else(|| bad(format!("unknown verb `{name}`")))?;
+                Ok((verb, sub.get("params").unwrap_or(&empty)))
+            })
+            .collect();
+        let writes = entries
+            .iter()
+            .any(|e| matches!(e, Ok((verb, _)) if verb.class() == VerbClass::Write));
+        let slots = self.on_target(session, writes, |target| {
+            entries
+                .into_iter()
+                .map(|e| batch_slot(e.and_then(|(verb, params)| self.run(target, verb, params))))
+                .collect()
+        });
+        Ok(Json::Array(slots))
     }
 }
 
@@ -841,16 +762,15 @@ pub(crate) mod tests {
         verb: &str,
         params: Json,
     ) -> HandlerResult {
-        handle_verb(
+        let handler = Handler {
             store,
             catalog,
-            &ServerContext::default(),
+            ctx: &ServerContext::default(),
             txns,
-            session,
-            verb,
-            &params,
-            false,
-        )
+            debug_verbs: false,
+        };
+        let verb = Verb::from_name(verb).unwrap_or_else(|| panic!("no verb `{verb}`"));
+        handler.handle(session, verb, &params)
     }
 
     #[test]
@@ -955,8 +875,19 @@ pub(crate) mod tests {
         assert_eq!(e.0, ErrorKind::Core);
         let e = call(&store, &catalog, "attr", json!({"name": "X"})).unwrap_err();
         assert_eq!(e.0, ErrorKind::BadRequest);
-        let e = call(&store, &catalog, "warp", json!({})).unwrap_err();
-        assert_eq!(e.0, ErrorKind::BadRequest);
+        // Unknown names never become a `Verb` (dispatch answers them); in a
+        // batch they fill their slot.
+        let out = call(
+            &store,
+            &catalog,
+            "batch",
+            json!({"requests": [{"verb": "warp"}]}),
+        )
+        .unwrap();
+        assert_eq!(
+            slot_error_kind(&out.as_array().unwrap()[0]),
+            Some("bad_request")
+        );
         // `boom` is hidden unless debug verbs are enabled.
         let e = call(&store, &catalog, "boom", json!({})).unwrap_err();
         assert_eq!(e.0, ErrorKind::BadRequest);
@@ -1166,14 +1097,53 @@ pub(crate) mod tests {
         let e = call_s(&store, &catalog, &txns, 1, "begin", json!({})).unwrap_err();
         assert_eq!(e.0, ErrorKind::BadRequest);
 
-        // Structural writes and batch are refused inside a transaction.
-        for (verb, params) in [
-            ("create", json!({"type": "Impl"})),
-            ("batch", json!({"requests": []})),
-        ] {
-            let e = call_s(&store, &catalog, &txns, 1, verb, params).unwrap_err();
-            assert_eq!(e.0, ErrorKind::BadRequest, "{verb} must be refused in-txn");
-        }
+        // Structural writes and a write-carrying batch run inside the
+        // transaction, and its reads see them; other sessions do not.
+        let imp = call_s(
+            &store,
+            &catalog,
+            &txns,
+            1,
+            "create",
+            json!({"type": "Impl"}),
+        )
+        .unwrap()
+        .as_u64()
+        .unwrap();
+        let out = call_s(
+            &store,
+            &catalog,
+            &txns,
+            1,
+            "batch",
+            json!({"requests": [
+                {"verb": "bind",
+                 "params": {"rel": "AllOf_If", "transmitter": interface, "inheritor": imp}},
+                {"verb": "attr", "params": {"obj": imp, "name": "X"}},
+                {"verb": "select", "params": {"type": "Impl"}},
+                {"verb": "batch", "params": {"requests": []}},
+                {"verb": "commit"},
+            ]}),
+        )
+        .unwrap();
+        let slots = out.as_array().unwrap();
+        assert!(slot_ok(&slots[0]), "{slots:?}");
+        let v = slots[1].get("result").unwrap();
+        assert_eq!(v.get("Int").and_then(Json::as_i64), Some(7));
+        let extent = slots[2].get("result").unwrap().as_array().unwrap();
+        assert_eq!(extent.len(), 2, "the workspace holds the new Impl");
+        // Nested batches and txn verbs stay refused inside a batch.
+        assert_eq!(slot_error_kind(&slots[3]), Some("bad_request"));
+        assert_eq!(slot_error_kind(&slots[4]), Some("bad_request"));
+        let outside = call_s(
+            &store,
+            &catalog,
+            &txns,
+            2,
+            "select",
+            json!({"type": "Impl"}),
+        );
+        assert_eq!(outside.unwrap().as_array().unwrap().len(), 1);
         // Storeless verbs still work mid-transaction.
         call_s(&store, &catalog, &txns, 1, "ping", json!({})).unwrap();
 
@@ -1197,6 +1167,12 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert_eq!(v.get("Int").and_then(Json::as_i64), Some(7));
+        let extent = call(&store, &catalog, "select", json!({"type": "Impl"})).unwrap();
+        assert_eq!(
+            extent.as_array().unwrap().len(),
+            1,
+            "abort drops the create"
+        );
 
         // Txn verbs are per-session state: they never ride inside a batch.
         let out = call(

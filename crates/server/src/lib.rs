@@ -21,9 +21,13 @@
 //!   memory);
 //! - **dispatch fast paths** — one event loop multiplexes connections
 //!   over one `polling::Poller` (epoll where the platform has it,
-//!   `poll(2)` elsewhere) and executes read-only snapshot verbs inline
+//!   `poll(2)` elsewhere) and executes storeless and read verbs inline
 //!   against a pinned MVCC snapshot when the queue is shallow, skipping
 //!   the worker hop entirely;
+//! - **one verb table, one write path** — every verb is a row of
+//!   [`proto::Verb`] and is dispatched by its class; every write decodes
+//!   into one `ccdb_txn::Op`, replayed on the master outside a wire
+//!   transaction and applied by `Txn::apply` inside one;
 //! - **per-connection sessions** — id, peer, request/byte counters,
 //!   introspectable via the `session` verb;
 //! - **timeouts & hardening** — idle/read timeouts, frame-size caps
@@ -105,6 +109,7 @@ mod poller;
 
 pub use client::{Client, ClientError, ClientResult};
 pub use proto::{
-    ErrorKind, FrameError, Request, HELLO_V2, MAX_FRAME_BYTES, PROTOCOL_V2, PROTOCOL_VERSION,
+    ErrorKind, FrameError, Request, Verb, VerbClass, HELLO_V2, MAX_FRAME_BYTES, PROTOCOL_V2,
+    PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle};

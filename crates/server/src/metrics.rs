@@ -8,14 +8,13 @@ use ccdb_obs::flight::PHASE_NAMES;
 use ccdb_obs::metrics::{HOP_BUCKETS, LATENCY_BUCKETS_NS};
 use ccdb_obs::{Counter, Gauge, Histogram};
 
-/// The verbs the per-verb request counters are pre-registered for: the
-/// wire protocol's verb table, so the metrics surface and the v2 verb-id
-/// space can never drift apart.
-pub(crate) use crate::proto::VERBS;
+use crate::proto::Verb;
 
-/// Phase histograms for one verb: the eight per-phase series plus the
-/// first-byte-to-response-written total.
-pub(crate) struct VerbPhases {
+/// One public verb's series: its request counter, the eight per-phase
+/// histograms and the first-byte-to-response-written total.
+pub(crate) struct VerbMetrics {
+    /// `ccdb_server_requests_<verb>_total`.
+    pub requests: Arc<Counter>,
     /// `ccdb_server_phase_<verb>_<phase>_ns`, indexed like [`PHASE_NAMES`].
     pub phases: [Arc<Histogram>; 8],
     /// `ccdb_server_phase_<verb>_total_ns`.
@@ -33,8 +32,6 @@ pub(crate) struct ServerMetrics {
     pub sessions_v2: Arc<Gauge>,
     /// `ccdb_server_requests_total` — every parsed request, any outcome.
     pub requests: Arc<Counter>,
-    /// `ccdb_server_requests_<verb>_total`, parallel to [`VERBS`].
-    pub requests_by_verb: Vec<(&'static str, Arc<Counter>)>,
     /// `ccdb_server_bytes_in_total` — request payload bytes read.
     pub bytes_in: Arc<Counter>,
     /// `ccdb_server_bytes_out_total` — response payload bytes written.
@@ -104,26 +101,15 @@ pub(crate) struct ServerMetrics {
     /// `ccdb_server_phase_all_total_ns` — first byte read to response
     /// written, across every verb.
     pub phase_all_total: Arc<Histogram>,
-    /// Per-verb phase histograms, parallel to [`VERBS`].
-    pub phase_by_verb: Vec<(&'static str, VerbPhases)>,
+    /// Per-verb series, parallel to [`Verb::PUBLIC`].
+    by_verb: Vec<VerbMetrics>,
 }
 
 impl ServerMetrics {
-    /// The per-verb counter, or the catch-all `requests` counter for verbs
-    /// outside [`VERBS`] (unknown verbs are still counted once globally).
-    pub fn verb_counter(&self, verb: &str) -> Option<&Arc<Counter>> {
-        self.requests_by_verb
-            .iter()
-            .find(|(name, _)| *name == verb)
-            .map(|(_, c)| c)
-    }
-
-    /// The phase histograms for `verb`, when it is a known verb.
-    pub fn verb_phases(&self, verb: &str) -> Option<&VerbPhases> {
-        self.phase_by_verb
-            .iter()
-            .find(|(name, _)| *name == verb)
-            .map(|(_, p)| p)
+    /// `verb`'s series; `None` for the debug-only `boom`, whose id lies
+    /// past the public range.
+    pub fn verb(&self, verb: Verb) -> Option<&VerbMetrics> {
+        self.by_verb.get(verb as usize - 1)
     }
 }
 
@@ -137,10 +123,6 @@ pub(crate) fn server_metrics() -> &'static ServerMetrics {
             sessions_v1: r.gauge("ccdb_server_sessions_v1"),
             sessions_v2: r.gauge("ccdb_server_sessions_v2"),
             requests: r.counter("ccdb_server_requests_total"),
-            requests_by_verb: VERBS
-                .iter()
-                .map(|v| (*v, r.counter(&format!("ccdb_server_requests_{v}_total"))))
-                .collect(),
             bytes_in: r.counter("ccdb_server_bytes_in_total"),
             bytes_out: r.counter("ccdb_server_bytes_out_total"),
             overloaded: r.counter("ccdb_server_overloaded_total"),
@@ -171,24 +153,23 @@ pub(crate) fn server_metrics() -> &'static ServerMetrics {
                 )
             }),
             phase_all_total: r.histogram("ccdb_server_phase_all_total_ns", LATENCY_BUCKETS_NS),
-            phase_by_verb: VERBS
+            by_verb: Verb::PUBLIC
                 .iter()
                 .map(|v| {
-                    (
-                        *v,
-                        VerbPhases {
-                            phases: PHASE_NAMES.map(|phase| {
-                                r.histogram(
-                                    &format!("ccdb_server_phase_{v}_{phase}_ns"),
-                                    LATENCY_BUCKETS_NS,
-                                )
-                            }),
-                            total: r.histogram(
-                                &format!("ccdb_server_phase_{v}_total_ns"),
+                    let v = v.name();
+                    VerbMetrics {
+                        requests: r.counter(&format!("ccdb_server_requests_{v}_total")),
+                        phases: PHASE_NAMES.map(|phase| {
+                            r.histogram(
+                                &format!("ccdb_server_phase_{v}_{phase}_ns"),
                                 LATENCY_BUCKETS_NS,
-                            ),
-                        },
-                    )
+                            )
+                        }),
+                        total: r.histogram(
+                            &format!("ccdb_server_phase_{v}_total_ns"),
+                            LATENCY_BUCKETS_NS,
+                        ),
+                    }
                 })
                 .collect(),
         }
@@ -199,13 +180,54 @@ pub(crate) fn server_metrics() -> &'static ServerMetrics {
 mod tests {
     use super::*;
 
+    /// The metric-name pin: every public verb's request counter and phase
+    /// series, named literally, are the ones its `Verb` indexes.
     #[test]
     fn verb_counters_cover_every_verb() {
+        let pinned = [
+            "ping",
+            "session",
+            "create",
+            "attr",
+            "set_attr",
+            "bind",
+            "unbind",
+            "select",
+            "check_all",
+            "effective",
+            "explain",
+            "stats",
+            "metrics",
+            "flight",
+            "batch",
+            "shutdown",
+            "telemetry",
+            "watch",
+            "begin",
+            "commit",
+            "abort",
+        ];
         let m = server_metrics();
-        for v in VERBS {
-            assert!(m.verb_counter(v).is_some(), "no counter for {v}");
+        let r = ccdb_obs::global();
+        assert_eq!(Verb::PUBLIC.len(), pinned.len());
+        for (v, name) in Verb::PUBLIC.iter().zip(pinned) {
+            let vm = m.verb(*v).unwrap_or_else(|| panic!("no series for {name}"));
+            let counter = r
+                .find_counter(&format!("ccdb_server_requests_{name}_total"))
+                .unwrap_or_else(|| panic!("no counter for {name}"));
+            assert!(Arc::ptr_eq(&vm.requests, &counter), "{name}");
+            let total = r
+                .find_histogram(&format!("ccdb_server_phase_{name}_total_ns"))
+                .unwrap_or_else(|| panic!("no phase total for {name}"));
+            assert!(Arc::ptr_eq(&vm.total, &total), "{name}");
+            for (phase, h) in PHASE_NAMES.iter().zip(&vm.phases) {
+                let found = r
+                    .find_histogram(&format!("ccdb_server_phase_{name}_{phase}_ns"))
+                    .unwrap_or_else(|| panic!("no {phase} phase for {name}"));
+                assert!(Arc::ptr_eq(h, &found), "{name} {phase}");
+            }
         }
-        assert!(m.verb_counter("no_such_verb").is_none());
+        assert!(m.verb(Verb::Boom).is_none());
     }
 
     #[test]
@@ -248,12 +270,13 @@ mod tests {
     #[test]
     fn phase_histograms_cover_every_verb_and_phase() {
         let m = server_metrics();
-        for v in VERBS {
-            let p = m
-                .verb_phases(v)
-                .unwrap_or_else(|| panic!("no phases for {v}"));
-            assert_eq!(p.phases.len(), PHASE_NAMES.len());
+        // Indexing by id gives every verb series of its own.
+        for (i, a) in Verb::PUBLIC.iter().enumerate() {
+            for b in &Verb::PUBLIC[i + 1..] {
+                let (a, b) = (m.verb(*a).unwrap(), m.verb(*b).unwrap());
+                assert!(!Arc::ptr_eq(&a.total, &b.total));
+                assert!(!Arc::ptr_eq(&a.requests, &b.requests));
+            }
         }
-        assert!(m.verb_phases("no_such_verb").is_none());
     }
 }

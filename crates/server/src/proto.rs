@@ -362,60 +362,116 @@ pub fn err_response(id: u64, kind: ErrorKind, message: &str) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol v2: binary framing
+// Verbs: one table for both dialects
 // ---------------------------------------------------------------------------
 
-/// Every public verb the server speaks, in wire-id order: the v2 verb id
-/// is `index + 1`. Metrics pre-register per-verb counters from this list.
-pub const VERBS: &[&str] = &[
-    "ping",
-    "session",
-    "create",
-    "attr",
-    "set_attr",
-    "bind",
-    "unbind",
-    "select",
-    "check_all",
-    "effective",
-    "explain",
-    "stats",
-    "metrics",
-    "flight",
-    "batch",
-    "shutdown",
-    // Appended in PR 8 — ids must stay append-only so v1↔v2 verb ids
-    // never drift between releases.
-    "telemetry",
-    "watch",
-    // Appended in PR 9: wire transactions (ids 19, 20, 21).
-    "begin",
-    "commit",
-    "abort",
-];
-
-/// Debug-only verb id (the `boom` panic probe, enabled by
-/// `ServerConfig::debug_verbs`). Kept far from the public range so new
-/// public verbs never collide with it.
-const VERB_ID_BOOM: u8 = 0xF0;
-
-/// The v2 verb id for `verb`, when it has one.
-pub fn verb_id(verb: &str) -> Option<u8> {
-    if verb == "boom" {
-        return Some(VERB_ID_BOOM);
-    }
-    VERBS.iter().position(|v| *v == verb).map(|i| (i + 1) as u8)
+/// What a verb does, which decides where and how it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerbClass {
+    /// Binds to the connection (`session`, `watch`): answered by the
+    /// event loop on the spot.
+    Connection,
+    /// Touches no store (catalog, metrics, diagnostics).
+    Storeless,
+    /// Reads the store: a pinned snapshot, or the transaction's workspace.
+    Read,
+    /// Writes the store: one `Op`, applied to the master under
+    /// `SharedStore::write` or logged by `Txn::apply`.
+    Write,
+    /// Opens or ends the session's wire transaction.
+    Txn,
+    /// Runs a list of sub-requests under one guard.
+    Batch,
+    /// Steers the server itself (`shutdown`).
+    Control,
 }
 
-/// The verb named by a v2 verb id, when the id is assigned.
-pub fn verb_name(id: u8) -> Option<&'static str> {
-    if id == VERB_ID_BOOM {
-        return Some("boom");
-    }
-    (id as usize)
-        .checked_sub(1)
-        .and_then(|i| VERBS.get(i).copied())
+/// The one verb table: each row gives a verb its v2 id (the enum
+/// discriminant), its wire name and its [`VerbClass`].
+macro_rules! verb_table {
+    ($($verb:ident = $id:literal, $name:literal, $class:ident;)*) => {
+        /// Every verb the server speaks; the discriminant is the v2 verb id.
+        /// Public ids are dense from 1 and append-only, so v1↔v2 ids never
+        /// drift between releases; the debug-only `boom` (enabled by
+        /// `ServerConfig::debug_verbs`) sits far above them.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        #[allow(missing_docs)]
+        pub enum Verb {
+            $($verb = $id,)*
+        }
+
+        impl Verb {
+            /// Every verb, in id order.
+            pub const ALL: &'static [Verb] = &[$(Verb::$verb,)*];
+
+            /// The wire name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Verb::$verb => $name,)*
+                }
+            }
+
+            /// The verb with wire name `name`.
+            pub fn from_name(name: &str) -> Option<Verb> {
+                match name {
+                    $($name => Some(Verb::$verb),)*
+                    _ => None,
+                }
+            }
+
+            /// The verb with v2 id `id`.
+            pub fn from_id(id: u8) -> Option<Verb> {
+                match id {
+                    $($id => Some(Verb::$verb),)*
+                    _ => None,
+                }
+            }
+
+            /// What the verb does.
+            pub fn class(self) -> VerbClass {
+                match self {
+                    $(Verb::$verb => VerbClass::$class,)*
+                }
+            }
+        }
+    };
 }
+
+verb_table! {
+    Ping = 1, "ping", Storeless;
+    Session = 2, "session", Connection;
+    Create = 3, "create", Write;
+    Attr = 4, "attr", Read;
+    SetAttr = 5, "set_attr", Write;
+    Bind = 6, "bind", Write;
+    Unbind = 7, "unbind", Write;
+    Select = 8, "select", Read;
+    CheckAll = 9, "check_all", Read;
+    Effective = 10, "effective", Storeless;
+    Explain = 11, "explain", Storeless;
+    Stats = 12, "stats", Storeless;
+    Metrics = 13, "metrics", Storeless;
+    Flight = 14, "flight", Storeless;
+    Batch = 15, "batch", Batch;
+    Shutdown = 16, "shutdown", Control;
+    Telemetry = 17, "telemetry", Storeless;
+    Watch = 18, "watch", Connection;
+    Begin = 19, "begin", Txn;
+    Commit = 20, "commit", Txn;
+    Abort = 21, "abort", Txn;
+    Boom = 0xF0, "boom", Storeless;
+}
+
+impl Verb {
+    /// The verbs every server speaks (all but the debug-only `boom`):
+    /// `PUBLIC[i]` has id `i + 1`, so per-verb tables index by `id - 1`.
+    pub const PUBLIC: &'static [Verb] = Verb::ALL.split_last().unwrap().1;
+}
+
+// ---------------------------------------------------------------------------
+// Protocol v2: binary framing
+// ---------------------------------------------------------------------------
 
 /// v2 header flag: an 8-byte trace id follows the fixed header.
 pub const V2_FLAG_TRACE: u8 = 0x01;
@@ -580,11 +636,11 @@ impl Request {
     /// Encodes this request as a v2 frame payload (header + bval params).
     /// Fails only for verbs without an assigned v2 id.
     pub fn encode_v2(&self) -> Result<Vec<u8>, String> {
-        let verb =
-            verb_id(&self.verb).ok_or_else(|| format!("verb `{}` has no v2 id", self.verb))?;
+        let verb = Verb::from_name(&self.verb)
+            .ok_or_else(|| format!("verb `{}` has no v2 id", self.verb))?;
         let mut out = Vec::with_capacity(V2_HEADER_LEN + 16);
         out.push(PROTOCOL_V2);
-        out.push(verb);
+        out.push(verb as u8);
         out.push(if self.trace.is_some() {
             V2_FLAG_TRACE
         } else {
@@ -616,8 +672,9 @@ impl Request {
                 payload[0]
             ));
         }
-        let verb = verb_name(payload[1])
+        let verb = Verb::from_id(payload[1])
             .ok_or_else(|| format!("unknown v2 verb id {}", payload[1]))?
+            .name()
             .to_string();
         let flags = payload[2];
         if flags & !V2_FLAG_TRACE != 0 {
@@ -843,18 +900,48 @@ mod tests {
         assert_eq!(&w.bytes[4..], b"payload");
     }
 
+    /// The wire pin: every verb's v2 id, written out literally so a
+    /// reordered or renumbered table fails here.
     #[test]
     fn verb_ids_are_stable_and_bijective() {
-        for (i, v) in VERBS.iter().enumerate() {
-            let id = verb_id(v).unwrap_or_else(|| panic!("no id for {v}"));
-            assert_eq!(id, (i + 1) as u8);
-            assert_eq!(verb_name(id), Some(*v));
+        let pinned: [(&str, u8); 22] = [
+            ("ping", 1),
+            ("session", 2),
+            ("create", 3),
+            ("attr", 4),
+            ("set_attr", 5),
+            ("bind", 6),
+            ("unbind", 7),
+            ("select", 8),
+            ("check_all", 9),
+            ("effective", 10),
+            ("explain", 11),
+            ("stats", 12),
+            ("metrics", 13),
+            ("flight", 14),
+            ("batch", 15),
+            ("shutdown", 16),
+            ("telemetry", 17),
+            ("watch", 18),
+            ("begin", 19),
+            ("commit", 20),
+            ("abort", 21),
+            ("boom", 0xF0),
+        ];
+        assert_eq!(Verb::ALL.len(), pinned.len());
+        for (name, id) in pinned {
+            let v = Verb::from_name(name).unwrap_or_else(|| panic!("no verb {name}"));
+            assert_eq!(v as u8, id, "{name}");
+            assert_eq!(Verb::from_id(id), Some(v));
+            assert_eq!(v.name(), name);
         }
-        assert_eq!(verb_id("boom"), Some(VERB_ID_BOOM));
-        assert_eq!(verb_name(VERB_ID_BOOM), Some("boom"));
-        assert_eq!(verb_id("no_such_verb"), None);
-        assert_eq!(verb_name(0), None);
-        assert_eq!(verb_name(99), None);
+        for (i, v) in Verb::PUBLIC.iter().enumerate() {
+            assert_eq!(*v as usize, i + 1, "{v:?}");
+        }
+        assert!(!Verb::PUBLIC.contains(&Verb::Boom));
+        assert_eq!(Verb::from_name("no_such_verb"), None);
+        assert_eq!(Verb::from_id(0), None);
+        assert_eq!(Verb::from_id(99), None);
     }
 
     #[test]
@@ -933,7 +1020,7 @@ mod tests {
         };
         let payload = req.encode_v2().unwrap();
         assert_eq!(payload[0], PROTOCOL_V2);
-        assert_eq!(payload[1], verb_id("set_attr").unwrap());
+        assert_eq!(payload[1], Verb::SetAttr as u8);
         let back = Request::parse_v2(&payload).unwrap();
         assert_eq!(back.id, req.id);
         assert_eq!(back.verb, "set_attr");

@@ -1,5 +1,5 @@
 //! The TCP server: one event loop over one `Poller` + a worker pool, with
-//! an inline fast path for read-only snapshot verbs.
+//! an inline fast path for storeless and read verbs.
 //!
 //! ```text
 //!            accept / readiness              sharded queues (1/worker)
@@ -42,11 +42,10 @@
 //!   (one bounded FIFO per worker, global cap, work stealing); at
 //!   capacity the request is answered `Overloaded` immediately — offered
 //!   load beyond capacity costs one response, never unbounded memory.
-//! - **Inline fast path**: read-only snapshot verbs (`ping`, `attr`,
-//!   `select`, `effective`, `check_all`, `stats`, `metrics`,
-//!   `telemetry`, `flight`) execute directly on the event-loop thread
-//!   against a pinned MVCC snapshot when the queue is shallow — no
-//!   enqueue, no worker wakeup. Write verbs, txn verbs, batches, and
+//! - **Inline fast path**: storeless and read verbs (by their
+//!   [`VerbClass`](crate::proto::VerbClass)) execute directly on the
+//!   event-loop thread against a pinned MVCC snapshot when the queue is
+//!   shallow — no enqueue, no worker wakeup. Write verbs, txn verbs, batches, and
 //!   in-transaction sessions always go to workers, and a per-iteration
 //!   time budget falls back to the queue under load so the loop cannot
 //!   starve its readiness duties.

@@ -129,7 +129,7 @@ pub(crate) fn register_watch(
 
 /// Extracts the `series` name/pattern list from request params, falling
 /// back to [`DEFAULT_SERIES_PATTERNS`].
-fn series_patterns(params: &Json) -> Vec<String> {
+pub(crate) fn series_patterns(params: &Json) -> Vec<String> {
     let named: Vec<String> = params
         .get("series")
         .and_then(Json::as_array)

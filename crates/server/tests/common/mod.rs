@@ -19,7 +19,8 @@ pub fn catalog() -> Catalog {
         transmitter_type: "If".into(),
         inheritor_type: None,
         inheriting: vec!["X".into()],
-        attributes: vec![],
+        // A relationship attribute, so `bind {attrs}` has something to set.
+        attributes: vec![AttrDef::new("Weight", Domain::Int)],
         constraints: vec![],
     })
     .unwrap();

@@ -5,22 +5,22 @@
 //! connection) with crash-safe cleanup when the peer disappears.
 //! [`TxnRegistry`] is that and nothing more: a session-id → [`Txn`] map
 //! over one [`TxnManager`]. Everything a wire transaction does — reads
-//! under §6 lock inheritance against its workspace, buffered writes,
-//! first-committer-wins commit as one atomic write cycle — is the
-//! [`Txn`]'s own behaviour ([`crate::txn`]); the registry adds the 2PL
-//! rule that a failed lock acquisition kills the whole transaction, and
-//! the `ccdb_txn_wire_*` counters.
+//! under §6 lock inheritance against its workspace, writes as
+//! [`Txn::apply`]'d ops, first-committer-wins commit as one atomic write
+//! cycle — is the [`Txn`]'s own behaviour ([`crate::txn`]), reached
+//! through [`TxnRegistry::with_txn`]; the registry adds the 2PL rule that
+//! a failed lock acquisition kills the whole transaction, and the
+//! `ccdb_txn_wire_*` counters.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ccdb_core::error::CoreError;
 use ccdb_core::shared::SharedStore;
 use ccdb_core::{Surrogate, Value};
 use parking_lot::Mutex;
 
-use crate::lock::{LockError, LockManager};
+use crate::lock::LockManager;
 use crate::metrics::txn_metrics;
 use crate::txn::{CommitInfo, Txn, TxnError, TxnManager, TxnResult};
 
@@ -31,23 +31,11 @@ pub enum SessionError {
     NoTxn,
     /// The session already has an open transaction.
     AlreadyInTxn,
-    /// Lock acquisition failed (deadlock or timeout); the transaction has
-    /// been aborted and all its locks released.
-    Lock(LockError),
-    /// Object-model error (the transaction stays open, unless it came out
-    /// of `commit`).
-    Core(CoreError),
-    /// First-committer-wins validation failed: another session published a
-    /// newer version of an item this transaction wrote. The transaction
-    /// has been aborted.
-    WriteConflict {
-        /// The contended object.
-        obj: Surrogate,
-        /// The contended attribute.
-        attr: String,
-        /// The version that beat this transaction to the item.
-        committed_version: u64,
-    },
+    /// The transaction's own failure. After a lock failure (deadlock or
+    /// timeout) or out of `commit` the transaction has been aborted and all
+    /// its locks released; after an object-model error elsewhere it stays
+    /// open.
+    Txn(TxnError),
 }
 
 impl std::fmt::Display for SessionError {
@@ -57,17 +45,7 @@ impl std::fmt::Display for SessionError {
             SessionError::AlreadyInTxn => {
                 write!(f, "a transaction is already open on this session")
             }
-            SessionError::Lock(e) => write!(f, "{e}"),
-            SessionError::Core(e) => write!(f, "{e}"),
-            SessionError::WriteConflict {
-                obj,
-                attr,
-                committed_version,
-            } => write!(
-                f,
-                "write-write conflict on {obj}.{attr}: version {committed_version} \
-                 committed after this transaction began"
-            ),
+            SessionError::Txn(e) => write!(f, "{e}"),
         }
     }
 }
@@ -76,25 +54,7 @@ impl std::error::Error for SessionError {}
 
 impl From<TxnError> for SessionError {
     fn from(e: TxnError) -> Self {
-        match e {
-            TxnError::Lock(e) => SessionError::Lock(e),
-            TxnError::Core(e) => SessionError::Core(e),
-            TxnError::WriteConflict {
-                obj,
-                attr,
-                committed_version,
-            } => SessionError::WriteConflict {
-                obj,
-                attr,
-                committed_version,
-            },
-            // Wire sessions run without access grants or a check-out set and
-            // commit unchecked, so these cannot arise; keep them an error,
-            // not a panic.
-            e @ (TxnError::AccessDenied { .. }
-            | TxnError::NotCheckedOut(_)
-            | TxnError::Violations(_)) => SessionError::Core(CoreError::EvalError(e.to_string())),
-        }
+        SessionError::Txn(e)
     }
 }
 
@@ -141,11 +101,6 @@ impl TxnRegistry {
         self.mgr.locks()
     }
 
-    /// Number of open wire transactions.
-    pub fn active(&self) -> usize {
-        self.sessions.lock().len()
-    }
-
     /// Does `session` have an open transaction?
     pub fn in_txn(&self, session: u64) -> bool {
         self.sessions.lock().contains_key(&session)
@@ -173,9 +128,11 @@ impl TxnRegistry {
         txn.ok_or(SessionError::NoTxn)
     }
 
-    /// Run one in-transaction operation. A failed lock acquisition kills
-    /// the whole transaction (2PL): it is aborted and its locks released.
-    fn with_txn<R>(
+    /// Run one in-transaction operation — any read or [`Txn::apply`] — on
+    /// `session`'s transaction. A failed lock acquisition kills the whole
+    /// transaction (2PL): it is aborted and its locks released, and later
+    /// operations find no transaction.
+    pub fn with_txn<R>(
         &self,
         session: u64,
         op: impl FnOnce(&mut Txn) -> TxnResult<R>,
@@ -253,7 +210,7 @@ impl TxnRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lock::TxnId;
+    use crate::lock::{LockError, TxnId};
     use ccdb_core::domain::Domain;
     use ccdb_core::schema::{AttrDef, Catalog, InherRelTypeDef, ObjectTypeDef};
     use ccdb_core::store::ObjectStore;
@@ -311,7 +268,7 @@ mod tests {
         assert_eq!(info.writes, 1);
         assert!(info.version > before);
         assert_eq!(store.attr(imp, "X").unwrap(), Value::Int(50));
-        assert_eq!(reg.active(), 0);
+        assert!(!reg.in_txn(1));
     }
 
     #[test]
@@ -351,7 +308,10 @@ mod tests {
         // the inherited S lock and times out.
         reg.begin(2, &store).unwrap();
         let err = reg.set_attr(2, interface, "X", Value::Int(0)).unwrap_err();
-        assert!(matches!(err, SessionError::Lock(LockError::Timeout { .. })));
+        assert!(matches!(
+            err,
+            SessionError::Txn(TxnError::Lock(LockError::Timeout { .. }))
+        ));
         // The failed acquire aborted session 2.
         assert!(!reg.in_txn(2));
         // After session 1 ends, the item is free again.
@@ -372,11 +332,11 @@ mod tests {
         store.set_attr(interface, "X", Value::Int(55)).unwrap();
         let err = reg.commit(1, &store).unwrap_err();
         match err {
-            SessionError::WriteConflict {
+            SessionError::Txn(TxnError::WriteConflict {
                 obj,
                 attr,
                 committed_version,
-            } => {
+            }) => {
                 assert_eq!(obj, interface);
                 assert_eq!(attr, "X");
                 assert!(committed_version > begin_v);
@@ -404,7 +364,10 @@ mod tests {
         assert_eq!(store.attr(interface, "X").unwrap(), Value::Int(7));
         assert!(store.read(|st| st.resolution_cache_len()) > 0, "warm cache");
         let err = reg.commit(1, &store).unwrap_err();
-        assert!(matches!(err, SessionError::Core(_)), "got {err}");
+        assert!(
+            matches!(err, SessionError::Txn(TxnError::Core(_))),
+            "got {err}"
+        );
         // Neither write landed: the master was rolled back to the last
         // published version, the resolution cache was cleared (fills
         // stamped with the aborted version must not survive) and nothing

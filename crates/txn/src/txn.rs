@@ -9,9 +9,11 @@
 //! and nothing uncommitted is ever visible outside it. Abort is "drop the
 //! `Txn`": the workspace goes away and the locks are released.
 //!
-//! §6 lives in one place — `Txn::cap` consults access control,
-//! `Txn::take` acquires — and what a write X-locks is what commit
-//! validates: both read it off `Op::writes`.
+//! Every write is an [`Op`] through the one entry [`Txn::apply`]; the
+//! typed `create_object`/`bind`/… methods only construct the op. §6 lives
+//! in one place — `Txn::cap` consults access control, `Txn::take`
+//! acquires — and what a write X-locks is what commit validates: both read
+//! it off `Op::writes` (what it S-locks is `Op::reads`).
 //!
 //! - **lock inheritance** opposite to data inheritance: reading an inherited
 //!   item S-locks the *(transmitter, item)* pairs along the resolution
@@ -47,6 +49,7 @@ use std::time::Instant;
 
 use ccdb_core::expand::{expand, expansion_footprint, ExpandedObject};
 use ccdb_core::object::Owner;
+use ccdb_core::schema::Catalog;
 use ccdb_core::shared::SharedStore;
 use ccdb_core::store::{ObjectStore, Violation};
 use ccdb_core::{lockprobe, CoreError, CoreResult, Surrogate, Value};
@@ -142,8 +145,11 @@ pub enum Policy {
     },
 }
 
-/// One logged mutation. Creating ops carry the surrogate the workspace
-/// handed out, so the object keeps it when the log is replayed.
+/// One mutation: the closed list of everything that writes a store. A
+/// transaction logs ops and replays them at commit; a plain wire write
+/// replays one on the master. Creating ops carry a surrogate drawn from
+/// the store's shared generator, so the object keeps it wherever the op is
+/// replayed.
 #[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)]
 pub enum Op {
@@ -181,6 +187,7 @@ pub enum Op {
         rel_type: String,
         transmitter: Surrogate,
         inheritor: Surrogate,
+        attrs: Vec<(String, Value)>,
     },
     Unbind {
         rel_obj: Surrogate,
@@ -227,9 +234,37 @@ fn borrowed<T: Clone>(pairs: &[(String, T)]) -> Vec<(&str, T)> {
 }
 
 impl Op {
-    /// Apply this op to `st` — the transaction's workspace first, the
-    /// master at commit.
-    fn replay(&self, st: &mut ObjectStore) -> CoreResult<()> {
+    /// The unbind of `rel_obj`, naming the binding slot it frees as `st`
+    /// sees it.
+    pub fn unbind(st: &ObjectStore, rel_obj: Surrogate) -> CoreResult<Op> {
+        let rel = st.object(rel_obj)?;
+        let Some(inheritor) = rel.inheritor() else {
+            return Err(CoreError::TypeMismatch {
+                expected: "inheritance relationship".into(),
+                got: rel.type_name.clone(),
+                role: "unbind target".into(),
+            });
+        };
+        Ok(Op::Unbind {
+            rel_obj,
+            rel_type: rel.type_name.clone(),
+            inheritor,
+        })
+    }
+
+    /// The cascade delete of `obj` (§3), with everything it removes as
+    /// `st` sees it.
+    pub fn delete(st: &ObjectStore, obj: Surrogate) -> CoreResult<Op> {
+        Ok(Op::Delete {
+            obj,
+            doomed: cascade(st, obj)?,
+            owner: st.object(obj)?.owner.clone(),
+        })
+    }
+
+    /// Apply this op to `st`: a transaction's workspace, then the master
+    /// at commit; or, for a plain write, the master directly.
+    pub fn replay(&self, st: &mut ObjectStore) -> CoreResult<()> {
         match self {
             Op::SetAttr { obj, attr, value } => st.set_attr(*obj, attr, value.clone()),
             Op::CreateObject {
@@ -267,9 +302,43 @@ impl Op {
                 rel_type,
                 transmitter,
                 inheritor,
-            } => st.create_as(*s, |st| st.bind(rel_type, *transmitter, *inheritor, vec![])),
+                attrs,
+            } => st.create_as(*s, |st| {
+                st.bind(rel_type, *transmitter, *inheritor, borrowed(attrs))
+            }),
             Op::Unbind { rel_obj, .. } => st.unbind(*rel_obj),
             Op::Delete { obj, .. } => st.delete(*obj),
+        }
+    }
+
+    /// The resources this op reads without writing, which a lock-taking
+    /// transaction S-locks so they cannot change under it: a bind's
+    /// permeable transmitter items (lock inheritance, §6) and a
+    /// relationship's participants, which must not vanish under a
+    /// concurrent transactional delete.
+    fn reads(&self, catalog: &Catalog) -> Vec<Resource> {
+        match self {
+            Op::Bind {
+                rel_type,
+                transmitter,
+                ..
+            } => match catalog.inher_rel_type(rel_type) {
+                Ok(def) => def
+                    .inheriting
+                    .iter()
+                    .map(|item| Resource::Item(*transmitter, item.clone()))
+                    .collect(),
+                // An unknown type fails the replay; there is nothing to lock.
+                Err(_) => vec![],
+            },
+            Op::CreateRel { participants, .. } | Op::CreateSubrel { participants, .. } => {
+                participants
+                    .iter()
+                    .flat_map(|(_, members)| members)
+                    .map(|m| Resource::Object(*m))
+                    .collect()
+            }
+            _ => vec![],
         }
     }
 
@@ -313,7 +382,7 @@ impl Op {
     }
 
     /// The surrogate this op gives a new object, if it creates one.
-    fn created(&self) -> Option<Surrogate> {
+    pub fn created(&self) -> Option<Surrogate> {
         match self {
             Op::CreateObject { s, .. }
             | Op::CreateSubobject { s, .. }
@@ -542,9 +611,14 @@ impl Txn {
         Ok(())
     }
 
-    /// X-lock what `op` writes, apply it to the workspace and log it for
-    /// replay at commit.
-    fn apply(&mut self, op: Op) -> TxnResult<()> {
+    /// The one write entry: S-lock what `op` reads ([`Op::reads`]), X-lock
+    /// what it writes ([`Op::writes`]), apply it to the workspace and log it
+    /// for replay at commit. A creating op's object is invisible to
+    /// everyone else until commit, so it needs no lock of its own.
+    pub fn apply(&mut self, op: Op) -> TxnResult<()> {
+        for res in op.reads(self.workspace.catalog()) {
+            self.acquire_capped(res, LockMode::S)?;
+        }
         for res in op.writes() {
             self.acquire_update(res)?;
         }
@@ -554,6 +628,14 @@ impl Txn {
         }
         self.log.push(op);
         Ok(())
+    }
+
+    /// [`Txn::apply`] the op `make` builds around a fresh surrogate from
+    /// the shared generator; returns that surrogate, which is final.
+    fn create(&mut self, make: impl FnOnce(Surrogate) -> Op) -> TxnResult<Surrogate> {
+        let s = self.workspace.reserve_surrogate();
+        self.apply(make(s))?;
+        Ok(s)
     }
 
     // ------------------------------------------------------------------
@@ -596,7 +678,8 @@ impl Txn {
     }
 
     // ------------------------------------------------------------------
-    // Writes (workspace now, master at commit)
+    // Writes (workspace now, master at commit): constructors for
+    // [`Txn::apply`]
     // ------------------------------------------------------------------
 
     /// Write a local attribute under an X item lock.
@@ -608,20 +691,17 @@ impl Txn {
         })
     }
 
-    /// Create a top-level object. It is invisible to everyone else until
-    /// commit, so it needs no lock; the returned surrogate is final.
+    /// Create a top-level object.
     pub fn create_object(
         &mut self,
         type_name: &str,
         attrs: Vec<(&str, Value)>,
     ) -> TxnResult<Surrogate> {
-        let s = self.workspace.reserve_surrogate();
-        self.apply(Op::CreateObject {
+        self.create(|s| Op::CreateObject {
             s,
             type_name: type_name.to_string(),
             attrs: owned(&attrs),
-        })?;
-        Ok(s)
+        })
     }
 
     /// Create a subobject (X on the parent's subclass item).
@@ -631,23 +711,12 @@ impl Txn {
         subclass: &str,
         attrs: Vec<(&str, Value)>,
     ) -> TxnResult<Surrogate> {
-        let s = self.workspace.reserve_surrogate();
-        self.apply(Op::CreateSubobject {
+        self.create(|s| Op::CreateSubobject {
             s,
             parent,
             subclass: subclass.to_string(),
             attrs: owned(&attrs),
-        })?;
-        Ok(s)
-    }
-
-    /// S-lock relationship participants so they cannot vanish under a
-    /// concurrent transactional delete.
-    fn lock_participants(&self, participants: &[(&str, Vec<Surrogate>)]) -> TxnResult<()> {
-        for m in participants.iter().flat_map(|(_, members)| members) {
-            self.acquire_capped(Resource::Object(*m), LockMode::S)?;
-        }
-        Ok(())
+        })
     }
 
     /// Create a top-level relationship object (S on the participants).
@@ -657,15 +726,12 @@ impl Txn {
         participants: Vec<(&str, Vec<Surrogate>)>,
         attrs: Vec<(&str, Value)>,
     ) -> TxnResult<Surrogate> {
-        self.lock_participants(&participants)?;
-        let s = self.workspace.reserve_surrogate();
-        self.apply(Op::CreateRel {
+        self.create(|s| Op::CreateRel {
             s,
             rel_type: rel_type.to_string(),
             participants: owned(&participants),
             attrs: owned(&attrs),
-        })?;
-        Ok(s)
+        })
     }
 
     /// Create a relationship member in a local subrel class of `parent`
@@ -677,16 +743,13 @@ impl Txn {
         participants: Vec<(&str, Vec<Surrogate>)>,
         attrs: Vec<(&str, Value)>,
     ) -> TxnResult<Surrogate> {
-        self.lock_participants(&participants)?;
-        let s = self.workspace.reserve_surrogate();
-        self.apply(Op::CreateSubrel {
+        self.create(|s| Op::CreateSubrel {
             s,
             parent,
             subrel: subrel.to_string(),
             participants: owned(&participants),
             attrs: owned(&attrs),
-        })?;
-        Ok(s)
+        })
     }
 
     /// Bind an inheritor to a transmitter (X on the inheritor's binding
@@ -697,31 +760,19 @@ impl Txn {
         transmitter: Surrogate,
         inheritor: Surrogate,
     ) -> TxnResult<Surrogate> {
-        let def = self.workspace.catalog().inher_rel_type(rel_type)?;
-        for item in &def.inheriting {
-            self.acquire_capped(Resource::Item(transmitter, item.clone()), LockMode::S)?;
-        }
-        let s = self.workspace.reserve_surrogate();
-        self.apply(Op::Bind {
+        self.create(|s| Op::Bind {
             s,
             rel_type: rel_type.to_string(),
             transmitter,
             inheritor,
-        })?;
-        Ok(s)
+            attrs: vec![],
+        })
     }
 
     /// Dissolve a binding (X on the inheritor's binding slot and on the
     /// relationship object, which goes away).
     pub fn unbind(&mut self, rel_obj: Surrogate) -> TxnResult<()> {
-        let rel = self.workspace.object(rel_obj)?;
-        let inheritor = rel.inheritor().ok_or(CoreError::NoSuchObject(rel_obj))?;
-        let rel_type = rel.type_name.clone();
-        self.apply(Op::Unbind {
-            rel_obj,
-            rel_type,
-            inheritor,
-        })
+        self.apply(Op::unbind(&self.workspace, rel_obj)?)
     }
 
     /// Transactional cascade delete (§3): X-locks everything the
@@ -729,9 +780,7 @@ impl Txn {
     /// Transmitters with live external inheritors are protected, as in
     /// [`ObjectStore::delete`].
     pub fn delete(&mut self, obj: Surrogate) -> TxnResult<()> {
-        let doomed = cascade(&self.workspace, obj)?;
-        let owner = self.workspace.object(obj)?.owner.clone();
-        self.apply(Op::Delete { obj, doomed, owner })
+        self.apply(Op::delete(&self.workspace, obj)?)
     }
 
     // ------------------------------------------------------------------

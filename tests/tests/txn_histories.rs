@@ -269,7 +269,7 @@ fn run(steps: &[Step]) -> History {
                             chain: if wire { chain } else { vec![] },
                         });
                     }
-                    Err(SessionError::Lock(_)) => {
+                    Err(SessionError::Txn(TxnError::Lock(_))) => {
                         events.push(Event::Blocked { session: s });
                         live[s] = None;
                     }
@@ -292,7 +292,7 @@ fn run(steps: &[Step]) -> History {
                             value,
                         });
                     }
-                    Err(SessionError::Lock(_)) => {
+                    Err(SessionError::Txn(TxnError::Lock(_))) => {
                         events.push(Event::Blocked { session: s });
                         live[s] = None;
                     }
@@ -310,7 +310,9 @@ fn run(steps: &[Step]) -> History {
                         session: s,
                         version: info.version,
                     },
-                    Err(SessionError::WriteConflict { .. }) => Event::Abort { session: s },
+                    Err(SessionError::Txn(TxnError::WriteConflict { .. })) => {
+                        Event::Abort { session: s }
+                    }
                     Err(e) => panic!("commit failed: {e}"),
                 });
             }
