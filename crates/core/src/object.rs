@@ -3,8 +3,10 @@
 //!
 //! Everything is an object with a surrogate (§3); relationship objects add
 //! participants; inheritance-relationship objects add the
-//! transmitter/inheritor pair and the adaptation flag the paper suggests
-//! keeping on the relationship for consistency control (§2).
+//! transmitter/inheritor pair. The adaptation flag the paper suggests
+//! keeping on the relationship for consistency control (§2) is kept by the
+//! store, keyed by the relationship's surrogate
+//! ([`crate::store::ObjectStore::needs_adaptation`]).
 
 use std::collections::BTreeMap;
 
@@ -30,9 +32,6 @@ pub enum ObjectKind {
         transmitter: Surrogate,
         /// The object that inherits.
         inheritor: Surrogate,
-        /// Set when the transmitter changed permeable data after binding;
-        /// cleared by [`acknowledge`](crate::store::ObjectStore::acknowledge_adaptation).
-        needs_adaptation: bool,
     },
 }
 
@@ -114,7 +113,6 @@ impl ObjectData {
             kind: ObjectKind::InheritanceRel {
                 transmitter,
                 inheritor,
-                needs_adaptation: false,
             },
             owner: None,
             attrs: BTreeMap::new(),

@@ -2,10 +2,17 @@
 //! WAL-protected KV store of `ccdb-storage`.
 //!
 //! Layout: key 0 holds the serialized catalog, key 1 the class directory,
-//! and each object lives at `OBJ_BASE + surrogate`. Objects are serialized
+//! key 2 the raised adaptation flags, and each object lives at
+//! `OBJ_BASE + surrogate`. Objects are serialized
 //! as JSON (one record per object), so individual object updates map to
 //! individual transactional KV writes — [`save_object`] is what an
-//! application calls after mutating one object inside a transaction.
+//! application calls after mutating one object inside a transaction, and
+//! [`save_adaptation_flags`] after a write that may raise, acknowledge or
+//! dissolve a flag.
+//!
+//! Stores saved before flags had a record of their own kept each flag as
+//! `needs_adaptation: true` inside its relationship's record;
+//! [`load_store`] raises those flags when the flag record is absent.
 
 use ccdb_storage::kv::{DurableKv, KvTx};
 
@@ -19,6 +26,9 @@ use crate::surrogate::Surrogate;
 pub const KEY_CATALOG: u64 = 0;
 /// Key of the class-directory record.
 pub const KEY_CLASSES: u64 = 1;
+/// Key of the record listing the inheritance relationships whose
+/// adaptation flag is raised.
+pub const KEY_FLAGS: u64 = 2;
 /// Objects are stored at `OBJ_BASE + surrogate`.
 pub const OBJ_BASE: u64 = 16;
 
@@ -34,8 +44,8 @@ pub fn object_key(surrogate: Surrogate) -> u64 {
 /// Serialized class directory entry.
 type ClassRow = (String, String, Vec<Surrogate>);
 
-/// Write the complete store (catalog, classes, all objects) in one
-/// transaction.
+/// Write the complete store (catalog, classes, adaptation flags, all
+/// objects) in one transaction.
 pub fn save_store(store: &ObjectStore, kv: &DurableKv) -> CoreResult<()> {
     let tx = kv.begin()?;
     let cat = serde_json::to_vec(store.catalog()).map_err(codec_err)?;
@@ -50,10 +60,11 @@ pub fn save_store(store: &ObjectStore, kv: &DurableKv) -> CoreResult<()> {
         KEY_CLASSES,
         &serde_json::to_vec(&classes).map_err(codec_err)?,
     )?;
+    save_adaptation_flags(store, kv, tx)?;
     for (s, obj) in store.objects_map() {
         kv.put(
             tx,
-            object_key(*s),
+            object_key(s),
             &serde_json::to_vec(obj).map_err(codec_err)?,
         )?;
     }
@@ -72,6 +83,25 @@ pub fn save_object(store: &ObjectStore, kv: &DurableKv, tx: KvTx, s: Surrogate) 
     Ok(())
 }
 
+/// Rewrite the record of raised adaptation flags inside an existing
+/// transaction.
+pub fn save_adaptation_flags(store: &ObjectStore, kv: &DurableKv, tx: KvTx) -> CoreResult<()> {
+    let flags: Vec<Surrogate> = store.adaptation_flags().collect();
+    kv.put(
+        tx,
+        KEY_FLAGS,
+        &serde_json::to_vec(&flags).map_err(codec_err)?,
+    )?;
+    Ok(())
+}
+
+/// Whether an object record carries the flag the pre-flag-record layout
+/// kept inside `InheritanceRel`.
+fn legacy_flag(bytes: &[u8]) -> CoreResult<bool> {
+    let v: serde_json::Value = serde_json::from_slice(bytes).map_err(codec_err)?;
+    Ok(v["kind"]["InheritanceRel"]["needs_adaptation"].as_bool() == Some(true))
+}
+
 /// Delete one object record inside an existing transaction.
 pub fn delete_object(kv: &DurableKv, tx: KvTx, s: Surrogate) -> CoreResult<()> {
     kv.delete(tx, object_key(s))?;
@@ -88,18 +118,36 @@ pub fn load_store(kv: &DurableKv) -> CoreResult<ObjectStore> {
         Some(bytes) => serde_json::from_slice(&bytes).map_err(codec_err)?,
         None => vec![],
     };
+    let flags: Option<Vec<Surrogate>> = match kv.get(KEY_FLAGS)? {
+        Some(bytes) => Some(serde_json::from_slice(&bytes).map_err(codec_err)?),
+        None => None,
+    };
     let mut objects = Vec::new();
+    let mut legacy_flags = Vec::new();
     for (key, bytes) in kv.scan()? {
         if key < OBJ_BASE {
             continue;
         }
         let obj: ObjectData = serde_json::from_slice(&bytes).map_err(codec_err)?;
+        if flags.is_none() && legacy_flag(&bytes)? {
+            legacy_flags.push(obj.surrogate);
+        }
         objects.push(obj);
     }
-    let store = ObjectStore::restore(catalog, objects, classes)?;
+    let mut store = ObjectStore::restore(catalog, objects, classes)?;
+    // A relationship dissolved and persisted with `delete_object` alone
+    // leaves its flag in the record; such a flag names nothing and is
+    // dropped. A flag on a live object that is no relationship is refused
+    // below.
+    for rel in flags.unwrap_or(legacy_flags) {
+        if store.object(rel).is_ok() {
+            store.restore_adaptation_flag(rel);
+        }
+    }
     // A persisted store may have been edited (or corrupted) outside this
     // process; re-verify the structural invariants — notably the absence of
-    // binding cycles — before handing it to resolution.
+    // binding cycles and of flags on anything but a live relationship —
+    // before handing it to resolution.
     let problems = store.verify_integrity();
     if !problems.is_empty() {
         return Err(CoreError::Storage(format!(
@@ -198,6 +246,75 @@ mod tests {
     }
 
     #[test]
+    fn adaptation_flags_survive_save_and_load() {
+        let (mut store, interface, implementation) = sample_store();
+        let rel = store.binding_of(implementation, "AllOf_If").unwrap();
+        store.set_attr(interface, "Length", Value::Int(6)).unwrap();
+        let dir = tempfile::tempdir().unwrap();
+        let kv = DurableKv::open(dir.path()).unwrap();
+        save_store(&store, &kv).unwrap();
+        assert!(load_store(&kv).unwrap().needs_adaptation(rel).unwrap());
+
+        store.acknowledge_adaptation(rel).unwrap();
+        save_store(&store, &kv).unwrap();
+        assert!(!load_store(&kv).unwrap().needs_adaptation(rel).unwrap());
+
+        // A flag record naming a plain object is refused like any other
+        // integrity violation.
+        let tx = kv.begin().unwrap();
+        let forged = serde_json::to_vec(&vec![interface]).unwrap();
+        kv.put(tx, KEY_FLAGS, &forged).unwrap();
+        kv.commit(tx).unwrap();
+        assert!(matches!(load_store(&kv), Err(CoreError::Storage(_))));
+    }
+
+    #[test]
+    fn stale_flag_of_a_deleted_relationship_is_dropped_on_load() {
+        let (mut store, interface, implementation) = sample_store();
+        let rel = store.binding_of(implementation, "AllOf_If").unwrap();
+        store.set_attr(interface, "Length", Value::Int(6)).unwrap();
+        let dir = tempfile::tempdir().unwrap();
+        let kv = DurableKv::open(dir.path()).unwrap();
+        save_store(&store, &kv).unwrap();
+
+        // Persist the unbind incrementally, without rewriting the flags.
+        store.unbind(rel).unwrap();
+        let tx = kv.begin().unwrap();
+        save_object(&store, &kv, tx, implementation).unwrap();
+        delete_object(&kv, tx, rel).unwrap();
+        kv.commit(tx).unwrap();
+
+        let loaded = load_store(&kv).unwrap();
+        assert!(loaded.object(rel).is_err());
+        assert_eq!(loaded.adaptation_flags().count(), 0);
+    }
+
+    #[test]
+    fn flags_kept_inside_relationship_records_are_raised_on_load() {
+        let (store, _, implementation) = sample_store();
+        let rel = store.binding_of(implementation, "AllOf_If").unwrap();
+        let dir = tempfile::tempdir().unwrap();
+        let kv = DurableKv::open(dir.path()).unwrap();
+        save_store(&store, &kv).unwrap();
+
+        // Rewrite the store in the earlier layout: no flag record, the flag
+        // inside the relationship's record.
+        let record = serde_json::to_string(store.object(rel).unwrap()).unwrap();
+        let legacy = record.replace(
+            "\"InheritanceRel\":{",
+            "\"InheritanceRel\":{\"needs_adaptation\":true,",
+        );
+        assert_ne!(legacy, record);
+        let tx = kv.begin().unwrap();
+        kv.delete(tx, KEY_FLAGS).unwrap();
+        kv.put(tx, object_key(rel), legacy.as_bytes()).unwrap();
+        kv.commit(tx).unwrap();
+
+        let loaded = load_store(&kv).unwrap();
+        assert!(loaded.needs_adaptation(rel).unwrap());
+    }
+
+    #[test]
     fn surrogates_continue_after_reload() {
         let (store, ..) = sample_store();
         let dir = tempfile::tempdir().unwrap();
@@ -255,7 +372,6 @@ mod tests {
             kind: ObjectKind::InheritanceRel {
                 transmitter: imp,
                 inheritor: imp,
-                needs_adaptation: false,
             },
             owner: None,
             attrs: Default::default(),

@@ -13,9 +13,9 @@
 //!   never being blocked by writers;
 //! - writers serialize on a **master copy** behind an exclusive lock,
 //!   stamp the cycle with a fresh monotonic version, mutate, then publish
-//!   `Arc::new(master.clone())` — a structural-sharing clone
-//!   ([`crate::snapshot`]) whose cost is bounded by shard/chunk counts,
-//!   not store size. Publish latency and snapshot age are recorded as
+//!   `Arc::new(master.clone())` — an O(1) structural-sharing clone
+//!   ([`crate::snapshot`]); the cycle's writes paid for unsharing only the
+//!   paths they touched. Publish latency and snapshot age are recorded as
 //!   `ccdb_core_snapshot_*` metrics;
 //! - the resolution value cache is **shared across snapshots** and stays
 //!   correct via version stamps and per-shard invalidation watermarks
@@ -232,11 +232,9 @@ impl SharedStore {
     ) -> CoreResult<Vec<Surrogate>> {
         let snap = self.snapshot();
         snap.catalog().object_type(type_name)?;
-        // The extent is unordered; sort so the chunks are deterministic.
-        let mut candidates = snap.extent_of(type_name);
-        candidates.sort();
+        let candidates = snap.extent_of(type_name);
         let chunks = partition(&candidates, threads);
-        let mut hits: Vec<Surrogate> = thread::scope(|scope| {
+        let hits = thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()
                 .map(|part| {
@@ -257,12 +255,8 @@ impl SharedStore {
                 .into_iter()
                 .map(|h| h.join().expect("select worker panicked"))
                 .collect::<CoreResult<Vec<_>>>()
-        })?
-        .into_iter()
-        .flatten()
-        .collect();
-        hits.sort();
-        Ok(hits)
+        })?;
+        Ok(hits.into_iter().flatten().collect())
     }
 
     /// Parallel [`ObjectStore::check_all`]: constraint-check every object on
@@ -271,8 +265,7 @@ impl SharedStore {
     /// check.
     pub fn par_check_all(&self, threads: usize) -> CoreResult<Vec<Violation>> {
         let snap = self.snapshot();
-        let mut surrogates: Vec<Surrogate> = snap.surrogates().collect();
-        surrogates.sort();
+        let surrogates: Vec<Surrogate> = snap.surrogates().collect();
         let chunks = partition(&surrogates, threads);
         let out = thread::scope(|scope| {
             let handles: Vec<_> = chunks

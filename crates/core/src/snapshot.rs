@@ -1,77 +1,115 @@
-//! Copy-on-write building blocks for the MVCC snapshot store.
+//! The persistent container behind the MVCC snapshot store.
 //!
 //! [`crate::shared::SharedStore`] publishes the store as an immutable
 //! `Arc<ObjectStore>` per version; readers pin one snapshot for a whole
-//! request and never block behind writers. For that to be cheap the store's
-//! big collections must clone in O(touched), not O(everything) — which is
-//! what these two containers provide:
+//! request and never block behind writers. Publishing clones the master, so
+//! every versioned collection of the store must clone in O(1) and pay for a
+//! write only in proportion to what the write touches. [`RadixMap`] is that
+//! collection: a persistent radix trie over `u64` keys (surrogates, or the
+//! adaptation log's timestamps).
 //!
-//! * [`CowMap`] — a hash map striped over `Arc`-shared shards. Cloning the
-//!   map bumps one refcount per shard; the first mutation of a shard after a
-//!   clone copies only that shard (`Arc::make_mut`), so untouched objects
-//!   are shared structurally between every live version.
-//! * [`AppendLog`] — an append-only vector in `Arc`-shared chunks of
-//!   [`CHUNK_CAP`]. Cloning bumps one refcount per chunk; appending to a
-//!   shared tail copies at most one chunk.
+//! * Nodes are `Arc`-shared, so `clone` bumps one refcount.
+//! * A write copies only the root-to-leaf path of the key it touches — at
+//!   most one node per level, [`FANOUT`] slots each — and every node off
+//!   that path stays shared with the older versions.
+//! * The trie grows a level whenever a key does not fit under the current
+//!   root, so sparse or huge keys work; dense keys (the store-wide surrogate
+//!   counter) keep it shallow: three levels span 262 144 keys.
+//! * Values sit inline in the leaves, and iteration is in key order.
 //!
-//! Neither container is concurrent — they are plain single-writer values
-//! inside the master store, made cheap to *clone* so publishing a version is
-//! a bounded amount of copying regardless of store size.
+//! The map is not concurrent — it is a plain single-writer value inside the
+//! master store, made cheap to *clone*.
 
-use std::borrow::Borrow;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Default shard count for [`CowMap`] (power of two).
-pub const DEFAULT_COW_SHARDS: usize = 64;
+/// Key bits one trie level consumes.
+const BITS: u32 = 6;
 
-/// Entries per sealed [`AppendLog`] chunk.
-pub const CHUNK_CAP: usize = 256;
+/// Children per inner node and values per leaf.
+pub const FANOUT: usize = 1 << BITS;
 
-/// A persistent hash map with `Arc`-shared shards.
-///
-/// `clone()` is O(shards); the first mutation of a shard after a clone pays
-/// a copy of that shard only. Lookup cost is a hash plus one `HashMap` probe,
-/// same asymptotics as a plain `HashMap`.
-#[derive(Clone, Debug)]
-pub struct CowMap<K, V> {
-    shards: Vec<Arc<HashMap<K, Arc<V>>>>,
-    len: usize,
+/// Level 0 is a leaf; an inner node at level `l` spans `FANOUT^(l+1)` keys.
+enum Node<V> {
+    Inner(Arc<[Option<Node<V>>; FANOUT]>),
+    Leaf(Arc<[Option<V>; FANOUT]>),
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> Default for CowMap<K, V> {
-    fn default() -> Self {
-        Self::new()
+impl<V> Clone for Node<V> {
+    fn clone(&self) -> Self {
+        match self {
+            Node::Inner(children) => Node::Inner(Arc::clone(children)),
+            Node::Leaf(values) => Node::Leaf(Arc::clone(values)),
+        }
     }
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
-    /// Empty map with [`DEFAULT_COW_SHARDS`] shards.
-    pub fn new() -> Self {
-        Self::with_shards(DEFAULT_COW_SHARDS)
-    }
-
-    /// Empty map with `shards` stripes (clamped to ≥ 1, rounded up to a
-    /// power of two).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        CowMap {
-            shards: (0..n).map(|_| Arc::new(HashMap::new())).collect(),
-            len: 0,
+impl<V> Node<V> {
+    fn empty(level: u32) -> Self {
+        if level == 0 {
+            Node::Leaf(Arc::new(std::array::from_fn(|_| None)))
+        } else {
+            Node::Inner(Arc::new(std::array::from_fn(|_| None)))
         }
     }
 
-    // `Borrow`'s contract guarantees `hash(k.borrow()) == hash(k)`, so a
-    // borrowed lookup lands on the same shard the owned key was filed under.
-    fn shard_of<Q>(&self, k: &Q) -> usize
-    where
-        Q: Hash + ?Sized,
-    {
-        let mut h = DefaultHasher::new();
-        k.hash(&mut h);
-        (h.finish() as usize) & (self.shards.len() - 1)
+    fn is_empty(&self) -> bool {
+        match self {
+            Node::Inner(children) => children.iter().all(Option::is_none),
+            Node::Leaf(values) => values.iter().all(Option::is_none),
+        }
+    }
+}
+
+/// The slot `key` takes in a node at `level`.
+fn digit(key: u64, level: u32) -> usize {
+    ((key >> (BITS * level)) as usize) & (FANOUT - 1)
+}
+
+/// The smallest key whose digits above `level` are `key`'s and whose digit
+/// at `level` is `d`.
+fn with_digit(key: u64, level: u32, d: usize) -> u64 {
+    let below = ((1u64 << (BITS * level)) << BITS).wrapping_sub(1);
+    (key & !below) | ((d as u64) << (BITS * level))
+}
+
+/// Does a trie of `height` levels above its leaves span `key`?
+fn fits(height: u32, key: u64) -> bool {
+    (key >> (BITS * height)) >> BITS == 0
+}
+
+/// A persistent map from `u64` to `V`: O(1) clone, O(depth) unshare per
+/// written key, in-order iteration.
+pub struct RadixMap<V> {
+    root: Option<Node<V>>,
+    /// Levels above the leaves: the trie spans keys below `FANOUT^(height+1)`.
+    height: u32,
+    len: usize,
+}
+
+impl<V> Clone for RadixMap<V> {
+    fn clone(&self) -> Self {
+        RadixMap {
+            root: self.root.clone(),
+            height: self.height,
+            len: self.len,
+        }
+    }
+}
+
+impl<V> Default for RadixMap<V> {
+    fn default() -> Self {
+        RadixMap {
+            root: None,
+            height: 0,
+            len: 0,
+        }
+    }
+}
+
+impl<V: Clone> RadixMap<V> {
+    /// Empty map.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of entries.
@@ -85,296 +123,394 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
     }
 
     /// Shared lookup.
-    pub fn get<Q>(&self, k: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.shards[self.shard_of(k)].get(k).map(|a| &**a)
-    }
-
-    /// Is `k` present?
-    pub fn contains_key<Q>(&self, k: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.shards[self.shard_of(k)].contains_key(k)
-    }
-
-    /// Mutable lookup. Unshares the owning shard and (separately) the value
-    /// — both copies are skipped when this map is the only owner.
-    pub fn get_mut<Q>(&mut self, k: &Q) -> Option<&mut V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let i = self.shard_of(k);
-        if !self.shards[i].contains_key(k) {
+    pub fn get(&self, key: u64) -> Option<&V> {
+        if !fits(self.height, key) {
             return None;
         }
-        let shard = Arc::make_mut(&mut self.shards[i]);
-        shard.get_mut(k).map(Arc::make_mut)
+        let mut node = self.root.as_ref()?;
+        let mut level = self.height;
+        loop {
+            match node {
+                Node::Inner(children) => {
+                    node = children[digit(key, level)].as_ref()?;
+                    level -= 1;
+                }
+                Node::Leaf(values) => return values[digit(key, level)].as_ref(),
+            }
+        }
     }
 
-    /// Insert, replacing any previous value.
-    pub fn insert(&mut self, k: K, v: V) {
-        let i = self.shard_of(&k);
-        let shard = Arc::make_mut(&mut self.shards[i]);
-        if shard.insert(k, Arc::new(v)).is_none() {
+    /// Is `key` present?
+    pub fn contains_key(&self, key: u64) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Mutable lookup. Unshares the path to `key` only if it is present.
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        if !self.contains_key(key) {
+            return None;
+        }
+        self.slot(key).as_mut()
+    }
+
+    /// Insert, returning the value `key` had.
+    pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
+        let old = self.slot(key).replace(value);
+        if old.is_none() {
             self.len += 1;
         }
+        old
     }
 
-    /// Remove and return the value (unsharing it if other versions still
-    /// hold it).
-    pub fn remove<Q>(&mut self, k: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let i = self.shard_of(k);
-        if !self.shards[i].contains_key(k) {
-            return None;
-        }
-        let a = Arc::make_mut(&mut self.shards[i]).remove(k)?;
-        self.len -= 1;
-        Some(Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()))
-    }
-
-    /// Mutable reference to `k`'s value, inserting `V::default()` first if
+    /// Mutable reference to `key`'s value, inserting `V::default()` first if
     /// absent (the `entry().or_default()` idiom).
-    pub fn entry_or_default(&mut self, k: K) -> &mut V
+    pub fn entry_or_default(&mut self, key: u64) -> &mut V
     where
         V: Default,
     {
-        let i = self.shard_of(&k);
-        if !self.shards[i].contains_key(&k) {
-            Arc::make_mut(&mut self.shards[i]).insert(k.clone(), Arc::new(V::default()));
+        self.grow_to(key);
+        let slot = Self::slot_in(&mut self.root, self.height, key);
+        if slot.is_none() {
             self.len += 1;
         }
-        let shard = Arc::make_mut(&mut self.shards[i]);
-        Arc::make_mut(shard.get_mut(&k).expect("just ensured"))
+        slot.get_or_insert_with(V::default)
     }
 
-    /// Iterate `(&key, &value)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
-        self.shards
-            .iter()
-            .flat_map(|s| s.iter().map(|(k, v)| (k, &**v)))
-    }
-
-    /// Iterate keys in unspecified order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
-        self.shards.iter().flat_map(|s| s.keys())
-    }
-
-    /// Iterate values in unspecified order.
-    pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
-        self.shards.iter().flat_map(|s| s.values().map(|a| &**a))
-    }
-
-    /// Unshare and iterate every value mutably. Copies every shard that is
-    /// still shared — use only on cold paths (cascade delete bookkeeping).
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
-        self.shards
-            .iter_mut()
-            .flat_map(|s| Arc::make_mut(s).values_mut().map(Arc::make_mut))
-    }
-}
-
-/// An append-only persistent vector in `Arc`-shared chunks.
-///
-/// Every chunk except possibly the last holds exactly [`CHUNK_CAP`] items,
-/// so random access is index arithmetic. `clone()` is O(chunks); a push onto
-/// a tail shared with an older version copies at most [`CHUNK_CAP`] items.
-#[derive(Clone, Debug)]
-pub struct AppendLog<T> {
-    chunks: Vec<Arc<Vec<T>>>,
-    len: usize,
-}
-
-impl<T: Clone> Default for AppendLog<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Clone> AppendLog<T> {
-    /// Empty log.
-    pub fn new() -> Self {
-        AppendLog {
-            chunks: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Append one item, unsharing (copying) the tail chunk if an older
-    /// version still holds it.
-    pub fn push(&mut self, item: T) {
-        match self.chunks.last_mut() {
-            Some(tail) if tail.len() < CHUNK_CAP => match Arc::get_mut(tail) {
-                Some(v) => v.push(item),
-                None => {
-                    let mut copy = Vec::with_capacity(CHUNK_CAP);
-                    copy.extend(tail.iter().cloned());
-                    copy.push(item);
-                    *tail = Arc::new(copy);
-                }
-            },
-            _ => {
-                let mut v = Vec::with_capacity(CHUNK_CAP);
-                v.push(item);
-                self.chunks.push(Arc::new(v));
-            }
-        }
-        self.len += 1;
-    }
-
-    /// Random access.
-    pub fn get(&self, i: usize) -> Option<&T> {
-        if i >= self.len {
+    /// Remove and return the value. An absent key unshares nothing; nodes
+    /// left empty are dropped.
+    pub fn remove(&mut self, key: u64) -> Option<V> {
+        if !self.contains_key(key) {
             return None;
         }
-        self.chunks[i / CHUNK_CAP].get(i % CHUNK_CAP)
+        let root = self.root.as_mut().expect("a present key has a root");
+        let old = Self::take(root, self.height, key);
+        if root.is_empty() {
+            *self = Self::default();
+        } else {
+            self.len -= 1;
+        }
+        old
     }
 
-    /// Last item.
-    pub fn last(&self) -> Option<&T> {
-        self.len.checked_sub(1).and_then(|i| self.get(i))
+    /// Iterate `(key, &value)` in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
+        self.iter_from(0)
     }
 
-    /// Iterate in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        self.chunks.iter().flat_map(|c| c.iter())
+    /// Iterate `(key, &value)` in key order, starting at the first key
+    /// `>= from`. Each step is one descent from the root, so iterating
+    /// allocates nothing.
+    pub fn iter_from(&self, from: u64) -> impl Iterator<Item = (u64, &V)> + '_ {
+        // The smallest key not yet visited; `None` once past `u64::MAX`.
+        let mut next = Some(from);
+        std::iter::from_fn(move || {
+            let found = self.seek(next?);
+            next = found.and_then(|(k, _)| k.checked_add(1));
+            found
+        })
     }
 
-    /// First index at which `pred` is false, assuming the log is partitioned
-    /// (all `true` items precede all `false` items) — same contract as
-    /// `slice::partition_point`.
-    pub fn partition_point(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(self.get(mid).expect("mid < len")) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+    /// Iterate keys in order.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().map(|(k, _)| k)
+    }
+
+    /// Add levels above the root until the trie spans `key`.
+    fn grow_to(&mut self, key: u64) {
+        while !fits(self.height, key) {
+            if let Some(old) = self.root.take() {
+                let mut children: [Option<Node<V>>; FANOUT] = std::array::from_fn(|_| None);
+                children[0] = Some(old);
+                self.root = Some(Node::Inner(Arc::new(children)));
+            }
+            self.height += 1;
+        }
+    }
+
+    /// `key`'s slot, creating missing nodes and unsharing shared ones on the
+    /// way down.
+    fn slot(&mut self, key: u64) -> &mut Option<V> {
+        self.grow_to(key);
+        Self::slot_in(&mut self.root, self.height, key)
+    }
+
+    fn slot_in(root: &mut Option<Node<V>>, height: u32, key: u64) -> &mut Option<V> {
+        let mut level = height;
+        let mut node = root.get_or_insert_with(|| Node::empty(level));
+        loop {
+            match node {
+                Node::Inner(children) => {
+                    let child = &mut Arc::make_mut(children)[digit(key, level)];
+                    level -= 1;
+                    node = child.get_or_insert_with(|| Node::empty(level));
+                }
+                Node::Leaf(values) => return &mut Arc::make_mut(values)[digit(key, level)],
             }
         }
-        lo
     }
 
-    /// Clone out the suffix starting at index `from`.
-    pub fn tail_from(&self, from: usize) -> Vec<T> {
-        (from..self.len)
-            .map(|i| self.get(i).expect("index < len").clone())
-            .collect()
+    fn take(node: &mut Node<V>, level: u32, key: u64) -> Option<V> {
+        match node {
+            Node::Leaf(values) => Arc::make_mut(values)[digit(key, level)].take(),
+            Node::Inner(children) => {
+                let slot = &mut Arc::make_mut(children)[digit(key, level)];
+                let child = slot.as_mut()?;
+                let old = Self::take(child, level - 1, key);
+                if child.is_empty() {
+                    *slot = None;
+                }
+                old
+            }
+        }
+    }
+
+    /// The first entry with key `>= from`.
+    fn seek(&self, from: u64) -> Option<(u64, &V)> {
+        if !fits(self.height, from) {
+            return None;
+        }
+        Self::seek_in(self.root.as_ref()?, self.height, from)
+    }
+
+    fn seek_in(node: &Node<V>, level: u32, from: u64) -> Option<(u64, &V)> {
+        let first = digit(from, level);
+        match node {
+            Node::Leaf(values) => (first..FANOUT)
+                .find_map(|d| values[d].as_ref().map(|v| (with_digit(from, 0, d), v))),
+            Node::Inner(children) => (first..FANOUT).find_map(|d| {
+                // Past the first child, start from that child's smallest key.
+                let from = if d == first {
+                    from
+                } else {
+                    with_digit(from, level, d)
+                };
+                Self::seek_in(children[d].as_ref()?, level - 1, from)
+            }),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
-    #[test]
-    fn cowmap_basic_ops() {
-        let mut m: CowMap<u64, String> = CowMap::with_shards(4);
-        assert!(m.is_empty());
-        m.insert(1, "a".into());
-        m.insert(2, "b".into());
-        m.insert(1, "a2".into());
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(&1).map(String::as_str), Some("a2"));
-        assert!(m.contains_key(&2));
-        assert_eq!(m.remove(&2), Some("b".to_string()));
-        assert_eq!(m.remove(&2), None);
-        assert_eq!(m.len(), 1);
-        *m.get_mut(&1).unwrap() = "a3".into();
-        assert_eq!(m.get(&1).map(String::as_str), Some("a3"));
-        assert_eq!(m.iter().count(), 1);
+    /// One step of a random history, applied to a [`RadixMap`] and to a
+    /// `BTreeMap` model side by side.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Insert(u64, u32),
+        Remove(u64),
+        GetMut(u64, u32),
+        Entry(u64, u32),
+        /// Keep a clone of both sides; every kept clone is re-checked after
+        /// every later step, so a write that leaks into an older version
+        /// fails.
+        Fork,
+    }
+
+    type Map = RadixMap<Vec<u32>>;
+    type Model = BTreeMap<u64, Vec<u32>>;
+
+    fn check(map: &Map, model: &Model, probes: &[u64]) -> Result<(), String> {
+        let got: Vec<(u64, &Vec<u32>)> = map.iter().collect();
+        let want: Vec<(u64, &Vec<u32>)> = model.iter().map(|(k, v)| (*k, v)).collect();
+        if got != want || map.len() != model.len() {
+            return Err(format!(
+                "len {} vs {}: {got:?} vs {want:?}",
+                map.len(),
+                model.len()
+            ));
+        }
+        for &k in probes.iter().chain(&[0, 1, u64::MAX]) {
+            let got: Vec<u64> = map.iter_from(k).map(|(k, _)| k).collect();
+            let want: Vec<u64> = model.range(k..).map(|(k, _)| *k).collect();
+            if got != want {
+                return Err(format!("iter_from({k}): {got:?} vs {want:?}"));
+            }
+            if map.get(k) != model.get(&k) {
+                return Err(format!("get({k}): {:?} vs {:?}", map.get(k), model.get(&k)));
+            }
+        }
+        Ok(())
+    }
+
+    /// Run `steps` on both sides, checking the live pair and every kept
+    /// clone after each step.
+    fn run(steps: &[Step]) -> Result<(), String> {
+        let (mut map, mut model) = (Map::new(), Model::new());
+        let mut kept: Vec<(Map, Model)> = Vec::new();
+        let mut probes = Vec::new();
+        for step in steps {
+            match *step {
+                Step::Insert(k, v) => {
+                    probes.push(k);
+                    if map.insert(k, vec![v]) != model.insert(k, vec![v]) {
+                        return Err(format!("insert({k}) returned a different old value"));
+                    }
+                }
+                Step::Remove(k) => {
+                    probes.push(k);
+                    if map.remove(k) != model.remove(&k) {
+                        return Err(format!("remove({k}) returned a different value"));
+                    }
+                }
+                Step::GetMut(k, v) => {
+                    probes.push(k);
+                    match (map.get_mut(k), model.get_mut(&k)) {
+                        (Some(a), Some(b)) => {
+                            a.push(v);
+                            b.push(v);
+                        }
+                        (None, None) => {}
+                        (a, b) => return Err(format!("get_mut({k}): {a:?} vs {b:?}")),
+                    }
+                }
+                Step::Entry(k, v) => {
+                    probes.push(k);
+                    map.entry_or_default(k).push(v);
+                    model.entry(k).or_default().push(v);
+                }
+                Step::Fork => kept.push((map.clone(), model.clone())),
+            }
+            check(&map, &model, &probes)?;
+            for (i, (m, md)) in kept.iter().enumerate() {
+                check(m, md, &probes).map_err(|e| format!("clone {i}: {e}"))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn key() -> BoxedStrategy<u64> {
+        prop_oneof![
+            4 => 0u64..300,
+            2 => any::<u64>(),
+            1 => Just(0u64),
+            1 => Just(u64::MAX),
+            1 => (u64::MAX - 70)..=u64::MAX,
+        ]
+    }
+
+    fn step() -> BoxedStrategy<Step> {
+        prop_oneof![
+            4 => (key(), any::<u32>()).prop_map(|(k, v)| Step::Insert(k, v)),
+            2 => key().prop_map(Step::Remove),
+            2 => (key(), any::<u32>()).prop_map(|(k, v)| Step::GetMut(k, v)),
+            2 => (key(), any::<u32>()).prop_map(|(k, v)| Step::Entry(k, v)),
+            1 => Just(Step::Fork),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn matches_a_btreemap_model(steps in proptest::collection::vec(step(), 1..80)) {
+            run(&steps).map_err(TestCaseError::fail)?;
+        }
     }
 
     #[test]
-    fn cowmap_clone_is_isolated_both_ways() {
-        let mut a: CowMap<u64, Vec<u64>> = CowMap::new();
+    fn basic_ops() {
+        use Step::*;
+        run(&[
+            Insert(1, 10),
+            Insert(2, 20),
+            Insert(1, 11),
+            Remove(2),
+            Remove(2),
+            GetMut(1, 12),
+            GetMut(3, 30),
+            Entry(3, 31),
+        ])
+        .unwrap();
+    }
+
+    #[test]
+    fn clone_is_isolated_both_ways() {
+        let mut a: Map = Map::new();
         for i in 0..100 {
-            a.insert(i, vec![i]);
+            a.insert(i, vec![i as u32]);
         }
         let b = a.clone();
         // Mutations on `a` after the clone are invisible in `b`.
         a.insert(7, vec![700]);
-        a.remove(&8).unwrap();
+        a.remove(8).unwrap();
         a.entry_or_default(9).push(900);
         a.entry_or_default(1000).push(1);
-        assert_eq!(b.get(&7), Some(&vec![7]));
-        assert_eq!(b.get(&8), Some(&vec![8]));
-        assert_eq!(b.get(&9), Some(&vec![9]));
-        assert!(!b.contains_key(&1000));
+        assert_eq!(b.get(7), Some(&vec![7]));
+        assert_eq!(b.get(8), Some(&vec![8]));
+        assert_eq!(b.get(9), Some(&vec![9]));
+        assert!(!b.contains_key(1000));
         assert_eq!(b.len(), 100);
-        assert_eq!(a.get(&7), Some(&vec![700]));
-        assert_eq!(a.get(&9), Some(&vec![9, 900]));
+        assert_eq!(a.get(7), Some(&vec![700]));
+        assert_eq!(a.get(9), Some(&vec![9, 900]));
         assert_eq!(a.len(), 100, "one removed, one inserted");
-        // Untouched entries still point at the same allocation (structural
-        // sharing): compare addresses through the shared reference.
-        assert!(std::ptr::eq(a.get(&50).unwrap(), b.get(&50).unwrap()));
+        // Entries in leaves no write touched are the same allocation.
+        assert!(std::ptr::eq(a.get(80).unwrap(), b.get(80).unwrap()));
+        // The history as steps, through the model checker.
+        use Step::*;
+        let mut steps: Vec<Step> = (0..100).map(|i| Insert(i, i as u32)).collect();
+        steps.extend([
+            Fork,
+            Insert(7, 700),
+            Remove(8),
+            Entry(9, 900),
+            Entry(1000, 1),
+        ]);
+        run(&steps).unwrap();
     }
 
     #[test]
-    fn cowmap_values_mut_unshares() {
-        let mut a: CowMap<u64, Vec<u64>> = CowMap::with_shards(2);
+    fn get_mut_after_clone_unshares() {
+        let mut a: Map = Map::new();
         a.insert(1, vec![1]);
         a.insert(2, vec![2]);
         let b = a.clone();
-        for v in a.values_mut() {
-            v.push(99);
+        for k in [1, 2] {
+            a.get_mut(k).unwrap().push(99);
         }
-        assert!(a.values().all(|v| v.ends_with(&[99])));
-        assert!(b.values().all(|v| v.len() == 1));
+        assert!(a.iter().all(|(_, v)| v.ends_with(&[99])));
+        assert!(b.iter().all(|(_, v)| v.len() == 1));
     }
 
     #[test]
-    fn appendlog_push_get_iter_across_chunks() {
-        let mut log = AppendLog::new();
-        let n = CHUNK_CAP * 2 + 10;
-        for i in 0..n {
-            log.push(i);
+    fn iterates_in_key_order_across_leaves() {
+        let mut m = RadixMap::new();
+        let n = FANOUT as u64 * 2 + 10;
+        for i in (0..n).rev() {
+            m.insert(i, i);
         }
-        assert_eq!(log.len(), n);
-        assert_eq!(log.get(0), Some(&0));
-        assert_eq!(log.get(CHUNK_CAP), Some(&CHUNK_CAP));
-        assert_eq!(log.get(n - 1), Some(&(n - 1)));
-        assert_eq!(log.get(n), None);
-        assert_eq!(log.last(), Some(&(n - 1)));
-        let all: Vec<usize> = log.iter().copied().collect();
-        assert_eq!(all, (0..n).collect::<Vec<_>>());
-        assert_eq!(log.partition_point(|&x| x < 300), 300);
-        assert_eq!(log.tail_from(n - 3), vec![n - 3, n - 2, n - 1]);
+        // Sparse and huge keys grow the trie to full height.
+        m.insert(u64::MAX, 0);
+        m.insert(1 << 40, 0);
+        assert_eq!(m.len() as u64, n + 2);
+        let keys: Vec<u64> = m.keys().collect();
+        let mut want: Vec<u64> = (0..n).collect();
+        want.extend([1 << 40, u64::MAX]);
+        assert_eq!(keys, want);
+        let tail: Vec<u64> = m.iter_from(n - 3).map(|(k, _)| k).collect();
+        assert_eq!(tail, vec![n - 3, n - 2, n - 1, 1 << 40, u64::MAX]);
+        assert_eq!(m.iter_from(u64::MAX).count(), 1);
+        assert_eq!(m.get(n), None);
     }
 
     #[test]
-    fn appendlog_clone_shares_then_diverges() {
-        let mut a = AppendLog::new();
-        for i in 0..CHUNK_CAP + 5 {
-            a.push(i);
+    fn clone_shares_untouched_leaves() {
+        let mut a = RadixMap::new();
+        for i in 0..FANOUT as u64 + 5 {
+            a.insert(i, i);
         }
         let b = a.clone();
-        a.push(777);
-        assert_eq!(a.len(), CHUNK_CAP + 6);
-        assert_eq!(b.len(), CHUNK_CAP + 5);
-        assert_eq!(b.get(CHUNK_CAP + 5), None);
-        assert_eq!(a.last(), Some(&777));
-        // The sealed first chunk stays shared between the two versions.
+        a.insert(777, 777);
+        assert_eq!(a.len(), FANOUT + 6);
+        assert_eq!(b.len(), FANOUT + 5);
+        assert_eq!(b.get(777), None);
+        // The first leaf is untouched and stays shared between versions.
         assert!(std::ptr::eq(a.get(0).unwrap(), b.get(0).unwrap()));
+        // Removing an absent key unshares nothing either.
+        assert_eq!(a.remove(5000), None);
+        assert!(std::ptr::eq(a.get(3).unwrap(), b.get(3).unwrap()));
     }
 }

@@ -7,9 +7,11 @@
 //! updates are instantly visible in every inheritor and the data exists once
 //! (§2: "a view to the component is granted to the composite object").
 //! Inherited data is **read-only in the inheritor**; transmitter-side
-//! updates raise the `needs_adaptation` flag on every affected
+//! updates raise the adaptation flag of every affected
 //! inheritance-relationship object and append to the adaptation log — the
-//! paper's consistency-control bookkeeping on the relationship.
+//! paper's consistency-control bookkeeping on the relationship. The store
+//! keeps the flags in a set keyed by the relationship's surrogate, beside
+//! the objects, so raising one never copies object storage.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,7 +28,7 @@ use crate::rescache::{ShardedResCache, DEFAULT_RESOLUTION_CACHE_SHARDS};
 use crate::schema::{
     Catalog, Constraint, EffectiveSchema, ItemSource, ParticipantSpec, SubrelSpec,
 };
-use crate::snapshot::{AppendLog, CowMap};
+use crate::snapshot::RadixMap;
 use crate::surrogate::{Surrogate, SurrogateGen};
 use crate::value::Value;
 
@@ -49,10 +51,18 @@ pub struct AdaptationEvent {
     pub transmitter: Surrogate,
     /// The inheritor that may need manual adaptation.
     pub inheritor: Surrogate,
-    /// The permeable attribute or subclass that changed.
-    pub item: String,
+    /// The permeable attribute or subclass that changed; shared by every
+    /// event of one write.
+    pub item: Arc<str>,
     /// Logical timestamp (store-wide monotonic counter).
     pub at: u64,
+}
+
+/// One inheritance relationship crossed by an inheritor-closure walk.
+struct Crossing {
+    rel: Surrogate,
+    transmitter: Surrogate,
+    inheritor: Surrogate,
 }
 
 /// Counters for the resolution experiments (E2).
@@ -92,12 +102,14 @@ pub struct Violation {
 /// The in-memory object store. Persistence is provided by
 /// [`crate::persist`]; concurrency control by `ccdb-txn` on top.
 ///
-/// The big collections are copy-on-write ([`crate::snapshot`]): cloning the
-/// store shares every untouched object/index/log chunk with the clone, which
-/// is what makes [`crate::shared::SharedStore`]'s per-write snapshot
-/// publication cheap. The schema memo, resolution value cache, and stats
-/// counters are `Arc`-shared across clones (they are caches/telemetry over
-/// immutable schema, not versioned data).
+/// Every versioned collection is a persistent [`RadixMap`] keyed by
+/// surrogate (or log timestamp), or an `Arc` unshared on write: cloning the
+/// store is O(1) and shares every untouched object, index entry and log
+/// event with the clone, which is what makes
+/// [`crate::shared::SharedStore`]'s per-write snapshot publication cheap.
+/// The schema memo, resolution value cache, and stats counters are
+/// `Arc`-shared across clones (they are caches/telemetry over immutable
+/// schema, not versioned data).
 pub struct ObjectStore {
     catalog: Arc<Catalog>,
     /// Shared by every COW clone of this store ([`SurrogateGen`]).
@@ -105,13 +117,16 @@ pub struct ObjectStore {
     /// Set only inside [`ObjectStore::create_as`]: the surrogate the next
     /// created object takes instead of a fresh one.
     replay_as: Option<Surrogate>,
-    objects: CowMap<Surrogate, ObjectData>,
-    classes: BTreeMap<String, ClassDef>,
+    objects: RadixMap<Arc<ObjectData>>,
+    classes: Arc<BTreeMap<String, ClassDef>>,
     /// transmitter → inheritance-relationship objects it feeds.
-    inheritors_of: CowMap<Surrogate, Vec<Surrogate>>,
+    inheritors_of: RadixMap<Vec<Surrogate>>,
     /// object → relationship objects having it as a participant.
-    participant_in: CowMap<Surrogate, Vec<Surrogate>>,
-    adaptation_log: AppendLog<AdaptationEvent>,
+    participant_in: RadixMap<Vec<Surrogate>>,
+    /// Inheritance-relationship objects whose adaptation flag is raised.
+    adaptation_flags: RadixMap<()>,
+    /// Adaptation events keyed by their (unique, increasing) `at`.
+    adaptation_log: RadixMap<AdaptationEvent>,
     clock: u64,
     /// MVCC version stamp: 0 for a standalone store; set by
     /// [`crate::shared::SharedStore`] to the (monotonic, never-reused)
@@ -123,7 +138,7 @@ pub struct ObjectStore {
     /// consulted by commit-time write-write conflict detection
     /// ([`ObjectStore::write_stamp`]). Only maintained once the store is
     /// version-managed (`version > 0`).
-    write_stamps: CowMap<Surrogate, HashMap<String, u64>>,
+    write_stamps: RadixMap<Arc<HashMap<String, u64>>>,
     /// Memoized effective schemas (the catalog is immutable once the store
     /// exists). Disable with [`ObjectStore::set_schema_cache`] for the E2
     /// ablation.
@@ -133,17 +148,17 @@ pub struct ObjectStore {
     /// hash so concurrent hits on different objects never contend
     /// ([`crate::rescache`]). Invalidated *precisely* on writes — the
     /// written object's entries plus the transitive inheritor closure, the
-    /// same traversal [`ObjectStore::propagate_adaptation`] walks — so
+    /// same walk that raises the adaptation flags — so
     /// transmitter updates stay instantly visible (§4 view semantics), and
     /// a sweep locks only the shards the closure maps to. Disable with
     /// [`ObjectStore::set_resolution_cache`] for the E11 ablation.
     res_cache: Arc<ShardedResCache>,
     /// Class-extent secondary index: type name → live surrogates of that
-    /// exact type. Maintained by [`ObjectStore::index_object`] /
-    /// [`ObjectStore::unindex_object`], which wrap every insertion into and
-    /// removal from `objects`, so `select` iterates one type's extent
-    /// instead of the whole store.
-    extent: CowMap<String, HashSet<Surrogate>>,
+    /// exact type, in surrogate order. Maintained by
+    /// [`ObjectStore::insert_object`] / [`ObjectStore::remove_object`], which
+    /// wrap every insertion into and removal from `objects`, so `select`
+    /// iterates one type's extent instead of the whole store.
+    extent: Arc<HashMap<String, RadixMap<()>>>,
     /// Ablation switch for E1: when off, transmitter updates skip the
     /// adaptation-flag walk (losing the paper's notification semantics).
     adaptation_enabled: bool,
@@ -159,20 +174,21 @@ pub struct ObjectStore {
 }
 
 impl Clone for ObjectStore {
-    /// O(shards + chunks + classes) structural-sharing clone — the snapshot
-    /// publication step. The clone shares the schema memo, the resolution
-    /// value cache, and the stats counters with the original (they are
-    /// caches over immutable schema / process telemetry, not versioned
-    /// state); all object data is copy-on-write.
+    /// O(1) structural-sharing clone — the snapshot publication step. The
+    /// clone shares the schema memo, the resolution value cache, and the
+    /// stats counters with the original (they are caches over immutable
+    /// schema / process telemetry, not versioned state); all object data is
+    /// copy-on-write.
     fn clone(&self) -> Self {
         ObjectStore {
             catalog: Arc::clone(&self.catalog),
             gen: self.gen.clone(),
             replay_as: None,
             objects: self.objects.clone(),
-            classes: self.classes.clone(),
+            classes: Arc::clone(&self.classes),
             inheritors_of: self.inheritors_of.clone(),
             participant_in: self.participant_in.clone(),
+            adaptation_flags: self.adaptation_flags.clone(),
             adaptation_log: self.adaptation_log.clone(),
             clock: self.clock,
             version: self.version,
@@ -180,7 +196,7 @@ impl Clone for ObjectStore {
             eff_cache: Arc::clone(&self.eff_cache),
             cache_enabled: Arc::clone(&self.cache_enabled),
             res_cache: Arc::clone(&self.res_cache),
-            extent: self.extent.clone(),
+            extent: Arc::clone(&self.extent),
             adaptation_enabled: self.adaptation_enabled,
             local_reads: Arc::clone(&self.local_reads),
             inherited_reads: Arc::clone(&self.inherited_reads),
@@ -215,18 +231,19 @@ impl ObjectStore {
             catalog: Arc::new(catalog),
             gen: SurrogateGen::new(),
             replay_as: None,
-            objects: CowMap::new(),
-            classes: BTreeMap::new(),
-            inheritors_of: CowMap::new(),
-            participant_in: CowMap::new(),
-            adaptation_log: AppendLog::new(),
+            objects: RadixMap::new(),
+            classes: Arc::default(),
+            inheritors_of: RadixMap::new(),
+            participant_in: RadixMap::new(),
+            adaptation_flags: RadixMap::new(),
+            adaptation_log: RadixMap::new(),
             clock: 0,
             version: 0,
-            write_stamps: CowMap::new(),
+            write_stamps: RadixMap::new(),
             eff_cache: Arc::new(Mutex::new(HashMap::new())),
             cache_enabled: Arc::new(AtomicBool::new(true)),
             res_cache,
-            extent: CowMap::new(),
+            extent: Arc::default(),
             adaptation_enabled: true,
             local_reads: Arc::new(Counter::new()),
             inherited_reads: Arc::new(Counter::new()),
@@ -263,7 +280,7 @@ impl ObjectStore {
     /// transaction's begin version (first committer wins).
     pub fn write_stamp(&self, obj: Surrogate, attr: &str) -> u64 {
         self.write_stamps
-            .get(&obj)
+            .get(obj.0)
             .and_then(|m| m.get(attr))
             .copied()
             .unwrap_or(0)
@@ -272,7 +289,7 @@ impl ObjectStore {
     /// The newest [`ObjectStore::write_stamp`] over all items of `obj`: what
     /// a whole-object write (a cascade delete) is validated against.
     pub fn object_stamp(&self, obj: Surrogate) -> u64 {
-        let stamps = self.write_stamps.get(&obj);
+        let stamps = self.write_stamps.get(obj.0);
         stamps.and_then(|m| m.values().copied().max()).unwrap_or(0)
     }
 
@@ -335,15 +352,65 @@ impl ObjectStore {
         self.res_cache = Arc::new(ShardedResCache::new(8));
     }
 
-    /// Drop the memoized resolutions of `root` and of every object that
-    /// (transitively) inherits through it. With `item: Some(name)` the sweep
-    /// follows only relationships permeable for `name` and drops only that
-    /// attribute's entries — the exact traversal
-    /// [`ObjectStore::propagate_adaptation`] walks for a transmitter update.
-    /// With `None` (bind/unbind/delete: whole-object resolution
-    /// changed) it follows every binding and drops every entry of the
-    /// closure.
-    fn invalidate_resolution(&self, root: Surrogate, item: Option<&str>) {
+    /// The inheritor closure of `root`, walked once: every object reached
+    /// by following inheritance relationships from `root` — only those
+    /// permeable for `item`, or all of them for `None` — starting with
+    /// `root`, plus each relationship crossed, in walk order. A transmitter
+    /// update feeds both the resolution-cache sweep and the adaptation
+    /// flags from this one walk, so the two can never disagree about which
+    /// inheritors a write reaches.
+    fn inheritor_closure(
+        &self,
+        root: Surrogate,
+        item: Option<&str>,
+    ) -> (Vec<Surrogate>, Vec<Crossing>) {
+        let mut closure = Vec::new();
+        let mut crossings = Vec::new();
+        let mut frontier = vec![root];
+        let mut seen = HashSet::new();
+        while let Some(t) = frontier.pop() {
+            if !seen.insert(t) {
+                continue;
+            }
+            closure.push(t);
+            for &rel in self.inheritance_rels_of(t) {
+                let Some(o) = self.objects.get(rel.0) else {
+                    continue;
+                };
+                if let Some(name) = item {
+                    if !self.catalog.is_permeable(&o.type_name, name) {
+                        continue;
+                    }
+                }
+                if let Some(inheritor) = o.inheritor() {
+                    crossings.push(Crossing {
+                        rel,
+                        transmitter: t,
+                        inheritor,
+                    });
+                    // The inheritor may re-transmit the same item further.
+                    frontier.push(inheritor);
+                }
+            }
+        }
+        (closure, crossings)
+    }
+
+    /// Drop every memoized resolution of `root` and of every object that
+    /// (transitively) inherits through it, following every binding: what
+    /// bind/unbind/delete need, since they change which chain an object
+    /// resolves through.
+    fn invalidate_resolution(&self, root: Surrogate) {
+        if self.res_cache.enabled() {
+            let (mut closure, _) = self.inheritor_closure(root, None);
+            self.sweep_resolution(root, &mut closure, None);
+        }
+    }
+
+    /// Drop the memoized resolutions of `closure` (all entries for
+    /// `item: None`, that attribute's only for `Some`), locking only the
+    /// shards the closure maps to, each exactly once.
+    fn sweep_resolution(&self, root: Surrogate, closure: &mut [Surrogate], item: Option<&str>) {
         // No shortcut for an empty cache: the sweep is also what raises the
         // shard watermarks, and a fill from an older snapshot may land
         // *after* this write found nothing to drop.
@@ -358,32 +425,7 @@ impl ObjectStore {
                 None => s.str("item", "*"),
             }
         }
-        // Collect the affected closure first — a read-only traversal of the
-        // binding graph holding no cache locks — then sweep only the shards
-        // that closure maps to, each locked exactly once.
-        let mut closure = Vec::new();
-        let mut frontier = vec![root];
-        let mut seen = HashSet::new();
-        while let Some(t) = frontier.pop() {
-            if !seen.insert(t) {
-                continue;
-            }
-            closure.push(t);
-            for rel in self.inheritors_of.get(&t).map(Vec::as_slice).unwrap_or(&[]) {
-                let Some(o) = self.objects.get(rel) else {
-                    continue;
-                };
-                if let Some(name) = item {
-                    if !self.catalog.is_permeable(&o.type_name, name) {
-                        continue;
-                    }
-                }
-                if let Some(i) = o.inheritor() {
-                    frontier.push(i);
-                }
-            }
-        }
-        let (removed, shards_locked) = self.res_cache.invalidate(&mut closure, item, self.version);
+        let (removed, shards_locked) = self.res_cache.invalidate(closure, item, self.version);
         if let Some(s) = &mut tspan {
             s.u64("swept", closure.len() as u64);
             s.u64("removed", removed);
@@ -443,16 +485,24 @@ impl ObjectStore {
 
     /// Raw object access.
     pub fn object(&self, s: Surrogate) -> CoreResult<&ObjectData> {
-        self.objects.get(&s).ok_or(CoreError::NoSuchObject(s))
+        self.objects
+            .get(s.0)
+            .map(|o| &**o)
+            .ok_or(CoreError::NoSuchObject(s))
     }
 
+    /// Mutable object access; copies the object only if an older version
+    /// still shares it.
     fn object_mut(&mut self, s: Surrogate) -> CoreResult<&mut ObjectData> {
-        self.objects.get_mut(&s).ok_or(CoreError::NoSuchObject(s))
+        self.objects
+            .get_mut(s.0)
+            .map(Arc::make_mut)
+            .ok_or(CoreError::NoSuchObject(s))
     }
 
-    /// All live surrogates (unordered).
+    /// All live surrogates, in surrogate order.
     pub fn surrogates(&self) -> impl Iterator<Item = Surrogate> + '_ {
-        self.objects.keys().copied()
+        self.objects.keys().map(Surrogate)
     }
 
     // ------------------------------------------------------------------
@@ -468,7 +518,7 @@ impl ObjectStore {
                 name: name.into(),
             });
         }
-        self.classes.insert(
+        Arc::make_mut(&mut self.classes).insert(
             name.to_string(),
             ClassDef {
                 type_name: type_name.into(),
@@ -501,8 +551,7 @@ impl ObjectStore {
     /// Add an existing top-level object to a class of matching type.
     pub fn add_to_class(&mut self, class: &str, obj: Surrogate) -> CoreResult<()> {
         let ty = self.object(obj)?.type_name.clone();
-        let c = self
-            .classes
+        let c = Arc::make_mut(&mut self.classes)
             .get_mut(class)
             .ok_or_else(|| CoreError::Unknown {
                 kind: "class",
@@ -548,7 +597,7 @@ impl ObjectStore {
         s: Surrogate,
         create: impl FnOnce(&mut Self) -> CoreResult<Surrogate>,
     ) -> CoreResult<()> {
-        if self.objects.contains_key(&s) {
+        if self.objects.contains_key(s.0) {
             return Err(CoreError::Duplicate {
                 kind: "surrogate",
                 name: s.to_string(),
@@ -564,31 +613,39 @@ impl ObjectStore {
     /// records it in its type's extent index, so the two can never
     /// disagree ([`ObjectStore::verify_integrity`] cross-checks them).
     fn insert_object(&mut self, obj: ObjectData) {
-        self.extent
-            .entry_or_default(obj.type_name.clone())
-            .insert(obj.surrogate);
-        self.objects.insert(obj.surrogate, obj);
+        let extent = Arc::make_mut(&mut self.extent);
+        match extent.get_mut(&obj.type_name) {
+            Some(members) => members.insert(obj.surrogate.0, ()),
+            None => extent
+                .entry(obj.type_name.clone())
+                .or_default()
+                .insert(obj.surrogate.0, ()),
+        };
+        self.objects.insert(obj.surrogate.0, Arc::new(obj));
     }
 
-    /// The one way objects leave `self.objects`: removes the object and
-    /// drops it from its type's extent index.
-    fn remove_object(&mut self, s: Surrogate) -> Option<ObjectData> {
-        let obj = self.objects.remove(&s)?;
-        if let Some(members) = self.extent.get_mut(&obj.type_name) {
-            members.remove(&s);
+    /// The one way objects leave `self.objects`: removes the object, drops
+    /// it from its type's extent index and drops its adaptation flag.
+    fn remove_object(&mut self, s: Surrogate) {
+        let Some(obj) = self.objects.remove(s.0) else {
+            return;
+        };
+        let extent = Arc::make_mut(&mut self.extent);
+        if let Some(members) = extent.get_mut(&obj.type_name) {
+            members.remove(s.0);
             if members.is_empty() {
-                self.extent.remove(&obj.type_name);
+                extent.remove(&obj.type_name);
             }
         }
-        Some(obj)
+        self.adaptation_flags.remove(s.0);
     }
 
     /// Live surrogates of exactly `type_name` (the class-extent index),
-    /// in unspecified order. Empty if the type has no live objects.
+    /// in surrogate order. Empty if the type has no live objects.
     pub fn extent_of(&self, type_name: &str) -> Vec<Surrogate> {
         self.extent
             .get(type_name)
-            .map(|m| m.iter().copied().collect())
+            .map(|m| m.keys().map(Surrogate).collect())
             .unwrap_or_default()
     }
 
@@ -694,7 +751,7 @@ impl ObjectStore {
         self.insert_object(obj);
         for members in map.values() {
             for m in members {
-                self.participant_in.entry_or_default(*m).push(s);
+                self.participant_in.entry_or_default(m.0).push(s);
             }
         }
         for (name, value) in attrs {
@@ -890,13 +947,13 @@ impl ObjectStore {
         self.object_mut(inheritor)?
             .bindings
             .insert(rel_type.to_string(), s);
-        self.inheritors_of.entry_or_default(transmitter).push(s);
+        self.inheritors_of.entry_or_default(transmitter.0).push(s);
         for (name, value) in rel_attrs {
             self.set_attr(s, name, value)?;
         }
         // The inheritor (and anything inheriting through it) now resolves
         // through the new binding.
-        self.invalidate_resolution(inheritor, None);
+        self.invalidate_resolution(inheritor);
         core_metrics().bind.inc();
         event::emit(|| {
             Event::now(
@@ -923,7 +980,6 @@ impl ObjectStore {
                 ObjectKind::InheritanceRel {
                     transmitter,
                     inheritor,
-                    ..
                 } => (*transmitter, *inheritor, o.type_name.clone()),
                 _ => {
                     return Err(CoreError::TypeMismatch {
@@ -934,20 +990,20 @@ impl ObjectStore {
                 }
             }
         };
-        if let Some(list) = self.inheritors_of.get_mut(&transmitter) {
+        if let Some(list) = self.inheritors_of.get_mut(transmitter.0) {
             list.retain(|r| *r != rel_obj);
             if list.is_empty() {
-                self.inheritors_of.remove(&transmitter);
+                self.inheritors_of.remove(transmitter.0);
             }
         }
-        if let Some(inh) = self.objects.get_mut(&inheritor) {
+        if let Ok(inh) = self.object_mut(inheritor) {
             inh.bindings.remove(&rel_ty);
         }
         self.remove_object(rel_obj);
         // The inheritor (and its transitive inheritors) lost a resolution
         // path; the relationship object's own attrs are gone too.
-        self.invalidate_resolution(inheritor, None);
-        self.invalidate_resolution(rel_obj, None);
+        self.invalidate_resolution(inheritor);
+        self.invalidate_resolution(rel_obj);
         core_metrics().unbind.inc();
         event::emit(|| {
             Event::now(
@@ -985,7 +1041,7 @@ impl ObjectStore {
     /// The inheritance-relationship objects fed by `transmitter`.
     pub fn inheritance_rels_of(&self, transmitter: Surrogate) -> &[Surrogate] {
         self.inheritors_of
-            .get(&transmitter)
+            .get(transmitter.0)
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -993,7 +1049,7 @@ impl ObjectStore {
     /// The relationship objects in which `obj` participates (any role).
     pub fn relationships_of(&self, obj: Surrogate) -> &[Surrogate] {
         self.participant_in
-            .get(&obj)
+            .get(obj.0)
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -1001,7 +1057,7 @@ impl ObjectStore {
     /// The binding relationship object of `inheritor` in `rel_type`, if any.
     pub fn binding_of(&self, inheritor: Surrogate, rel_type: &str) -> Option<Surrogate> {
         self.objects
-            .get(&inheritor)
+            .get(inheritor.0)
             .and_then(|o| o.bindings.get(rel_type))
             .copied()
     }
@@ -1275,43 +1331,39 @@ impl ObjectStore {
     /// permeable attribute of a transmitter marks every (transitively)
     /// affected inheritance-relationship object as needing adaptation.
     pub fn set_attr(&mut self, obj: Surrogate, name: &str, value: Value) -> CoreResult<()> {
-        let ty = self.object(obj)?.type_name.clone();
-        match self.local_attr_domain(&ty, name) {
-            Some(domain) => {
-                if !value.conforms_to(&domain) {
-                    return Err(CoreError::DomainMismatch {
+        let o = self.object(obj)?;
+        let Some(domain) = self.local_attr_domain(&o.type_name, name) else {
+            // Inherited → read-only; unknown → no such attribute.
+            if let Ok(eff) = self.effective(&o.type_name) {
+                if eff.attr(name).is_some() {
+                    return Err(CoreError::InheritedReadOnly {
+                        object: obj,
                         attr: name.into(),
-                        expected: domain.describe(),
-                        got: format!("{value}"),
                     });
                 }
-                self.object_mut(obj)?.attrs.insert(name.to_string(), value);
-                if self.version > 0 {
-                    self.write_stamps
-                        .entry_or_default(obj)
-                        .insert(name.to_string(), self.version);
-                }
-                core_metrics().set_attr.inc();
-                self.invalidate_resolution(obj, Some(name));
-                self.propagate_adaptation(obj, name)?;
-                Ok(())
             }
-            None => {
-                // Inherited → read-only; unknown → no such attribute.
-                if let Ok(eff) = self.effective(&ty) {
-                    if eff.attr(name).is_some() {
-                        return Err(CoreError::InheritedReadOnly {
-                            object: obj,
-                            attr: name.into(),
-                        });
-                    }
-                }
-                Err(CoreError::NoSuchAttribute {
-                    object: obj,
-                    attr: name.into(),
-                })
-            }
+            return Err(CoreError::NoSuchAttribute {
+                object: obj,
+                attr: name.into(),
+            });
+        };
+        if !value.conforms_to(&domain) {
+            return Err(CoreError::DomainMismatch {
+                attr: name.into(),
+                expected: domain.describe(),
+                got: format!("{value}"),
+            });
         }
+        self.object_mut(obj)?.attrs.insert(name.to_string(), value);
+        if self.version > 0 {
+            Arc::make_mut(self.write_stamps.entry_or_default(obj.0))
+                .insert(name.to_string(), self.version);
+        }
+        core_metrics().set_attr.inc();
+        let (mut closure, crossings) = self.inheritor_closure(obj, Some(name));
+        self.sweep_resolution(obj, &mut closure, Some(name));
+        self.propagate_adaptation(obj, name, &crossings);
+        Ok(())
     }
 
     /// Enable/disable adaptation tracking (ablation for experiment E1).
@@ -1321,69 +1373,42 @@ impl ObjectStore {
         self.adaptation_enabled = enabled;
     }
 
-    /// Raise `needs_adaptation` on every inheritance-relationship object
-    /// through which `item` of `transmitter` is (transitively) visible.
-    fn propagate_adaptation(&mut self, transmitter: Surrogate, item: &str) -> CoreResult<()> {
-        if !self.adaptation_enabled {
-            return Ok(());
+    /// Raise the adaptation flag of, and log an event for, every
+    /// inheritance relationship `crossings` names: those through which
+    /// `item` of `transmitter` is (transitively) visible.
+    fn propagate_adaptation(&mut self, transmitter: Surrogate, item: &str, crossings: &[Crossing]) {
+        if !self.adaptation_enabled || crossings.is_empty() {
+            return;
         }
         let mut tspan = trace::span("core.adaptation.propagate");
         if let Some(s) = &mut tspan {
             s.u64("transmitter", transmitter.0);
             s.field("item", FieldValue::Owned(item.to_string()));
         }
-        let mut flagged = 0u64;
-        let mut frontier = vec![transmitter];
-        let mut seen = HashSet::new();
-        while let Some(t) = frontier.pop() {
-            if !seen.insert(t) {
-                continue;
+        let shared_item: Arc<str> = Arc::from(item);
+        for c in crossings {
+            // A flag already up is left alone: no write, no unshare.
+            if !self.adaptation_flags.contains_key(c.rel.0) {
+                self.adaptation_flags.insert(c.rel.0, ());
             }
-            let rels: Vec<Surrogate> = self.inheritors_of.get(&t).cloned().unwrap_or_default();
-            for rel in rels {
-                let (rel_ty, inheritor) = {
-                    let o = self.object(rel)?;
-                    (o.type_name.clone(), o.inheritor().unwrap_or_default())
-                };
-                if !self.catalog.is_permeable(&rel_ty, item) {
-                    continue;
-                }
-                self.clock += 1;
-                let at = self.clock;
-                if let Some(o) = self.objects.get_mut(&rel) {
-                    if let ObjectKind::InheritanceRel {
-                        needs_adaptation, ..
-                    } = &mut o.kind
-                    {
-                        *needs_adaptation = true;
+            self.log_adaptation(c, &shared_item);
+            if tspan.is_some() {
+                let mut flag = trace::span("core.adaptation.flag");
+                if let Some(fs) = &mut flag {
+                    fs.u64("rel_obj", c.rel.0);
+                    fs.u64("transmitter", c.transmitter.0);
+                    fs.u64("inheritor", c.inheritor.0);
+                    if let Ok(rel) = self.object(c.rel) {
+                        fs.field("via_rel", FieldValue::Owned(rel.type_name.clone()));
                     }
                 }
-                self.adaptation_log.push(AdaptationEvent {
-                    rel_object: rel,
-                    transmitter: t,
-                    inheritor,
-                    item: item.to_string(),
-                    at,
-                });
-                core_metrics().adaptation_events.inc();
-                flagged += 1;
-                if tspan.is_some() {
-                    let mut flag = trace::span("core.adaptation.flag");
-                    if let Some(fs) = &mut flag {
-                        fs.u64("rel_obj", rel.0);
-                        fs.u64("transmitter", t.0);
-                        fs.u64("inheritor", inheritor.0);
-                        fs.field("via_rel", FieldValue::Owned(rel_ty.clone()));
-                    }
-                }
-                // The inheritor may re-transmit the same item further up.
-                frontier.push(inheritor);
             }
         }
+        let flagged = crossings.len() as u64;
         if let Some(s) = &mut tspan {
             s.u64("fanout", flagged);
         }
-        if flagged > 0 && ccdb_obs::enabled() {
+        if ccdb_obs::enabled() {
             core_metrics().adaptation_fanout.observe(flagged);
             event::emit(|| {
                 Event::now(
@@ -1396,18 +1421,34 @@ impl ObjectStore {
                 )
             });
         }
-        Ok(())
+    }
+
+    /// Append one event to the adaptation log at the next logical time.
+    fn log_adaptation(&mut self, c: &Crossing, item: &Arc<str>) {
+        self.clock += 1;
+        let event = AdaptationEvent {
+            rel_object: c.rel,
+            transmitter: c.transmitter,
+            inheritor: c.inheritor,
+            item: Arc::clone(item),
+            at: self.clock,
+        };
+        self.adaptation_log.insert(self.clock, event);
+        core_metrics().adaptation_events.inc();
     }
 
     /// Adaptation events since a given logical time.
     pub fn adaptation_events_since(&self, at: u64) -> Vec<AdaptationEvent> {
-        let idx = self.adaptation_log.partition_point(|e| e.at <= at);
-        self.adaptation_log.tail_from(idx)
+        let Some(from) = at.checked_add(1) else {
+            return Vec::new();
+        };
+        let events = self.adaptation_log.iter_from(from);
+        events.map(|(_, e)| e.clone()).collect()
     }
 
     /// All adaptation events.
     pub fn adaptation_log(&self) -> Vec<AdaptationEvent> {
-        self.adaptation_log.iter().cloned().collect()
+        self.adaptation_events_since(0)
     }
 
     /// Current logical time.
@@ -1419,9 +1460,7 @@ impl ObjectStore {
     /// adaptation?
     pub fn needs_adaptation(&self, rel_obj: Surrogate) -> CoreResult<bool> {
         match &self.object(rel_obj)?.kind {
-            ObjectKind::InheritanceRel {
-                needs_adaptation, ..
-            } => Ok(*needs_adaptation),
+            ObjectKind::InheritanceRel { .. } => Ok(self.adaptation_flags.contains_key(rel_obj.0)),
             _ => Err(CoreError::TypeMismatch {
                 expected: "inheritance relationship".into(),
                 got: self.object(rel_obj)?.type_name.clone(),
@@ -1432,11 +1471,9 @@ impl ObjectStore {
 
     /// Clear the adaptation flag after the inheritor was (manually) adapted.
     pub fn acknowledge_adaptation(&mut self, rel_obj: Surrogate) -> CoreResult<()> {
-        match &mut self.object_mut(rel_obj)?.kind {
-            ObjectKind::InheritanceRel {
-                needs_adaptation, ..
-            } => {
-                *needs_adaptation = false;
+        match &self.object(rel_obj)?.kind {
+            ObjectKind::InheritanceRel { .. } => {
+                self.adaptation_flags.remove(rel_obj.0);
                 Ok(())
             }
             _ => Err(CoreError::TypeMismatch {
@@ -1506,7 +1543,7 @@ impl ObjectStore {
                 .filter(|r| {
                     // An inheritor inside the same doomed subtree is fine.
                     self.objects
-                        .get(r)
+                        .get(r.0)
                         .and_then(|o| o.inheritor())
                         .map(|i| !doomed.contains(&i))
                         .unwrap_or(false)
@@ -1527,18 +1564,16 @@ impl ObjectStore {
     /// are dissolved and the affected inheritors are flagged for adaptation.
     pub fn delete_force(&mut self, obj: Surrogate) -> CoreResult<()> {
         let doomed = self.collect_subtree(obj)?;
+        let deleted: Arc<str> = Arc::from("<deleted>");
         for d in doomed {
             for rel in self.inheritance_rels_of(d).to_vec() {
                 let inheritor = self.object(rel)?.inheritor().unwrap_or_default();
-                self.clock += 1;
-                self.adaptation_log.push(AdaptationEvent {
-                    rel_object: rel,
+                let crossing = Crossing {
+                    rel,
                     transmitter: d,
                     inheritor,
-                    item: "<deleted>".to_string(),
-                    at: self.clock,
-                });
-                core_metrics().adaptation_events.inc();
+                };
+                self.log_adaptation(&crossing, &deleted);
                 self.unbind(rel)?;
             }
         }
@@ -1557,29 +1592,30 @@ impl ObjectStore {
     }
 
     fn delete_unchecked_rec(&mut self, obj: Surrogate) -> CoreResult<()> {
-        let o = self.object(obj)?.clone();
+        let o = self.objects.get(obj.0).cloned();
+        let o = o.ok_or(CoreError::NoSuchObject(obj))?;
 
         // Cascade into subobjects and subrels first.
         for member in o.all_subclass_members().collect::<Vec<_>>() {
-            if self.objects.contains_key(&member) {
+            if self.objects.contains_key(member.0) {
                 self.delete_unchecked_rec(member)?;
             }
         }
         // Dissolve own inheritance bindings (this object as inheritor).
         for rel in o.bindings.values().copied().collect::<Vec<_>>() {
-            if self.objects.contains_key(&rel) {
+            if self.objects.contains_key(rel.0) {
                 self.unbind(rel)?;
             }
         }
         // Delete relationship objects having this object as a participant.
-        for rel in self.participant_in.remove(&obj).unwrap_or_default() {
-            if self.objects.contains_key(&rel) {
+        for rel in self.participant_in.remove(obj.0).unwrap_or_default() {
+            if self.objects.contains_key(rel.0) {
                 self.delete_unchecked_rec(rel)?;
             }
         }
         // If this *is* an inheritance-relationship object, unbind cleanly.
         if matches!(o.kind, ObjectKind::InheritanceRel { .. }) {
-            if self.objects.contains_key(&obj) {
+            if self.objects.contains_key(obj.0) {
                 self.unbind(obj)?;
             }
             return Ok(());
@@ -1588,7 +1624,7 @@ impl ObjectStore {
         if let ObjectKind::Relationship { participants } = &o.kind {
             for members in participants.values() {
                 for m in members {
-                    if let Some(list) = self.participant_in.get_mut(m) {
+                    if let Some(list) = self.participant_in.get_mut(m.0) {
                         list.retain(|r| *r != obj);
                     }
                 }
@@ -1596,18 +1632,20 @@ impl ObjectStore {
         }
         // Detach from owner.
         if let Some(owner) = &o.owner {
-            if let Some(p) = self.objects.get_mut(&owner.parent) {
+            if let Ok(p) = self.object_mut(owner.parent) {
                 if let Some(list) = p.subclasses.get_mut(&owner.subclass) {
                     list.retain(|m| *m != obj);
                 }
             }
         }
         // Detach from classes.
-        for c in self.classes.values_mut() {
-            c.members.retain(|m| *m != obj);
+        if self.classes.values().any(|c| c.members.contains(&obj)) {
+            for c in Arc::make_mut(&mut self.classes).values_mut() {
+                c.members.retain(|m| *m != obj);
+            }
         }
         self.remove_object(obj);
-        self.invalidate_resolution(obj, None);
+        self.invalidate_resolution(obj);
         Ok(())
     }
 
@@ -1703,30 +1741,27 @@ impl ObjectStore {
             // existing in the effective schema so unknown attributes still
             // surface the interpreter's `NoSuchAttribute`.
             if self.effective(type_name)?.attr(name).is_some() {
-                for &s in extent {
+                for s in extent.keys().map(Surrogate) {
                     if self.attr(s, name)? == *lit {
                         hits.push(s);
                     }
                 }
-                hits.sort();
                 return Ok(hits);
             }
         }
-        for &s in extent {
+        for s in extent.keys().map(Surrogate) {
             if let Value::Bool(true) = eval(self, s, &mut Env::new(), predicate)? {
                 hits.push(s);
             }
         }
-        hits.sort();
         Ok(hits)
     }
 
-    /// Check every object in the store; returns all violations.
+    /// Check every object in the store (in surrogate order); returns all
+    /// violations.
     pub fn check_all(&self) -> CoreResult<Vec<Violation>> {
-        let mut surrogates: Vec<Surrogate> = self.objects.keys().copied().collect();
-        surrogates.sort();
         let mut out = Vec::new();
-        for s in surrogates {
+        for s in self.surrogates() {
             out.extend(self.check_constraints(s)?);
         }
         Ok(out)
@@ -1738,19 +1773,21 @@ impl ObjectStore {
     /// live inheritance-relationship objects naming this object as
     /// inheritor; the `inheritors_of`/`participant_in` indexes agree with
     /// the objects; class members exist and have the class's type; the
-    /// class-extent index and the live objects agree in both directions.
+    /// class-extent index and the live objects agree in both directions;
+    /// every raised adaptation flag belongs to a live inheritance
+    /// relationship.
     pub fn verify_integrity(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        for (s, o) in self.objects.iter() {
+        for (s, o) in self.objects_map() {
             for (subclass, members) in &o.subclasses {
                 for m in members {
-                    match self.objects.get(m) {
+                    match self.objects.get(m.0) {
                         None => problems.push(format!("{s}.{subclass} lists dead member {m}")),
                         Some(mo) => {
                             let ok = mo
                                 .owner
                                 .as_ref()
-                                .map(|w| w.parent == *s && &w.subclass == subclass)
+                                .map(|w| w.parent == s && &w.subclass == subclass)
                                 .unwrap_or(false);
                             if !ok {
                                 problems
@@ -1761,22 +1798,17 @@ impl ObjectStore {
                 }
             }
             for (rel_type, rel) in &o.bindings {
-                match self.objects.get(rel) {
+                match self.objects.get(rel.0) {
                     None => problems.push(format!("{s} binding {rel_type} → dead {rel}")),
                     Some(r) => {
-                        if r.inheritor() != Some(*s) {
+                        if r.inheritor() != Some(s) {
                             problems.push(format!(
                                 "{s} binding {rel_type} → {rel} names a different inheritor"
                             ));
                         }
                         match r.transmitter() {
-                            Some(t) if self.objects.contains_key(&t) => {
-                                let indexed = self
-                                    .inheritors_of
-                                    .get(&t)
-                                    .map(|l| l.contains(rel))
-                                    .unwrap_or(false);
-                                if !indexed {
+                            Some(t) if self.objects.contains_key(t.0) => {
+                                if !self.inheritance_rels_of(t).contains(rel) {
                                     problems.push(format!("inheritors_of[{t}] misses rel {rel}"));
                                 }
                             }
@@ -1788,14 +1820,9 @@ impl ObjectStore {
             if let ObjectKind::Relationship { participants } = &o.kind {
                 for members in participants.values() {
                     for m in members {
-                        if !self.objects.contains_key(m) {
+                        if !self.objects.contains_key(m.0) {
                             problems.push(format!("{s} references dead participant {m}"));
-                        } else if !self
-                            .participant_in
-                            .get(m)
-                            .map(|l| l.contains(s))
-                            .unwrap_or(false)
-                        {
+                        } else if !self.relationships_of(*m).contains(&s) {
                             problems.push(format!("participant_in[{m}] misses rel {s}"));
                         }
                     }
@@ -1803,21 +1830,22 @@ impl ObjectStore {
             }
         }
         for (t, rels) in self.inheritors_of.iter() {
+            let t = Surrogate(t);
             for rel in rels {
                 let ok = self
                     .objects
-                    .get(rel)
-                    .and_then(ObjectData::transmitter)
-                    .map(|tt| tt == *t)
+                    .get(rel.0)
+                    .and_then(|o| o.transmitter())
+                    .map(|tt| tt == t)
                     .unwrap_or(false);
                 if !ok {
                     problems.push(format!("inheritors_of[{t}] lists stale rel {rel}"));
                 }
             }
         }
-        for (name, class) in &self.classes {
+        for (name, class) in self.classes.iter() {
             for m in &class.members {
-                match self.objects.get(m) {
+                match self.objects.get(m.0) {
                     None => problems.push(format!("class `{name}` lists dead member {m}")),
                     Some(o) if o.type_name != class.type_name => {
                         problems.push(format!("class `{name}` member {m} has wrong type"))
@@ -1829,31 +1857,40 @@ impl ObjectStore {
         // Object-level binding cycles: `bind` refuses to create them, but a
         // corrupt or hand-edited persisted store can contain one, which
         // would (absent the resolution depth cap) loop reads forever.
-        for (s, o) in self.objects.iter() {
-            if !o.bindings.is_empty() && self.transitively_inherits_from(*s, *s).unwrap_or(false) {
+        for (s, o) in self.objects_map() {
+            if !o.bindings.is_empty() && self.transitively_inherits_from(s, s).unwrap_or(false) {
                 problems.push(format!("{s} lies on an inheritance-binding cycle"));
             }
         }
         // Class-extent index ↔ objects agreement (both directions).
-        for (s, o) in self.objects.iter() {
+        for (s, o) in self.objects_map() {
             let indexed = self
                 .extent
                 .get(&o.type_name)
-                .map(|m| m.contains(s))
+                .map(|m| m.contains_key(s.0))
                 .unwrap_or(false);
             if !indexed {
                 problems.push(format!("extent[{}] misses {s}", o.type_name));
             }
         }
         for (ty, members) in self.extent.iter() {
-            for m in members {
-                match self.objects.get(m) {
+            for m in members.keys().map(Surrogate) {
+                match self.objects.get(m.0) {
                     None => problems.push(format!("extent[{ty}] lists dead {m}")),
                     Some(o) if &o.type_name != ty => {
                         problems.push(format!("extent[{ty}] lists {m} of type {}", o.type_name))
                     }
                     _ => {}
                 }
+            }
+        }
+        for rel in self.adaptation_flags() {
+            match self.objects.get(rel.0) {
+                None => problems.push(format!("adaptation flag on dead {rel}")),
+                Some(o) if o.transmitter().is_none() => problems.push(format!(
+                    "adaptation flag on {rel}, which is not an inheritance relationship"
+                )),
+                _ => {}
             }
         }
         problems
@@ -1863,12 +1900,26 @@ impl ObjectStore {
     // Internals shared with persistence
     // ------------------------------------------------------------------
 
-    pub(crate) fn objects_map(&self) -> impl Iterator<Item = (&Surrogate, &ObjectData)> + '_ {
-        self.objects.iter()
+    /// Every live object, in surrogate order.
+    pub(crate) fn objects_map(&self) -> impl Iterator<Item = (Surrogate, &ObjectData)> + '_ {
+        self.objects.iter().map(|(s, o)| (Surrogate(s), &**o))
     }
 
     pub(crate) fn classes_map(&self) -> &BTreeMap<String, ClassDef> {
         &self.classes
+    }
+
+    /// The inheritance relationships whose adaptation flag is raised, in
+    /// surrogate order.
+    pub(crate) fn adaptation_flags(&self) -> impl Iterator<Item = Surrogate> + '_ {
+        self.adaptation_flags.keys().map(Surrogate)
+    }
+
+    /// Raise `rel`'s adaptation flag as a persisted store recorded it;
+    /// [`ObjectStore::verify_integrity`] checks that `rel` is a live
+    /// inheritance relationship.
+    pub(crate) fn restore_adaptation_flag(&mut self, rel: Surrogate) {
+        self.adaptation_flags.insert(rel.0, ());
     }
 
     pub(crate) fn restore(
@@ -1885,13 +1936,13 @@ impl ObjectStore {
                 ObjectKind::InheritanceRel { transmitter, .. } => {
                     store
                         .inheritors_of
-                        .entry_or_default(*transmitter)
+                        .entry_or_default(transmitter.0)
                         .push(o.surrogate);
                 }
                 ObjectKind::Relationship { participants } => {
                     for members in participants.values() {
                         for m in members {
-                            store.participant_in.entry_or_default(*m).push(o.surrogate);
+                            store.participant_in.entry_or_default(m.0).push(o.surrogate);
                         }
                     }
                 }
@@ -1899,9 +1950,12 @@ impl ObjectStore {
             }
             store.insert_object(o);
         }
-        for (name, type_name, members) in classes {
-            store.classes.insert(name, ClassDef { type_name, members });
-        }
+        store.classes = Arc::new(
+            classes
+                .into_iter()
+                .map(|(name, type_name, members)| (name, ClassDef { type_name, members }))
+                .collect(),
+        );
         store.gen = SurrogateGen::resume_after(max);
         Ok(store)
     }
@@ -1945,7 +1999,6 @@ impl ObjectView for ObjectStore {
         if let ObjectKind::InheritanceRel {
             transmitter,
             inheritor,
-            ..
         } = &o.kind
         {
             match role {
@@ -1975,7 +2028,7 @@ impl ObjectView for ObjectStore {
     }
 
     fn view_has_attr(&self, obj: Surrogate, name: &str) -> bool {
-        let Some(o) = self.objects.get(&obj) else {
+        let Some(o) = self.objects.get(obj.0) else {
             return false;
         };
         if self.local_attr_domain(&o.type_name, name).is_some() {
@@ -1987,7 +2040,7 @@ impl ObjectView for ObjectStore {
     }
 
     fn view_has_subclass(&self, obj: Surrogate, name: &str) -> bool {
-        let Some(o) = self.objects.get(&obj) else {
+        let Some(o) = self.objects.get(obj.0) else {
             return false;
         };
         if self.local_subclass_spec(&o.type_name, name).is_some()
@@ -2001,7 +2054,7 @@ impl ObjectView for ObjectStore {
     }
 
     fn view_has_participant(&self, obj: Surrogate, name: &str) -> bool {
-        let Some(o) = self.objects.get(&obj) else {
+        let Some(o) = self.objects.get(obj.0) else {
             return false;
         };
         match &o.kind {

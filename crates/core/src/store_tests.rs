@@ -454,7 +454,7 @@ fn transmitter_update_flags_adaptation() {
     assert!(st.needs_adaptation(rel).unwrap());
     let events = st.adaptation_log();
     assert_eq!(events.len(), 1);
-    assert_eq!(events[0].item, "Length");
+    assert_eq!(&*events[0].item, "Length");
     assert_eq!(events[0].inheritor, imp);
     st.acknowledge_adaptation(rel).unwrap();
     assert!(!st.needs_adaptation(rel).unwrap());
@@ -494,8 +494,117 @@ fn adaptation_propagates_through_hierarchy() {
     // TimeBehavior is local to imp and permeable only through SomeOf_Gate.
     st.set_attr(imp, "TimeBehavior", Value::Int(5)).unwrap();
     let events = st.adaptation_log();
-    assert_eq!(events.last().unwrap().item, "TimeBehavior");
+    assert_eq!(&*events.last().unwrap().item, "TimeBehavior");
     assert_eq!(events.last().unwrap().rel_object, rel2);
+}
+
+/// An interface bound to `n` implementations; returns (interface, rels).
+fn fan_out(st: &mut ObjectStore, n: usize) -> (Surrogate, Vec<Surrogate>) {
+    let (interface, ..) = make_interface(st, 10);
+    let rels = (0..n)
+        .map(|_| {
+            let imp = st.create_object("GateImplementation", vec![]).unwrap();
+            st.bind("AllOf_GateInterface", interface, imp, vec![])
+                .unwrap()
+        })
+        .collect();
+    (interface, rels)
+}
+
+#[test]
+fn transmitter_write_shares_every_other_object_with_the_older_version() {
+    let mut st = store();
+    let (interface, rels) = fan_out(&mut st, 220);
+    while st.object_count() < 10_000 {
+        st.create_object("GateInterface_I", vec![]).unwrap();
+    }
+    let before = st.clone();
+    st.set_attr(interface, "Length", Value::Int(11)).unwrap();
+    for &rel in &rels {
+        assert!(st.needs_adaptation(rel).unwrap());
+        assert!(!before.needs_adaptation(rel).unwrap(), "flag leaked back");
+    }
+    // Raising 220 flags copied no object: everything but the written
+    // transmitter — the flagged relationships included — is the very same
+    // allocation in both versions.
+    let mut shared = 0;
+    for s in before.surrogates() {
+        let (old, new) = (before.object(s).unwrap(), st.object(s).unwrap());
+        if s == interface {
+            assert!(!std::ptr::eq(old, new));
+            assert_eq!(old.attrs.get("Length"), Some(&Value::Int(10)));
+        } else {
+            assert!(std::ptr::eq(old, new), "{s} was copied by the write");
+            shared += 1;
+        }
+    }
+    assert_eq!(shared, before.object_count() - 1);
+}
+
+#[test]
+fn removing_a_flagged_relationship_drops_its_flag() {
+    // unbind, delete of the relationship, delete of its inheritor, and
+    // delete_force of its transmitter each remove the relationship object.
+    let removals: [fn(&mut ObjectStore, Surrogate, Surrogate); 4] = [
+        |st, _, rel| st.unbind(rel).unwrap(),
+        |st, _, rel| st.delete(rel).unwrap(),
+        |st, _, rel| {
+            let imp = st.object(rel).unwrap().inheritor().unwrap();
+            st.delete(imp).unwrap()
+        },
+        |st, interface, _| st.delete_force(interface).unwrap(),
+    ];
+    for remove in removals {
+        let mut st = store();
+        let (interface, rels) = fan_out(&mut st, 2);
+        st.set_attr(interface, "Length", Value::Int(11)).unwrap();
+        assert_eq!(st.adaptation_flags().collect::<Vec<_>>(), rels);
+        remove(&mut st, interface, rels[0]);
+        assert!(!st.adaptation_flags().any(|f| f == rels[0]));
+        assert!(
+            st.verify_integrity().is_empty(),
+            "{:?}",
+            st.verify_integrity()
+        );
+    }
+}
+
+#[test]
+fn adaptation_flag_accessors_keep_their_errors() {
+    let mut st = store();
+    let (interface, rels) = fan_out(&mut st, 1);
+    assert!(matches!(
+        st.needs_adaptation(interface),
+        Err(CoreError::TypeMismatch { .. })
+    ));
+    assert!(matches!(
+        st.acknowledge_adaptation(interface),
+        Err(CoreError::TypeMismatch { .. })
+    ));
+    st.unbind(rels[0]).unwrap();
+    assert!(matches!(
+        st.needs_adaptation(rels[0]),
+        Err(CoreError::NoSuchObject(_))
+    ));
+    assert!(matches!(
+        st.acknowledge_adaptation(rels[0]),
+        Err(CoreError::NoSuchObject(_))
+    ));
+}
+
+#[test]
+fn integrity_check_reports_a_flag_on_a_dead_or_non_relationship_object() {
+    let mut st = store();
+    let (interface, rels) = fan_out(&mut st, 1);
+    st.set_attr(interface, "Length", Value::Int(11)).unwrap();
+    assert!(st.verify_integrity().is_empty());
+    st.restore_adaptation_flag(Surrogate(9_999));
+    st.restore_adaptation_flag(interface);
+    let problems = st.verify_integrity();
+    assert_eq!(problems.len(), 2, "{problems:?}");
+    assert!(problems[0].contains(&interface.to_string()), "{problems:?}");
+    assert!(problems[1].contains("dead #9999"), "{problems:?}");
+    assert!(st.needs_adaptation(rels[0]).unwrap());
 }
 
 // ----------------------------------------------------------------------
@@ -677,7 +786,7 @@ fn delete_force_dissolves_bindings_with_notification() {
     );
     let log = st.adaptation_log();
     let last = log.last().unwrap();
-    assert_eq!(last.item, "<deleted>");
+    assert_eq!(&*last.item, "<deleted>");
     assert_eq!(last.inheritor, imp);
 }
 
@@ -1263,7 +1372,6 @@ fn corrupt_binding_cycle_errors_instead_of_hanging() {
         kind: ObjectKind::InheritanceRel {
             transmitter: imp, // cycle: imp transmits to itself
             inheritor: imp,
-            needs_adaptation: false,
         },
         owner: None,
         attrs: Default::default(),

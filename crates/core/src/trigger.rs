@@ -179,6 +179,7 @@ mod tests {
         );
         assert_eq!(st.attr(imp, "DoubledLength").unwrap(), Value::Int(20));
         assert!(!st.needs_adaptation(rel).unwrap(), "flag auto-cleared");
+        assert_eq!(st.adaptation_flags().count(), 0);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! [`PersistentDatabase`] bundles a [`SharedStore`], a [`TxnManager`] and a
 //! [`DurableKv`]. A commit writes the transaction's [`PersistenceDelta`] —
-//! derived from its op log — in one KV transaction *inside* the commit's
+//! derived from its op log — and the store's adaptation flags in one KV
+//! transaction *inside* the commit's
 //! write cycle, after the replay and before the publish: a crash after
 //! commit replays the change, a crash before commit leaves no trace, and a
 //! persistence failure rolls the in-memory commit back.
@@ -104,6 +105,9 @@ impl PersistentDatabase {
             for s in &delta.delete {
                 persist::delete_object(&self.kv, kv_tx, *s)?;
             }
+            // Flags live outside the object records: a write raises them on
+            // relationships it never touched, an unbind or delete drops them.
+            persist::save_adaptation_flags(committed, &self.kv, kv_tx)?;
             self.kv.commit(kv_tx).map_err(CoreError::from)?;
             Ok(())
         })
@@ -256,6 +260,40 @@ mod tests {
             );
             assert!(st.binding_of(imp, "AllOf_If").is_none());
             assert!(st.object(interface).is_ok());
+        });
+    }
+
+    #[test]
+    fn adaptation_flags_follow_committed_transactions() {
+        let dir = tempfile::tempdir().unwrap();
+        let (interface, rel);
+        {
+            let mut st = ObjectStore::new(catalog()).unwrap();
+            interface = st
+                .create_object("If", vec![("Length", Value::Int(5))])
+                .unwrap();
+            let imp = st.create_object("Impl", vec![]).unwrap();
+            let flagged = st.bind("AllOf_If", interface, imp, vec![]).unwrap();
+            st.set_attr(interface, "Length", Value::Int(6)).unwrap();
+            assert!(st.needs_adaptation(flagged).unwrap());
+            let pdb = PersistentDatabase::create(dir.path(), st).unwrap();
+            // Dissolve the flagged relationship: its flag must not outlive it.
+            let mut tx = pdb.begin("alice");
+            tx.unbind(flagged).unwrap();
+            pdb.commit(tx).unwrap();
+            // A committed transmitter write raises the flag of a new binding.
+            let mut tx = pdb.begin("alice");
+            let imp = tx.create_object("Impl", vec![]).unwrap();
+            rel = tx.bind("AllOf_If", interface, imp).unwrap();
+            pdb.commit(tx).unwrap();
+            let mut tx = pdb.begin("alice");
+            tx.write_attr(interface, "Length", Value::Int(7)).unwrap();
+            pdb.commit(tx).unwrap();
+        }
+        let pdb = PersistentDatabase::open(dir.path()).unwrap();
+        pdb.store().read(|st| {
+            assert!(st.needs_adaptation(rel).unwrap());
+            assert!(st.verify_integrity().is_empty());
         });
     }
 

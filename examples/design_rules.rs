@@ -98,7 +98,7 @@ fn main() {
     // -------------------------------------------------------------
     let mut triggers = TriggerRegistry::from_now(&store);
     triggers.register("AllOf_GirderIf", |st, ev| {
-        if ev.item != "Length" {
+        if &*ev.item != "Length" {
             return Ok(TriggerOutcome::Handled);
         }
         if let Value::Int(len) = st.attr(ev.inheritor, "Length")? {
