@@ -318,6 +318,16 @@ enum Item {
     Val(Value),
 }
 
+/// The object a path starts from.
+fn path_start(subject: Surrogate, env: &Env, path: &PathExpr) -> CoreResult<Surrogate> {
+    match &path.root {
+        PathRoot::SelfObject => Ok(subject),
+        PathRoot::Var(v) => env
+            .lookup(v)
+            .ok_or_else(|| CoreError::EvalError(format!("unbound variable `{v}`"))),
+    }
+}
+
 /// Evaluate a path to its (flattened) list of reached values.
 pub fn eval_path<V: ObjectView>(
     view: &V,
@@ -325,12 +335,7 @@ pub fn eval_path<V: ObjectView>(
     env: &Env,
     path: &PathExpr,
 ) -> CoreResult<Vec<Value>> {
-    let start = match &path.root {
-        PathRoot::SelfObject => subject,
-        PathRoot::Var(v) => env
-            .lookup(v)
-            .ok_or_else(|| CoreError::EvalError(format!("unbound variable `{v}`")))?,
-    };
+    let start = path_start(subject, env, path)?;
     let mut frontier = vec![Item::Obj(start)];
     for seg in &path.segments {
         let mut next = Vec::new();
@@ -443,6 +448,16 @@ pub fn eval<V: ObjectView>(
     match expr {
         Expr::Lit(v) => Ok(v.clone()),
         Expr::Path(p) => {
+            // One segment naming an attribute — the common scalar case —
+            // is one view call: `eval_path` would try the attribute first
+            // too, and reach exactly that one value, but through three
+            // vectors.
+            if let [seg] = p.segments.as_slice() {
+                let start = path_start(subject, env, p)?;
+                if view.view_has_attr(start, seg) {
+                    return view.view_attr(start, seg);
+                }
+            }
             let mut vals = eval_path(view, subject, env, p)?;
             match vals.len() {
                 1 => Ok(vals.pop().unwrap()),
@@ -528,8 +543,12 @@ pub fn eval<V: ObjectView>(
                 return Ok(Value::Bool(r));
             }
             let l = eval(view, subject, env, lhs)?;
+            // `Attr op literal` compares against the literal in place.
+            if let Expr::Lit(r) = rhs.as_ref() {
+                return apply_binop(*op, &l, r);
+            }
             let r = eval(view, subject, env, rhs)?;
-            apply_binop(*op, l, r)
+            apply_binop(*op, &l, &r)
         }
         Expr::ForAll { bindings, body } => quantify(view, subject, env, bindings, body, true),
         Expr::Exists { bindings, body } => quantify(view, subject, env, bindings, body, false),
@@ -647,7 +666,7 @@ fn fold_nonempty<V: ObjectView>(
     Ok(Value::Int(acc.unwrap()))
 }
 
-fn apply_binop(op: BinOp, l: Value, r: Value) -> CoreResult<Value> {
+fn apply_binop(op: BinOp, l: &Value, r: &Value) -> CoreResult<Value> {
     use BinOp::*;
     match op {
         Add | Sub | Mul | Div => {
@@ -677,7 +696,7 @@ fn apply_binop(op: BinOp, l: Value, r: Value) -> CoreResult<Value> {
         Eq => Ok(Value::Bool(l == r)),
         Ne => Ok(Value::Bool(l != r)),
         Lt | Le | Gt | Ge => {
-            let ord = match (&l, &r) {
+            let ord = match (l, r) {
                 (Value::Int(a), Value::Int(b)) => a.cmp(b),
                 (Value::Str(a), Value::Str(b)) => a.cmp(b),
                 (Value::Real(a), Value::Real(b)) => a.total_cmp(b),

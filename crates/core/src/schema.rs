@@ -372,6 +372,15 @@ impl Catalog {
             })
     }
 
+    /// The object types declaring `inheritor-in` `rel_type`: the only types
+    /// whose objects `bind` lets inherit through it.
+    pub fn inheritor_types<'a>(&'a self, rel_type: &'a str) -> impl Iterator<Item = &'a str> {
+        self.object_types
+            .values()
+            .filter(move |def| def.inheritor_in.iter().any(|r| r == rel_type))
+            .map(|def| def.name.as_str())
+    }
+
     /// Names of all registered domains (sorted).
     pub fn domain_names(&self) -> Vec<&str> {
         let mut v: Vec<&str> = self.domains.keys().map(String::as_str).collect();

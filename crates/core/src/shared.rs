@@ -45,7 +45,7 @@ use std::time::Instant;
 use parking_lot::RwLock;
 
 use crate::error::CoreResult;
-use crate::expr::{eval, Env, Expr};
+use crate::expr::Expr;
 use crate::lockprobe;
 use crate::metrics::core_metrics;
 use crate::schema::Catalog;
@@ -223,7 +223,8 @@ impl SharedStore {
     /// objects of `type_name` on up to `threads` scoped threads, all
     /// sharing **one** pinned snapshot — the scan is consistent by
     /// construction, writers proceed concurrently, and results are in
-    /// surrogate order, identical to the sequential scan.
+    /// surrogate order, identical to the sequential scan. Each thread runs
+    /// `select`'s own row routine over its chunk of the extent.
     pub fn par_select(
         &self,
         type_name: &str,
@@ -239,16 +240,7 @@ impl SharedStore {
                 .into_iter()
                 .map(|part| {
                     let snap = &snap;
-                    scope.spawn(move || -> CoreResult<Vec<Surrogate>> {
-                        let mut out = Vec::new();
-                        for s in part {
-                            if let Value::Bool(true) = eval(&**snap, s, &mut Env::new(), predicate)?
-                            {
-                                out.push(s);
-                            }
-                        }
-                        Ok(out)
-                    })
+                    scope.spawn(move || snap.select_rows(type_name, part, predicate))
                 })
                 .collect();
             handles

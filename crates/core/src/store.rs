@@ -13,6 +13,7 @@
 //! keeps the flags in a set keyed by the relationship's surrogate, beside
 //! the objects, so raising one never copies object storage.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -1723,38 +1724,103 @@ impl ObjectStore {
     /// boolean predicate (used for top-down component selection, §6, and
     /// ad-hoc queries). Results are in surrogate order.
     ///
-    /// Iterates only the type's class-extent index, not the whole store,
-    /// so the cost scales with that type's population (E13b). A pure
-    /// equality predicate `Attr = literal` on an effective-schema
-    /// attribute additionally skips the expression interpreter and
-    /// compares resolved values directly.
+    /// Defined as [`ObjectStore::select_rows`] over the type's class-extent
+    /// index, so the cost scales with that type's population (E13b). When
+    /// the predicate opens with conditions on attributes the type inherits
+    /// through one relationship, the same answer is computed from the
+    /// transmitters instead ([`ObjectStore::select_pushed`]).
     pub fn select(&self, type_name: &str, predicate: &Expr) -> CoreResult<Vec<Surrogate>> {
         self.catalog.object_type(type_name)?;
         let Some(extent) = self.extent.get(type_name) else {
             return Ok(Vec::new());
         };
-        let mut hits: Vec<Surrogate> = Vec::new();
-        if let Some((name, lit)) = eq_attr_literal(predicate) {
-            // Equivalence to the interpreted path: `eval` resolves a
-            // single-segment self path through the same `attr` call and
-            // `BinOp::Eq` is plain `Value == Value`. Gated on the attribute
-            // existing in the effective schema so unknown attributes still
-            // surface the interpreter's `NoSuchAttribute`.
-            if self.effective(type_name)?.attr(name).is_some() {
-                for s in extent.keys().map(Surrogate) {
-                    if self.attr(s, name)? == *lit {
-                        hits.push(s);
-                    }
-                }
-                return Ok(hits);
-            }
+        if let Some(hits) = self.select_pushed(type_name, extent, predicate) {
+            return Ok(hits);
         }
-        for s in extent.keys().map(Surrogate) {
-            if let Value::Bool(true) = eval(self, s, &mut Env::new(), predicate)? {
+        self.select_rows(type_name, extent.keys().map(Surrogate), predicate)
+    }
+
+    /// The rows among `rows` (objects of `type_name`) on which `predicate`
+    /// evaluates to `true`, in the order given; the first evaluation error
+    /// fails the whole call. The one per-row routine of both
+    /// [`ObjectStore::select`] and [`crate::shared::SharedStore::par_select`].
+    pub(crate) fn select_rows(
+        &self,
+        type_name: &str,
+        rows: impl IntoIterator<Item = Surrogate>,
+        predicate: &Expr,
+    ) -> CoreResult<Vec<Surrogate>> {
+        let view = ExtentView::new(self, type_name);
+        let mut env = Env::new();
+        let mut hits = Vec::new();
+        for s in rows {
+            if let Value::Bool(true) = view.eval_row(s, &mut env, predicate)? {
                 hits.push(s);
             }
         }
         Ok(hits)
+    }
+
+    /// `select` as a semi-join through the inheritance relationship.
+    ///
+    /// Takes the longest leading run of `and`-ed conditions whose every
+    /// path names an attribute `type_name` inherits through one
+    /// relationship type `R`, evaluates that run once per object of `R`'s
+    /// transmitter type, expands the transmitters it holds on to their
+    /// `R`-inheritors in `type_name`'s extent, and evaluates the whole
+    /// predicate on those candidates in surrogate order. An inheritor reads
+    /// an inherited attribute as its transmitter's value of the same name,
+    /// so the run decides each row exactly as it decides the row's
+    /// transmitter, and a row it rejects is rejected without error.
+    ///
+    /// Returns `None`, leaving the answer to the row loop, when the
+    /// predicate opens with no such run, when the transmitters are not
+    /// fewer than the rows, when some object that could inherit through `R`
+    /// is unbound (it reads `Missing`, not a transmitter's value), and when
+    /// any evaluation here errs or yields a non-boolean — so every error
+    /// `select` returns is the row loop's own.
+    fn select_pushed(
+        &self,
+        type_name: &str,
+        extent: &RadixMap<()>,
+        predicate: &Expr,
+    ) -> Option<Vec<Surrogate>> {
+        let eff = self.effective(type_name).ok()?;
+        let mut rel = None;
+        let (prefix, _) = inherited_prefix(predicate, &eff, &mut rel);
+        let (prefix, rel) = (prefix?, rel?);
+        let def = self.catalog.inher_rel_type(rel).ok()?;
+        let transmitters = self.extent.get(&def.transmitter_type)?;
+        if transmitters.len() >= extent.len() {
+            return None;
+        }
+        // `bind` only lets objects of the declaring types inherit through
+        // `R`, each at most once, and every binding is one live `R` object:
+        // equal counts mean every one of them is bound.
+        let extent_len = |ty: &str| self.extent.get(ty).map_or(0, RadixMap::len);
+        let could_inherit: usize = self.catalog.inheritor_types(rel).map(extent_len).sum();
+        if extent_len(rel) != could_inherit {
+            return None;
+        }
+        let view = ExtentView::new(self, &def.transmitter_type);
+        let mut env = Env::new();
+        let mut candidates = Vec::new();
+        for t in transmitters.keys().map(Surrogate) {
+            match view.eval_row(t, &mut env, prefix) {
+                Ok(Value::Bool(true)) => {}
+                Ok(Value::Bool(false)) => continue,
+                _ => return None,
+            }
+            for r in self.inheritance_rels_of(t) {
+                let o = self.objects.get(r.0)?;
+                match o.inheritor() {
+                    Some(i) if o.type_name == rel && extent.contains_key(i.0) => candidates.push(i),
+                    _ => {}
+                }
+            }
+        }
+        candidates.sort_unstable();
+        self.select_rows(type_name, candidates, predicate).ok()
     }
 
     /// Check every object in the store (in surrogate order); returns all
@@ -1961,24 +2027,116 @@ impl ObjectStore {
     }
 }
 
-/// Matches the [`ObjectStore::select`] fast-path shape: an equality between
-/// a single-segment `self` path and a literal (either operand order).
-fn eq_attr_literal(predicate: &Expr) -> Option<(&str, &Value)> {
-    let Expr::Binary {
-        op: BinOp::Eq,
+/// The longest leading run of `e`'s left-deep `and` chain in which every
+/// path is a one-segment `self` path naming an attribute `eff` inherits
+/// through the one relationship type left in `rel` (literals may join in).
+/// Returns the chain node that spans the run, if any, and whether the run
+/// is all of `e`.
+fn inherited_prefix<'e, 's>(
+    e: &'e Expr,
+    eff: &'s EffectiveSchema,
+    rel: &mut Option<&'s str>,
+) -> (Option<&'e Expr>, bool) {
+    if let Expr::Binary {
+        op: BinOp::And,
         lhs,
         rhs,
-    } = predicate
-    else {
-        return None;
-    };
-    match (lhs.as_ref(), rhs.as_ref()) {
-        (Expr::Path(p), Expr::Lit(v)) | (Expr::Lit(v), Expr::Path(p))
-            if p.root == PathRoot::SelfObject && p.segments.len() == 1 =>
-        {
-            Some((p.segments[0].as_str(), v))
+    } = e
+    {
+        let (prefix, whole) = inherited_prefix(lhs, eff, rel);
+        if whole && inherited_only(rhs, eff, rel) {
+            return (Some(e), true);
         }
-        _ => None,
+        return (prefix, false);
+    }
+    if inherited_only(e, eff, rel) {
+        (Some(e), true)
+    } else {
+        (None, false)
+    }
+}
+
+/// Whether every path in `e` names an attribute `eff` inherits through
+/// `rel` (which the first such path fixes). Leaves `rel` untouched when not.
+fn inherited_only<'s>(e: &Expr, eff: &'s EffectiveSchema, rel: &mut Option<&'s str>) -> bool {
+    fn walk<'s>(e: &Expr, eff: &'s EffectiveSchema, rel: &mut Option<&'s str>) -> bool {
+        match e {
+            Expr::Lit(_) => true,
+            Expr::Path(p) => {
+                let [seg] = p.segments.as_slice() else {
+                    return false;
+                };
+                let Some((_, ItemSource::Inherited { via_rel, .. })) = eff.attr(seg) else {
+                    return false;
+                };
+                p.root == PathRoot::SelfObject && *rel.get_or_insert(via_rel) == via_rel.as_str()
+            }
+            Expr::Neg(x) | Expr::Not(x) => walk(x, eff, rel),
+            Expr::Binary { lhs, rhs, .. } => walk(lhs, eff, rel) && walk(rhs, eff, rel),
+            _ => false,
+        }
+    }
+    let mut fixed = *rel;
+    let ok = walk(e, eff, &mut fixed);
+    if ok {
+        *rel = fixed;
+    }
+    ok
+}
+
+/// The store as one `select` pass over objects of one type sees it: the
+/// type's effective schema is fetched once per pass, so asking whether the
+/// row under evaluation has an attribute neither takes the schema memo's
+/// lock nor reads the row's object.
+struct ExtentView<'a> {
+    store: &'a ObjectStore,
+    eff: Option<Arc<EffectiveSchema>>,
+    row: Cell<Option<Surrogate>>,
+}
+
+impl<'a> ExtentView<'a> {
+    fn new(store: &'a ObjectStore, ty: &str) -> Self {
+        ExtentView {
+            store,
+            eff: store.effective(ty).ok(),
+            row: Cell::new(None),
+        }
+    }
+
+    /// Evaluate `expr` on `row`, which must be an object of the view's type.
+    fn eval_row(&self, row: Surrogate, env: &mut Env, expr: &Expr) -> CoreResult<Value> {
+        self.row.set(Some(row));
+        eval(self, row, env, expr)
+    }
+}
+
+impl ObjectView for ExtentView<'_> {
+    fn view_attr(&self, obj: Surrogate, name: &str) -> CoreResult<Value> {
+        self.store.attr(obj, name)
+    }
+
+    fn view_subclass(&self, obj: Surrogate, name: &str) -> CoreResult<Vec<Surrogate>> {
+        self.store.view_subclass(obj, name)
+    }
+
+    fn view_participants(&self, obj: Surrogate, role: &str) -> CoreResult<Vec<Surrogate>> {
+        self.store.view_participants(obj, role)
+    }
+
+    fn view_has_attr(&self, obj: Surrogate, name: &str) -> bool {
+        // An object type's effective schema lists its local attributes too.
+        match &self.eff {
+            Some(eff) if self.row.get() == Some(obj) => eff.attr(name).is_some(),
+            _ => self.store.view_has_attr(obj, name),
+        }
+    }
+
+    fn view_has_subclass(&self, obj: Surrogate, name: &str) -> bool {
+        self.store.view_has_subclass(obj, name)
+    }
+
+    fn view_has_participant(&self, obj: Surrogate, name: &str) -> bool {
+        self.store.view_has_participant(obj, name)
     }
 }
 

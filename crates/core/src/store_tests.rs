@@ -7,7 +7,7 @@
 
 use super::*;
 use crate::domain::Domain;
-use crate::expr::{BinOp, Expr, PathExpr};
+use crate::expr::{eval, BinOp, Env, Expr, PathExpr};
 use crate::schema::{
     AttrDef, Catalog, Constraint, InherRelTypeDef, ObjectTypeDef, RelTypeDef, SubclassSpec,
     SubrelSpec,
@@ -1624,46 +1624,264 @@ fn extent_index_tracks_create_and_delete() {
     assert!(st.verify_integrity().is_empty());
 }
 
-#[test]
-fn select_equality_fast_path_matches_interpreter() {
-    let mut st = store();
-    for k in 0..10 {
-        st.create_object(
-            "GateInterface",
-            vec![("Length", Value::Int(k % 3)), ("Width", Value::Int(4))],
-        )
+// ----------------------------------------------------------------------
+// select: the inheritance pushdown against the row loop
+// ----------------------------------------------------------------------
+
+/// `If {A1: real, S: text}` transmits to `Mid {M}` and, through the same
+/// relationship, to `Other {}`; `Mid` re-transmits `A1` and `M` to
+/// `Comp {Pos}`. `A1` is declared `real` so one value can be an integer and
+/// another a real, which do not order against each other.
+fn scan_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    c.register_object_type(ObjectTypeDef {
+        name: "If".into(),
+        attributes: vec![
+            AttrDef::new("A1", Domain::Real),
+            AttrDef::new("S", Domain::Text),
+        ],
+        ..Default::default()
+    })
+    .unwrap();
+    c.register_inher_rel_type(InherRelTypeDef {
+        name: "AllOf_If".into(),
+        transmitter_type: "If".into(),
+        inheritor_type: None,
+        inheriting: vec!["A1".into(), "S".into()],
+        attributes: vec![],
+        constraints: vec![],
+    })
+    .unwrap();
+    for (name, attrs) in [
+        ("Mid", vec![AttrDef::new("M", Domain::Int)]),
+        ("Other", vec![]),
+    ] {
+        c.register_object_type(ObjectTypeDef {
+            name: name.into(),
+            inheritor_in: vec!["AllOf_If".into()],
+            attributes: attrs,
+            ..Default::default()
+        })
         .unwrap();
-        st.create_object("GateInterface_I", vec![]).unwrap(); // other-type noise
     }
-    let path = Expr::Path(PathExpr::self_path(&["Length"]));
-    let fast = st
-        .select("GateInterface", &Expr::eq(path.clone(), Expr::int(1)))
+    c.register_inher_rel_type(InherRelTypeDef {
+        name: "AllOf_Mid".into(),
+        transmitter_type: "Mid".into(),
+        inheritor_type: None,
+        inheriting: vec!["A1".into(), "M".into()],
+        attributes: vec![],
+        constraints: vec![],
+    })
+    .unwrap();
+    c.register_object_type(ObjectTypeDef {
+        name: "Comp".into(),
+        inheritor_in: vec!["AllOf_Mid".into()],
+        attributes: vec![AttrDef::new("Pos", Domain::Int)],
+        ..Default::default()
+    })
+    .unwrap();
+    c
+}
+
+struct Scan {
+    st: ObjectStore,
+    mids: Vec<Surrogate>,
+    others: Vec<Surrogate>,
+}
+
+/// Four `If`s (`A1` = 0..4) with three `Mid`s each (`M` = 0..3) and two
+/// `Comp`s per `Mid`, plus one `Other` under `If` 0. The `Mid`s are bound
+/// in reverse, so walking the transmitters in surrogate order reaches the
+/// `Mid`s out of it.
+fn scan_store() -> Scan {
+    let mut st = ObjectStore::new(scan_catalog()).unwrap();
+    let ifs: Vec<Surrogate> = (0..4)
+        .map(|k| {
+            let s = Value::Str(format!("if{k}"));
+            st.create_object("If", vec![("A1", Value::Int(k)), ("S", s)])
+                .unwrap()
+        })
+        .collect();
+    let mids: Vec<Surrogate> = (0..12)
+        .map(|k| {
+            st.create_object("Mid", vec![("M", Value::Int(k % 3))])
+                .unwrap()
+        })
+        .collect();
+    for (k, &mid) in mids.iter().enumerate() {
+        st.bind("AllOf_If", ifs[3 - k / 3], mid, vec![]).unwrap();
+        for pos in 0..2 {
+            let comp = st
+                .create_object("Comp", vec![("Pos", Value::Int(pos))])
+                .unwrap();
+            st.bind("AllOf_Mid", mid, comp, vec![]).unwrap();
+        }
+    }
+    let other = st.create_object("Other", vec![]).unwrap();
+    st.bind("AllOf_If", ifs[0], other, vec![]).unwrap();
+    Scan {
+        st,
+        mids,
+        others: vec![other],
+    }
+}
+
+fn attr_path(name: &str) -> Expr {
+    Expr::Path(PathExpr::self_path(&[name]))
+}
+
+fn cmp(op: BinOp, name: &str, k: i64) -> Expr {
+    Expr::bin(op, attr_path(name), Expr::int(k))
+}
+
+fn and(lhs: Expr, rhs: Expr) -> Expr {
+    Expr::bin(BinOp::And, lhs, rhs)
+}
+
+/// `select`'s definition: `eval` on every member of the extent, in
+/// surrogate order; the first error is the answer.
+fn row_loop(st: &ObjectStore, ty: &str, pred: &Expr) -> Result<Vec<Surrogate>, String> {
+    let mut hits = Vec::new();
+    for s in st.extent_of(ty) {
+        match eval(st, s, &mut Env::new(), pred) {
+            Ok(Value::Bool(true)) => hits.push(s),
+            Ok(_) => {}
+            Err(e) => return Err(e.to_string()),
+        }
+    }
+    Ok(hits)
+}
+
+/// `select` against [`row_loop`], errors compared as text; also returns
+/// how many attribute reads the `select` took.
+fn select_exact(st: &ObjectStore, ty: &str, pred: &Expr) -> (Result<Vec<Surrogate>, String>, u64) {
+    let want = row_loop(st, ty, pred);
+    st.reset_stats();
+    let got = st.select(ty, pred).map_err(|e| e.to_string());
+    let stats = st.stats();
+    assert_eq!(got, want, "select {ty} where {pred}");
+    (got, stats.rescache_hits + stats.rescache_misses)
+}
+
+#[test]
+fn pushed_select_reads_the_transmitters_and_answers_in_surrogate_order() {
+    let Scan { st, mids, .. } = scan_store();
+    let pred = and(cmp(BinOp::Ge, "A1", 1), cmp(BinOp::Lt, "A1", 3));
+    let (hits, reads) = select_exact(&st, "Mid", &pred);
+    let hits = hits.unwrap();
+    // If 1 and If 2 feed mids 3..9 (bound in reverse).
+    assert_eq!(hits, mids[3..9].to_vec());
+    assert!(hits.windows(2).all(|w| w[0] < w[1]), "{hits:?}");
+    // Four transmitters (two reads each at most) plus six candidates
+    // (two reads each), not twelve rows.
+    assert!(reads <= 4 * 2 + 6 * 2, "{reads} reads");
+    // A residual conjunct after the pushed run filters the candidates.
+    let pred = and(pred, cmp(BinOp::Lt, "M", 1));
+    let (hits, _) = select_exact(&st, "Mid", &pred);
+    assert_eq!(hits.unwrap(), vec![mids[3], mids[6]]);
+}
+
+#[test]
+fn pushed_select_with_an_unbound_inheritor_errs_like_the_row_loop() {
+    let Scan { mut st, mids, .. } = scan_store();
+    let rel = st.binding_of(mids[7], "AllOf_If").unwrap();
+    st.unbind(rel).unwrap();
+    assert_eq!(st.attr(mids[7], "A1").unwrap(), Value::Missing);
+    // `Missing >= 1` cannot be ordered: the row loop fails on mids[7].
+    let (got, _) = select_exact(&st, "Mid", &cmp(BinOp::Ge, "A1", 1));
+    assert!(got.unwrap_err().contains("cannot order"));
+    // An equality reads `Missing` as just another value.
+    let (got, _) = select_exact(&st, "Mid", &cmp(BinOp::Ne, "A1", 1));
+    assert!(got.unwrap().contains(&mids[7]));
+}
+
+#[test]
+fn pushed_select_ignores_errors_on_transmitters_without_such_inheritors() {
+    let Scan { mut st, mids, .. } = scan_store();
+    // A transmitter whose `A1` does not order against an integer, feeding
+    // only an `Other`: no `Mid` row ever reads it.
+    let odd = st
+        .create_object("If", vec![("A1", Value::Real(0.5))])
         .unwrap();
-    // Literal-on-the-left takes the same fast path.
-    let flipped = st
-        .select("GateInterface", &Expr::eq(Expr::int(1), path.clone()))
+    let other = st.create_object("Other", vec![]).unwrap();
+    st.bind("AllOf_If", odd, other, vec![]).unwrap();
+    let (got, _) = select_exact(&st, "Mid", &cmp(BinOp::Ge, "A1", 3));
+    assert_eq!(got.unwrap(), mids[0..3].to_vec());
+    // Selecting the `Other`s does read it, and fails like the row loop.
+    let (got, _) = select_exact(&st, "Other", &cmp(BinOp::Ge, "A1", 3));
+    assert!(got.is_err());
+}
+
+#[test]
+fn select_with_an_inherited_condition_after_a_local_one_is_exact() {
+    let Scan { st, mids, .. } = scan_store();
+    let pred = and(cmp(BinOp::Lt, "M", 5), cmp(BinOp::Ge, "A1", 3));
+    let (got, _) = select_exact(&st, "Mid", &pred);
+    assert_eq!(got.unwrap(), mids[0..3].to_vec());
+}
+
+#[test]
+fn pushed_select_returns_only_the_selected_type() {
+    let Scan {
+        st, mids, others, ..
+    } = scan_store();
+    // If 0 feeds mids 9..12 and the `Other`.
+    let (got, _) = select_exact(&st, "Mid", &cmp(BinOp::Eq, "A1", 0));
+    assert_eq!(got.unwrap(), mids[9..12].to_vec());
+    let (got, _) = select_exact(&st, "Other", &cmp(BinOp::Eq, "A1", 0));
+    assert_eq!(got.unwrap(), others);
+}
+
+#[test]
+fn pushed_select_through_two_hops_is_exact() {
+    let Scan { st, .. } = scan_store();
+    let (got, reads) = select_exact(&st, "Comp", &cmp(BinOp::Ge, "A1", 3));
+    let hits = got.unwrap();
+    assert_eq!(hits.len(), 6, "If 3's three mids, two comps each");
+    assert!(reads < st.extent_of("Comp").len() as u64, "{reads} reads");
+    let pred = and(cmp(BinOp::Le, "A1", 1), cmp(BinOp::Eq, "M", 2));
+    let (got, _) = select_exact(&st, "Comp", &pred);
+    assert_eq!(got.unwrap().len(), 4);
+}
+
+#[test]
+fn select_shapes_agree_with_the_row_loop() {
+    let Scan { st, .. } = scan_store();
+    let shapes = vec![
+        // A bare equality (either operand order) and a non-boolean
+        // predicate, which selects nothing without error.
+        cmp(BinOp::Eq, "M", 1),
+        Expr::eq(Expr::int(1), attr_path("M")),
+        attr_path("A1"),
+        and(attr_path("A1"), cmp(BinOp::Eq, "M", 1)),
+        Expr::Not(Box::new(cmp(BinOp::Lt, "A1", 2))),
+        and(Expr::Lit(Value::Bool(true)), cmp(BinOp::Gt, "A1", 1)),
+        Expr::eq(attr_path("S"), Expr::Lit(Value::Str("if2".into()))),
+        cmp(BinOp::Lt, "S", 1),
+        // Unknown names fail like the row loop.
+        cmp(BinOp::Eq, "Nope", 1),
+        and(cmp(BinOp::Ge, "A1", 9), cmp(BinOp::Eq, "Nope", 1)),
+    ];
+    for pred in &shapes {
+        for ty in ["Mid", "Comp", "Other"] {
+            let _ = select_exact(&st, ty, pred);
+        }
+    }
+    assert_eq!(
+        row_loop(&st, "Mid", &cmp(BinOp::Eq, "M", 1)).unwrap().len(),
+        4
+    );
+    // A type with no live objects selects nothing, even on unknown names.
+    let mut empty = ObjectStore::new(scan_catalog()).unwrap();
+    assert_eq!(empty.select("Mid", &cmp(BinOp::Eq, "Nope", 1)), Ok(vec![]));
+    // More transmitters than rows: the row loop runs, with the same answer.
+    let i = empty
+        .create_object("If", vec![("A1", Value::Int(1))])
         .unwrap();
-    // Force the interpreter with a shape the fast path does not match.
-    let interpreted = st
-        .select(
-            "GateInterface",
-            &Expr::Not(Box::new(Expr::Not(Box::new(Expr::eq(
-                path.clone(),
-                Expr::int(1),
-            ))))),
-        )
-        .unwrap();
-    assert_eq!(fast, interpreted);
-    assert_eq!(flipped, interpreted);
-    assert_eq!(fast.len(), 3);
-    // Unknown attribute still errors exactly like the interpreter.
-    let missing = Expr::eq(Expr::Path(PathExpr::self_path(&["Nope"])), Expr::int(1));
-    assert!(st.select("GateInterface", &missing).is_err());
-    // A type with no live objects selects empty without erroring.
-    assert!(st
-        .select("GateImplementation", &Expr::eq(path, Expr::int(1)))
-        .unwrap()
-        .is_empty());
+    let mid = empty.create_object("Mid", vec![]).unwrap();
+    empty.bind("AllOf_If", i, mid, vec![]).unwrap();
+    let (got, _) = select_exact(&empty, "Mid", &cmp(BinOp::Eq, "A1", 1));
+    assert_eq!(got.unwrap(), vec![mid]);
 }
 
 #[test]

@@ -52,10 +52,9 @@ fn cerr<T>(msg: impl Into<String>) -> Result<T, CompileError> {
 /// [`Catalog::validate`] (or build an `ObjectStore`) afterwards.
 pub fn compile(decls: &[Decl], catalog: &mut Catalog) -> Result<(), CompileError> {
     let mut cx = Cx {
+        enum_literals: catalog_literals(catalog),
         catalog,
-        enum_literals: HashSet::new(),
     };
-    cx.harvest_existing_literals();
     // Pre-scan the whole chunk for enum literals so constraint lowering is
     // insensitive to declaration order.
     for d in decls {
@@ -113,38 +112,38 @@ struct Cx<'a> {
     enum_literals: HashSet<String>,
 }
 
-impl<'a> Cx<'a> {
-    /// Collect enum literals already known to the catalog (so incremental
-    /// `compile_str` calls resolve literals from earlier chunks).
-    fn harvest_existing_literals(&mut self) {
-        fn walk(d: &Domain, out: &mut HashSet<String>) {
-            match d {
-                Domain::Enum(lits) => out.extend(lits.iter().cloned()),
-                Domain::Record(fields) => fields.iter().for_each(|(_, fd)| walk(fd, out)),
-                Domain::ListOf(i) | Domain::SetOf(i) | Domain::MatrixOf(i) => walk(i, out),
-                _ => {}
-            }
+/// The enum literals already known to the catalog (so incremental
+/// `compile_str` calls and queries resolve literals from earlier chunks).
+fn catalog_literals(catalog: &Catalog) -> HashSet<String> {
+    fn walk(d: &Domain, out: &mut HashSet<String>) {
+        match d {
+            Domain::Enum(lits) => out.extend(lits.iter().cloned()),
+            Domain::Record(fields) => fields.iter().for_each(|(_, fd)| walk(fd, out)),
+            Domain::ListOf(i) | Domain::SetOf(i) | Domain::MatrixOf(i) => walk(i, out),
+            _ => {}
         }
-        let mut lits = HashSet::new();
-        for name in self.catalog.object_type_names() {
-            if let Ok(def) = self.catalog.object_type(name) {
-                for a in &def.attributes {
-                    walk(&a.domain, &mut lits);
-                }
-            }
-        }
-        for name in self.catalog.rel_type_names() {
-            if let Ok(def) = self.catalog.rel_type(name) {
-                for a in &def.attributes {
-                    walk(&a.domain, &mut lits);
-                }
-            }
-        }
-        // Named domains are not enumerable through the public API piecemeal;
-        // attribute domains cover the constraint use cases.
-        self.enum_literals.extend(lits);
     }
+    let mut lits = HashSet::new();
+    for name in catalog.object_type_names() {
+        if let Ok(def) = catalog.object_type(name) {
+            for a in &def.attributes {
+                walk(&a.domain, &mut lits);
+            }
+        }
+    }
+    for name in catalog.rel_type_names() {
+        if let Ok(def) = catalog.rel_type(name) {
+            for a in &def.attributes {
+                walk(&a.domain, &mut lits);
+            }
+        }
+    }
+    // Named domains are not enumerable through the public API piecemeal;
+    // attribute domains cover the constraint use cases.
+    lits
+}
 
+impl<'a> Cx<'a> {
     fn decl(&mut self, d: &Decl) -> Result<(), CompileError> {
         match d {
             Decl::Domain { name, body } => {
@@ -801,14 +800,13 @@ pub fn lower_query_expr(
     ast: &LExpr,
     catalog: &Catalog,
 ) -> Result<ccdb_core::expr::Expr, CompileError> {
-    // Cx needs &mut Catalog only to register things; queries never register,
-    // so work on a clone of the catalog handle via an owned copy.
-    let mut scratch = catalog.clone();
+    // Lowering an expression reads only the enum literals; the catalog in
+    // `Cx` is there for declarations to register into, so it stays empty.
+    let mut unused = Catalog::default();
     let mut cx = Cx {
-        catalog: &mut scratch,
-        enum_literals: HashSet::new(),
+        catalog: &mut unused,
+        enum_literals: catalog_literals(catalog),
     };
-    cx.harvest_existing_literals();
     cx.expr(ast, &Scope::default())
 }
 

@@ -4,15 +4,20 @@
 //! through both. This is the §4.1 instant-visibility guarantee — the memo
 //! may never serve a stale value past a write, a (re)bind, an unbind, or a
 //! delete and re-create.
+//!
+//! The same streams check `select`: after every operation, predicates that
+//! the store answers from the transmitters, from the rows, or from both
+//! must select what `eval` selects row by row, in both stores.
 
 use ccdb_core::domain::Domain;
+use ccdb_core::expr::{eval, BinOp, Env, Expr, PathExpr};
 use ccdb_core::schema::{AttrDef, Catalog, InherRelTypeDef, ObjectTypeDef};
 use ccdb_core::store::ObjectStore;
 use ccdb_core::{Surrogate, Value};
 use proptest::prelude::*;
 
 /// Two-hop abstraction chain: `If` transmits X/Y to `Mid`, which re-exports
-/// both to `Leaf`.
+/// both to `Leaf`. `Mid` and `Leaf` each add a local attribute.
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
     c.register_object_type(ObjectTypeDef {
@@ -36,6 +41,7 @@ fn catalog() -> Catalog {
     c.register_object_type(ObjectTypeDef {
         name: "Mid".into(),
         inheritor_in: vec!["AllOf_If".into()],
+        attributes: vec![AttrDef::new("M", Domain::Int)],
         ..Default::default()
     })
     .unwrap();
@@ -51,6 +57,7 @@ fn catalog() -> Catalog {
     c.register_object_type(ObjectTypeDef {
         name: "Leaf".into(),
         inheritor_in: vec!["AllOf_Mid".into()],
+        attributes: vec![AttrDef::new("L", Domain::Int)],
         ..Default::default()
     })
     .unwrap();
@@ -63,6 +70,9 @@ struct Population {
     leafs: Vec<Surrogate>,
 }
 
+/// Two `If`s, four `Mid`s and eight `Leaf`s, so each level has fewer
+/// transmitters than inheritors; the ops below only touch the first two of
+/// each, and `Mid` k inherits from `If` k % 2, `Leaf` k from `Mid` k % 4.
 fn populate(st: &mut ObjectStore) -> Population {
     let ifs: Vec<Surrogate> = (0..2)
         .map(|k| {
@@ -70,15 +80,20 @@ fn populate(st: &mut ObjectStore) -> Population {
                 .unwrap()
         })
         .collect();
-    let mids: Vec<Surrogate> = (0..2)
-        .map(|_| st.create_object("Mid", vec![]).unwrap())
+    let mids: Vec<Surrogate> = (0..4)
+        .map(|k| st.create_object("Mid", vec![("M", Value::Int(k))]).unwrap())
         .collect();
-    let leafs: Vec<Surrogate> = (0..2)
-        .map(|_| st.create_object("Leaf", vec![]).unwrap())
+    let leafs: Vec<Surrogate> = (0..8)
+        .map(|k| {
+            st.create_object("Leaf", vec![("L", Value::Int(k))])
+                .unwrap()
+        })
         .collect();
-    for k in 0..2 {
-        st.bind("AllOf_If", ifs[k], mids[k], vec![]).unwrap();
-        st.bind("AllOf_Mid", mids[k], leafs[k], vec![]).unwrap();
+    for (k, mid) in mids.iter().enumerate() {
+        st.bind("AllOf_If", ifs[k % 2], *mid, vec![]).unwrap();
+    }
+    for (k, leaf) in leafs.iter().enumerate() {
+        st.bind("AllOf_Mid", mids[k % 4], *leaf, vec![]).unwrap();
     }
     Population { ifs, mids, leafs }
 }
@@ -135,6 +150,65 @@ fn observe(st: &ObjectStore, p: &Population) -> Vec<Result<Value, String>> {
     out
 }
 
+fn path(name: &str) -> Expr {
+    Expr::Path(PathExpr::self_path(&[name]))
+}
+
+fn cmp(op: BinOp, name: &str, v: i64) -> Expr {
+    Expr::bin(op, path(name), Expr::int(v))
+}
+
+fn and(lhs: Expr, rhs: Expr) -> Expr {
+    Expr::bin(BinOp::And, lhs, rhs)
+}
+
+/// Predicates over `X`/`Y` (inherited) and `local` (the type's own
+/// attribute): a leading run on inherited attributes alone, a local
+/// condition first, and each followed by the other.
+fn predicates(local: &str, v: i64) -> Vec<Expr> {
+    vec![
+        cmp(BinOp::Ge, "X", v),
+        and(cmp(BinOp::Ge, "X", v), cmp(BinOp::Lt, "Y", v + 20)),
+        Expr::Not(Box::new(cmp(BinOp::Eq, "Y", v))),
+        Expr::eq(Expr::bin(BinOp::Add, path("X"), path("Y")), Expr::int(v)),
+        cmp(BinOp::Lt, local, 3),
+        and(cmp(BinOp::Lt, local, 3), cmp(BinOp::Ge, "X", v)),
+        and(cmp(BinOp::Ne, "X", v), cmp(BinOp::Lt, local, 3)),
+        and(
+            and(cmp(BinOp::Le, "Y", v), cmp(BinOp::Ne, "X", v)),
+            cmp(BinOp::Ge, local, 1),
+        ),
+    ]
+}
+
+/// `eval` on every member of the extent, in surrogate order; the first
+/// error is the answer.
+fn row_loop(st: &ObjectStore, ty: &str, pred: &Expr) -> Result<Vec<Surrogate>, String> {
+    let mut hits = Vec::new();
+    for s in st.extent_of(ty) {
+        match eval(st, s, &mut Env::new(), pred) {
+            Ok(Value::Bool(true)) => hits.push(s),
+            Ok(_) => {}
+            Err(e) => return Err(e.to_string()),
+        }
+    }
+    Ok(hits)
+}
+
+/// `select` on `Mid` and `Leaf` for every predicate shape, checked against
+/// the row loop, as comparable results.
+fn selections(st: &ObjectStore, v: i64) -> Vec<Result<Vec<Surrogate>, String>> {
+    let mut out = Vec::new();
+    for (ty, local) in [("Mid", "M"), ("Leaf", "L")] {
+        for pred in predicates(local, v) {
+            let got = st.select(ty, &pred).map_err(|e| e.to_string());
+            assert_eq!(got, row_loop(st, ty, &pred), "select {ty} where {pred}");
+            out.push(got);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -168,6 +242,11 @@ proptest! {
                     observe(&cached, &p_cached),
                     observe(&shadow, &p_shadow),
                     "divergence after op {} on target {} with {} shards", op, t, shards
+                );
+                prop_assert_eq!(
+                    selections(&cached, *v),
+                    selections(&shadow, *v),
+                    "select divergence after op {} on target {} with {} shards", op, t, shards
                 );
             }
             prop_assert!(cached.verify_integrity().is_empty());
