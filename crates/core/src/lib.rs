@@ -96,9 +96,9 @@ pub mod prelude {
         RelTypeDef, SubclassSpec, SubrelSpec,
     };
     pub use crate::shared::SharedStore;
-    pub use crate::store::{AdaptationEvent, ObjectStore, StoreStats, Violation};
+    pub use crate::store::{FlagItems, ObjectStore, StoreStats, Violation};
     pub use crate::surrogate::Surrogate;
-    pub use crate::trigger::{ProcessReport, TriggerOutcome, TriggerRegistry};
+    pub use crate::trigger::{AdaptationEvent, ProcessReport, TriggerOutcome, TriggerRegistry};
     pub use crate::value::Value;
 }
 

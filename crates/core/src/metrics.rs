@@ -27,7 +27,8 @@ pub(crate) struct CoreMetrics {
     pub bind: Arc<Counter>,
     /// `ccdb_core_store_unbind_total`
     pub unbind: Arc<Counter>,
-    /// `ccdb_core_adaptation_events_total`
+    /// `ccdb_core_adaptation_events_total` — items newly raised on an
+    /// adaptation flag (a raise that finds its item present counts nothing).
     pub adaptation_events: Arc<Counter>,
     /// `ccdb_core_adaptation_fanout` — relationship objects flagged per
     /// transmitter update that flagged at least one.
@@ -38,16 +39,12 @@ pub(crate) struct CoreMetrics {
     /// `ccdb_core_rescache_misses_total` — attr reads that walked the chain
     /// and filled the cache.
     pub rescache_misses: Arc<Counter>,
-    /// `ccdb_core_rescache_invalidations_total` — cache entries dropped by
-    /// write-path invalidation.
+    /// `ccdb_core_rescache_invalidations_total` — cache entries a read
+    /// found stale (a dependency changed since the entry was resolved).
     pub rescache_invalidations: Arc<Counter>,
     /// `ccdb_core_rescache_shard_count` — stripes in the most recently
     /// constructed store's resolution cache.
     pub rescache_shard_count: Arc<Gauge>,
-    /// `ccdb_core_rescache_shard_sweeps_total` — shards locked by
-    /// invalidation sweeps (the single-lock design would count one full
-    /// cache lock per sweep here).
-    pub rescache_shard_sweeps: Arc<Counter>,
     /// `ccdb_core_snapshot_age_ms` — milliseconds since the most recent
     /// snapshot publication (refreshed on every snapshot pin and publish).
     pub snapshot_age_ms: Arc<Gauge>,
@@ -59,7 +56,7 @@ pub(crate) struct CoreMetrics {
     /// `ccdb_core_snapshot_version` — most recently published version.
     pub snapshot_version: Arc<Gauge>,
     /// `ccdb_core_snapshot_rollbacks_total` — write cycles that panicked
-    /// and were rolled back to the last published version.
+    /// or failed and were rolled back to the last published version.
     pub snapshot_rollbacks: Arc<Counter>,
 }
 
@@ -82,7 +79,6 @@ pub(crate) fn core_metrics() -> &'static CoreMetrics {
             rescache_misses: r.counter("ccdb_core_rescache_misses_total"),
             rescache_invalidations: r.counter("ccdb_core_rescache_invalidations_total"),
             rescache_shard_count: r.gauge("ccdb_core_rescache_shard_count"),
-            rescache_shard_sweeps: r.counter("ccdb_core_rescache_shard_sweeps_total"),
             snapshot_age_ms: r.gauge("ccdb_core_snapshot_age_ms"),
             snapshot_publish_ns: r.histogram(
                 "ccdb_core_snapshot_publish_ns",

@@ -2,7 +2,8 @@
 //! WAL-protected KV store of `ccdb-storage`.
 //!
 //! Layout: key 0 holds the serialized catalog, key 1 the class directory,
-//! key 2 the raised adaptation flags, and each object lives at
+//! key 2 the raised adaptation flags with their items, and each object
+//! lives at
 //! `OBJ_BASE + surrogate`. Objects are serialized
 //! as JSON (one record per object), so individual object updates map to
 //! individual transactional KV writes — [`save_object`] is what an
@@ -21,6 +22,7 @@ use crate::object::ObjectData;
 use crate::schema::Catalog;
 use crate::store::ObjectStore;
 use crate::surrogate::Surrogate;
+use crate::trigger::UNKNOWN_ITEM;
 
 /// Key of the catalog record.
 pub const KEY_CATALOG: u64 = 0;
@@ -83,16 +85,31 @@ pub fn save_object(store: &ObjectStore, kv: &DurableKv, tx: KvTx, s: Surrogate) 
     Ok(())
 }
 
+/// One raised adaptation flag in the flag record: relationship, items.
+type FlagRow = (Surrogate, Vec<String>);
+
 /// Rewrite the record of raised adaptation flags inside an existing
 /// transaction.
 pub fn save_adaptation_flags(store: &ObjectStore, kv: &DurableKv, tx: KvTx) -> CoreResult<()> {
-    let flags: Vec<Surrogate> = store.adaptation_flags().collect();
+    let flags: Vec<FlagRow> = store
+        .adaptation_flags()
+        .map(|(rel, items)| (rel, (**items).clone()))
+        .collect();
     kv.put(
         tx,
         KEY_FLAGS,
         &serde_json::to_vec(&flags).map_err(codec_err)?,
     )?;
     Ok(())
+}
+
+/// Decode the flag record. One of bare surrogates, written before flags
+/// kept their items, loads each flag with the item [`UNKNOWN_ITEM`].
+fn decode_flags(bytes: &[u8]) -> CoreResult<Vec<FlagRow>> {
+    let bare = |rels: Vec<Surrogate>| rels.into_iter().map(|r| (r, vec![UNKNOWN_ITEM.into()]));
+    let rows = serde_json::from_slice(bytes);
+    rows.or_else(|_| serde_json::from_slice(bytes).map(|rels| bare(rels).collect()))
+        .map_err(codec_err)
 }
 
 /// Whether an object record carries the flag the pre-flag-record layout
@@ -118,8 +135,8 @@ pub fn load_store(kv: &DurableKv) -> CoreResult<ObjectStore> {
         Some(bytes) => serde_json::from_slice(&bytes).map_err(codec_err)?,
         None => vec![],
     };
-    let flags: Option<Vec<Surrogate>> = match kv.get(KEY_FLAGS)? {
-        Some(bytes) => Some(serde_json::from_slice(&bytes).map_err(codec_err)?),
+    let flags = match kv.get(KEY_FLAGS)? {
+        Some(bytes) => Some(decode_flags(&bytes)?),
         None => None,
     };
     let mut objects = Vec::new();
@@ -130,7 +147,7 @@ pub fn load_store(kv: &DurableKv) -> CoreResult<ObjectStore> {
         }
         let obj: ObjectData = serde_json::from_slice(&bytes).map_err(codec_err)?;
         if flags.is_none() && legacy_flag(&bytes)? {
-            legacy_flags.push(obj.surrogate);
+            legacy_flags.push((obj.surrogate, vec![UNKNOWN_ITEM.into()]));
         }
         objects.push(obj);
     }
@@ -139,9 +156,9 @@ pub fn load_store(kv: &DurableKv) -> CoreResult<ObjectStore> {
     // leaves its flag in the record; such a flag names nothing and is
     // dropped. A flag on a live object that is no relationship is refused
     // below.
-    for rel in flags.unwrap_or(legacy_flags) {
+    for (rel, items) in flags.unwrap_or(legacy_flags) {
         if store.object(rel).is_ok() {
-            store.restore_adaptation_flag(rel);
+            store.restore_adaptation_flag(rel, items);
         }
     }
     // A persisted store may have been edited (or corrupted) outside this
@@ -266,6 +283,46 @@ mod tests {
         kv.put(tx, KEY_FLAGS, &forged).unwrap();
         kv.commit(tx).unwrap();
         assert!(matches!(load_store(&kv), Err(CoreError::Storage(_))));
+    }
+
+    #[test]
+    fn triggers_survive_save_and_load() {
+        use crate::trigger::{TriggerOutcome, TriggerRegistry};
+
+        let (mut store, interface, implementation) = sample_store();
+        let rel = store.binding_of(implementation, "AllOf_If").unwrap();
+        store.set_attr(interface, "Length", Value::Int(6)).unwrap();
+        let dir = tempfile::tempdir().unwrap();
+        let kv = DurableKv::open(dir.path()).unwrap();
+        save_store(&store, &kv).unwrap();
+
+        let mut loaded = load_store(&kv).unwrap();
+        let mut triggers = TriggerRegistry::new();
+        triggers.register("AllOf_If", move |_, ev| {
+            assert_eq!((ev.rel_object, &*ev.item), (rel, "Length"));
+            Ok(TriggerOutcome::Handled)
+        });
+        let report = triggers.process(&mut loaded).unwrap();
+        assert_eq!((report.events, report.handled), (1, 1));
+        assert!(!loaded.needs_adaptation(rel).unwrap());
+    }
+
+    #[test]
+    fn a_flag_record_of_bare_surrogates_loads_with_unknown_items() {
+        let (store, _, implementation) = sample_store();
+        let rel = store.binding_of(implementation, "AllOf_If").unwrap();
+        let dir = tempfile::tempdir().unwrap();
+        let kv = DurableKv::open(dir.path()).unwrap();
+        save_store(&store, &kv).unwrap();
+        let tx = kv.begin().unwrap();
+        let bare = serde_json::to_vec(&vec![rel]).unwrap();
+        kv.put(tx, KEY_FLAGS, &bare).unwrap();
+        kv.commit(tx).unwrap();
+
+        let loaded = load_store(&kv).unwrap();
+        assert!(loaded.needs_adaptation(rel).unwrap());
+        let (flagged, items) = loaded.adaptation_flags().next().unwrap();
+        assert_eq!((flagged, &**items), (rel, &vec![UNKNOWN_ITEM.to_string()]));
     }
 
     #[test]

@@ -1,38 +1,12 @@
-//! Lock-striped, version-stamped resolution value cache.
+//! Lock-striped resolution value cache that validates on read.
 //!
-//! The read path of the store is dominated by memoized [`crate::ObjectStore::attr`]
-//! lookups; with a single `RwLock` around the whole memo table, every
-//! concurrent cache hit still contends on one lock word. This module
-//! stripes the table into N shards keyed by a surrogate hash, so hits on
-//! different objects take different locks and scale with cores, while
-//! invalidation sweeps lock **only the shards the affected closure maps
-//! to** instead of the whole cache.
-//!
-//! Enable/disable semantics are atomic with respect to concurrent fills:
-//! a fill re-checks the enabled flag *under its shard's write lock*, and
-//! `set_enabled(false)` clears every shard under that same lock, so once
-//! disable returns no entry exists and no in-flight fill can resurrect
-//! one (see [`ShardedResCache::set_enabled`]).
-//!
-//! ## MVCC versioning
-//!
-//! Since the cache is shared across every live snapshot of a
-//! [`crate::shared::SharedStore`] (it is a memo, not versioned state), two
-//! stamps keep readers pinned to old snapshots from observing — or
-//! poisoning — newer data:
-//!
-//! * every entry records the **store version it was computed at**; a reader
-//!   only accepts entries stamped at or below its own snapshot version, so
-//!   a value filled by the in-progress write cycle is invisible until that
-//!   cycle publishes;
-//! * every shard records an **invalidation watermark** — the highest
-//!   version whose write-path sweep touched the shard; a fill stamped
-//!   below the watermark is rejected, so a reader that resolved a value
-//!   from an old snapshot *after* a newer write swept the shard cannot
-//!   re-insert the stale value.
-//!
-//! A standalone (non-shared) store always runs at version 0, for which both
-//! checks degenerate to the unversioned behavior.
+//! Memoized [`crate::ObjectStore::attr`] results live in N shards keyed by
+//! a surrogate hash, so hits on different objects take different locks.
+//! No write touches the cache: an entry records the store's mutation
+//! counter ([`crate::ObjectStore::tick`]) it was resolved at and the
+//! relationships it crossed ([`Deps`]), and each reader checks those in
+//! *its own* snapshot (DESIGN §6.1). Staleness is thus ruled out by what
+//! the entry records, not by the order writers and readers touch the cache.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,15 +16,57 @@ use parking_lot::RwLock;
 use crate::surrogate::Surrogate;
 use crate::value::Value;
 
-/// One shard: surrogate → attribute → (memoized resolved value, version it
-/// was resolved at), plus the shard's invalidation watermark.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<Surrogate, HashMap<String, (Value, u64)>>,
-    /// Highest store version whose invalidation sweep locked this shard.
-    /// Fills stamped below it raced with a newer write and are rejected.
-    watermark: u64,
+/// Relationships an entry records (two-hop chains and shorter).
+const INLINE_RELS: usize = 2;
+
+/// Marks a chain [`Deps`] could not record.
+const UNRECORDED: u32 = u32::MAX;
+
+/// What one resolved value depends on: the inheritance relationships its
+/// chain crossed, in order, as 32-bit surrogates (0 ends the list); the
+/// holder is the last one's transmitter, or the entry's own object. A chain
+/// this cannot record is served only at the position it was resolved at.
+/// With a boxed-`str` key, an entry is no larger than one without deps.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Deps([u32; INLINE_RELS]);
+
+impl Deps {
+    /// Record one crossing, through `rel`.
+    pub fn cross(&mut self, rel: Surrogate) {
+        if *self == Self::UNRECORDED {
+            return;
+        }
+        match (u32::try_from(rel.0), self.0.iter().position(|r| *r == 0)) {
+            (Ok(r), Some(free)) if r != 0 && r != UNRECORDED => self.0[free] = r,
+            _ => *self = Self::UNRECORDED,
+        }
+    }
+
+    /// Deps of a value valid only at the position it was resolved at.
+    pub const UNRECORDED: Deps = Deps([UNRECORDED; INLINE_RELS]);
+
+    /// The relationships crossed, in chain order; `None` if the chain was
+    /// not recorded.
+    pub fn rels(&self) -> Option<impl Iterator<Item = Surrogate> + '_> {
+        let crossed = self.0.iter().take_while(|r| **r != 0);
+        (*self != Self::UNRECORDED).then_some(crossed.map(|r| Surrogate(u64::from(*r))))
+    }
 }
+
+/// What a cache lookup found.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Lookup {
+    /// A valid entry: the value as the reader's snapshot resolves it.
+    Hit(Value),
+    /// An entry whose dependencies changed in the reader's snapshot.
+    Stale,
+    /// No entry, or one resolved after the reader's position.
+    Miss,
+}
+
+/// One shard: surrogate → attribute → (value, position it was resolved at,
+/// deps).
+type Shard = HashMap<Surrogate, HashMap<Box<str>, (Value, u64, Deps)>>;
 
 /// Default shard count for [`ShardedResCache`] (rounded up to a power of
 /// two). Sixteen shards keep contention negligible for the thread counts
@@ -109,109 +125,74 @@ impl ShardedResCache {
         }
     }
 
-    /// Drop every entry in every shard (watermarks are kept). Used by the
-    /// disable path and by [`crate::shared::SharedStore`]'s write-cycle
-    /// rollback, where fills made by the aborted cycle must not survive.
+    /// Drop every entry in every shard. Used by the disable path and by
+    /// [`crate::shared::SharedStore`]'s write-cycle rollback, whose
+    /// mutation counter positions the next cycle reuses.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            shard.write().map.clear();
+            shard.write().clear();
         }
     }
 
-    /// Cached value for `(obj, name)` as seen from store version
-    /// `reader_version`, taking only the owning shard's shared lock —
-    /// concurrent hits on other shards never contend. Entries stamped
-    /// above the reader's version (filled by a not-yet-published write
-    /// cycle) are invisible.
-    pub fn get(&self, obj: Surrogate, name: &str, reader_version: u64) -> Option<Value> {
-        self.shards[self.shard_of(obj)]
-            .read()
-            .map
-            .get(&obj)
-            .and_then(|per_obj| per_obj.get(name))
-            .filter(|(_, v)| *v <= reader_version)
-            .map(|(value, _)| value.clone())
+    /// The entry for `(obj, name)` as seen by a reader at position
+    /// `reader_at`, taking only the owning shard's shared lock — concurrent
+    /// hits on other shards never contend. An entry resolved after
+    /// `reader_at` is a miss; one for which `unchanged(deps, resolved_at)`
+    /// is false in the reader's snapshot is stale. Neither is removed: the
+    /// reader's own fill replaces it.
+    pub fn get(
+        &self,
+        obj: Surrogate,
+        name: &str,
+        reader_at: u64,
+        unchanged: impl FnOnce(&Deps, u64) -> bool,
+    ) -> Lookup {
+        let shard = self.shards[self.shard_of(obj)].read();
+        match shard.get(&obj).and_then(|per_obj| per_obj.get(name)) {
+            Some((_, at, _)) if *at > reader_at => Lookup::Miss,
+            // Resolved at the reader's own position: nothing has changed.
+            Some((value, at, deps)) if *at == reader_at || unchanged(deps, *at) => {
+                Lookup::Hit(value.clone())
+            }
+            Some(_) => Lookup::Stale,
+            None => Lookup::Miss,
+        }
     }
 
-    /// Memoize `(obj, name) → value` as resolved at store version
-    /// `version`. No-op when disabled (the flag is re-checked under the
-    /// shard write lock, see [`Self::set_enabled`]), when a newer write's
-    /// invalidation already swept the shard (`version < watermark`), or
-    /// when a newer-stamped entry is already present.
-    pub fn fill(&self, obj: Surrogate, name: &str, value: &Value, version: u64) {
+    /// Memoize `(obj, name) → value` as resolved at position `resolved_at`
+    /// from `deps`. No-op when disabled (the flag is re-checked under the
+    /// shard write lock, see [`Self::set_enabled`]) or when an entry resolved
+    /// later is already present; an existing entry is overwritten in place.
+    pub fn fill(&self, obj: Surrogate, name: &str, value: &Value, resolved_at: u64, deps: Deps) {
         let mut shard = self.shards[self.shard_of(obj)].write();
         if !self.enabled.load(Ordering::SeqCst) {
             return;
         }
-        if version < shard.watermark {
-            return;
-        }
-        let per_obj = shard.map.entry(obj).or_default();
-        match per_obj.get(name) {
-            Some((_, existing)) if *existing > version => {}
-            _ => {
-                per_obj.insert(name.to_string(), (value.clone(), version));
+        let per_obj = shard.entry(obj).or_default();
+        let entry = (value.clone(), resolved_at, deps);
+        match per_obj.get_mut(name) {
+            Some((_, at, _)) if *at > resolved_at => {}
+            Some(e) => *e = entry,
+            None => {
+                per_obj.insert(name.into(), entry);
             }
         }
     }
 
-    /// Drop the memoized entries of every surrogate in `closure` — all of
-    /// them for `item: None`, only that attribute's for `Some(name)` — and
-    /// raise each touched shard's watermark to `version` so stale re-fills
-    /// from older snapshots are rejected afterwards, whether or not the
-    /// shard held anything to drop. Locks only the shards the closure maps
-    /// to, each exactly once; `closure` is reordered (grouped by shard in
-    /// place, so the sweep allocates nothing). Returns
-    /// `(entries_removed, shards_locked)`.
-    pub fn invalidate(
-        &self,
-        closure: &mut [Surrogate],
-        item: Option<&str>,
-        version: u64,
-    ) -> (u64, u64) {
-        closure.sort_unstable_by_key(|s| self.shard_of(*s));
-        let mut removed = 0u64;
-        let mut locked = 0u64;
-        let mut rest: &[Surrogate] = closure;
-        while let Some(&first) = rest.first() {
-            let idx = self.shard_of(first);
-            let run = rest.iter().take_while(|s| self.shard_of(**s) == idx);
-            let (members, tail) = rest.split_at(run.count());
-            rest = tail;
-            locked += 1;
-            let mut shard = self.shards[idx].write();
-            shard.watermark = shard.watermark.max(version);
-            for s in members {
-                match item {
-                    Some(name) => {
-                        if let Some(per_obj) = shard.map.get_mut(s) {
-                            if per_obj.remove(name).is_some() {
-                                removed += 1;
-                            }
-                            if per_obj.is_empty() {
-                                shard.map.remove(s);
-                            }
-                        }
-                    }
-                    None => {
-                        if let Some(per_obj) = shard.map.remove(s) {
-                            removed += per_obj.len() as u64;
-                        }
-                    }
-                }
-            }
-        }
-        (removed, locked)
+    /// Memoized entries per shard, one shard lock at a time.
+    pub fn shard_lens(&self) -> Vec<usize> {
+        let per_shard = self
+            .shards
+            .iter()
+            .map(|s| s.read().values().map(HashMap::len).sum());
+        per_shard.collect()
     }
 
     /// Total memoized entries. Snapshots one shard length at a time — no
     /// point during the sum is more than one shard lock held, so heavy
     /// read traffic on other shards proceeds unimpeded.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().map.values().map(HashMap::len).sum::<usize>())
-            .sum()
+        self.shard_lens().into_iter().sum()
     }
 }
 
@@ -223,6 +204,15 @@ mod tests {
 
     fn v(i: i64) -> Value {
         Value::Int(i)
+    }
+
+    /// A local value: its own object holds it.
+    fn own() -> Deps {
+        Deps::default()
+    }
+
+    fn always(_: &Deps, _: u64) -> bool {
+        true
     }
 
     #[test]
@@ -239,26 +229,22 @@ mod tests {
         let c = ShardedResCache::new(4);
         assert_eq!(c.len(), 0);
         for i in 0..32u64 {
-            c.fill(Surrogate(i), "A", &v(i as i64), 0);
-            c.fill(Surrogate(i), "B", &v(-(i as i64)), 0);
+            c.fill(Surrogate(i), "A", &v(i as i64), 0, own());
+            c.fill(Surrogate(i), "B", &v(-(i as i64)), 0, own());
         }
         assert_eq!(c.len(), 64);
-        assert_eq!(c.get(Surrogate(7), "A", 0), Some(v(7)));
-        assert_eq!(c.get(Surrogate(7), "C", 0), None);
+        assert_eq!(c.shard_lens().len(), 4);
+        assert_eq!(c.get(Surrogate(7), "A", 0, always), Lookup::Hit(v(7)));
+        assert_eq!(c.get(Surrogate(7), "C", 0, always), Lookup::Miss);
 
-        // Attribute-scoped invalidation drops only that attribute.
-        let (removed, locked) = c.invalidate(&mut [Surrogate(7)], Some("A"), 0);
-        assert_eq!(removed, 1);
-        assert_eq!(locked, 1);
-        assert_eq!(c.get(Surrogate(7), "A", 0), None);
-        assert_eq!(c.get(Surrogate(7), "B", 0), Some(v(-7)));
-
-        // Whole-object invalidation drops everything for the closure.
-        let mut all: Vec<Surrogate> = (0..32).map(Surrogate).collect();
-        let (removed, locked) = c.invalidate(&mut all, None, 0);
-        assert_eq!(removed, 63);
-        assert!(locked <= 4);
-        assert_eq!(c.len(), 0);
+        // A reader whose snapshot changed a dependency gets no value, and
+        // the entry stays until that reader's fill replaces it.
+        assert_eq!(c.get(Surrogate(7), "A", 3, |_, _| false), Lookup::Stale);
+        assert_eq!(c.len(), 64);
+        c.fill(Surrogate(7), "A", &v(70), 3, own());
+        assert_eq!(c.get(Surrogate(7), "A", 3, always), Lookup::Hit(v(70)));
+        assert_eq!(c.get(Surrogate(7), "B", 3, always), Lookup::Hit(v(-7)));
+        assert_eq!(c.len(), 64, "a refill overwrites in place");
     }
 
     #[test]
@@ -274,34 +260,63 @@ mod tests {
     #[test]
     fn entries_from_the_future_are_invisible_to_old_readers() {
         let c = ShardedResCache::new(1);
-        // The in-progress write cycle (version 5) fills a value.
-        c.fill(Surrogate(1), "A", &v(50), 5);
-        // A reader pinned to the already-published version 4 must not see
-        // it; readers at or after 5 do.
-        assert_eq!(c.get(Surrogate(1), "A", 4), None);
-        assert_eq!(c.get(Surrogate(1), "A", 5), Some(v(50)));
-        assert_eq!(c.get(Surrogate(1), "A", 9), Some(v(50)));
+        // A reader at position 5 fills a value.
+        c.fill(Surrogate(1), "A", &v(50), 5, own());
+        // A reader at the older position 4 must not see it; readers at or
+        // after 5 do.
+        assert_eq!(c.get(Surrogate(1), "A", 4, always), Lookup::Miss);
+        assert_eq!(c.get(Surrogate(1), "A", 5, always), Lookup::Hit(v(50)));
+        assert_eq!(c.get(Surrogate(1), "A", 9, always), Lookup::Hit(v(50)));
+    }
+
+    fn rels(d: &Deps) -> Option<Vec<Surrogate>> {
+        d.rels().map(Iterator::collect)
     }
 
     #[test]
-    fn watermark_rejects_stale_refills_and_keeps_newer_entries() {
+    fn the_validator_sees_the_entry_deps_and_position() {
         let c = ShardedResCache::new(1);
-        // Write cycle 7 invalidates the object (value changed at v7).
-        c.invalidate(&mut [Surrogate(1)], Some("A"), 7);
-        // A reader still pinned to snapshot 3 resolved the old value from
-        // its old snapshot and tries to memoize it: rejected.
-        c.fill(Surrogate(1), "A", &v(30), 3);
-        assert_eq!(c.get(Surrogate(1), "A", 3), None);
-        assert_eq!(c.get(Surrogate(1), "A", 7), None);
-        // The write cycle itself (or any reader at ≥ 7) may fill.
-        c.fill(Surrogate(1), "A", &v(70), 7);
-        assert_eq!(c.get(Surrogate(1), "A", 7), Some(v(70)));
-        // An older-stamped fill never replaces a newer-stamped entry.
-        c.fill(Surrogate(1), "A", &v(30), 7);
-        c.fill(Surrogate(1), "B", &v(99), 9);
-        c.fill(Surrogate(1), "B", &v(11), 8);
-        assert_eq!(c.get(Surrogate(1), "B", 9), Some(v(99)));
-        assert_eq!(c.len(), 2);
+        let mut deps = Deps::default();
+        deps.cross(Surrogate(2));
+        deps.cross(Surrogate(4));
+        c.fill(Surrogate(1), "A", &v(7), 6, deps);
+        let seen = |d: &Deps, at: u64| {
+            assert_eq!(rels(d), Some(vec![Surrogate(2), Surrogate(4)]));
+            assert_eq!(at, 6);
+            true
+        };
+        assert_eq!(c.get(Surrogate(1), "A", 8, seen), Lookup::Hit(v(7)));
+        // At its own position an entry needs no check.
+        let unasked = |_: &Deps, _: u64| unreachable!("validated at its own position");
+        assert_eq!(c.get(Surrogate(1), "A", 6, unasked), Lookup::Hit(v(7)));
+    }
+
+    #[test]
+    fn chains_deps_cannot_record_are_served_only_at_their_own_position() {
+        let mut deep = Deps::default();
+        for r in 1..=INLINE_RELS as u64 {
+            deep.cross(Surrogate(r));
+        }
+        assert_eq!(rels(&deep).map(|r| r.len()), Some(INLINE_RELS));
+        deep.cross(Surrogate(99));
+        assert_eq!(rels(&deep), None, "one crossing too many");
+        let mut wide = Deps::default();
+        wide.cross(Surrogate(1 << 40));
+        assert_eq!(rels(&wide), None, "a surrogate beyond 32 bits");
+        assert_eq!(std::mem::size_of::<Deps>(), 8);
+    }
+
+    #[test]
+    fn an_older_fill_never_replaces_a_newer_entry() {
+        let c = ShardedResCache::new(1);
+        c.fill(Surrogate(1), "B", &v(99), 9, own());
+        // A reader pinned to an older snapshot resolves its own value and
+        // tries to memoize it: the newer entry stays.
+        c.fill(Surrogate(1), "B", &v(11), 8, own());
+        assert_eq!(c.get(Surrogate(1), "B", 9, always), Lookup::Hit(v(99)));
+        // Its own later reads miss rather than see the newer value.
+        assert_eq!(c.get(Surrogate(1), "B", 8, always), Lookup::Miss);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
@@ -315,7 +330,7 @@ mod tests {
                 let c = Arc::clone(&c);
                 scope.spawn(move || {
                     for i in 0..10_000u64 {
-                        c.fill(Surrogate(i % 64), "A", &v(i as i64), 0);
+                        c.fill(Surrogate(i % 64), "A", &v(i as i64), 0, own());
                     }
                 })
             };

@@ -17,14 +17,15 @@
 //!   ([`crate::snapshot`]); the cycle's writes paid for unsharing only the
 //!   paths they touched. Publish latency and snapshot age are recorded as
 //!   `ccdb_core_snapshot_*` metrics;
-//! - the resolution value cache is **shared across snapshots** and stays
-//!   correct via version stamps and per-shard invalidation watermarks
-//!   ([`crate::rescache`]), so cached reads stay one map lookup;
+//! - the resolution value cache is **shared across snapshots**; no write
+//!   touches it, and each reader validates entries against its own
+//!   snapshot ([`crate::rescache`]);
 //! - a **panic inside a write closure — or an `Err` from a
 //!   [`SharedStore::try_write`] closure — rolls the master back** to the
-//!   last published version (cheap COW clone) and clears the resolution
-//!   cache, so no torn write cycle is ever published; a panic then
-//!   propagates to the caller while every other handle keeps full service.
+//!   last published version (cheap COW clone), clearing the resolution
+//!   cache if the cycle mutated anything, so no torn write cycle is ever
+//!   published; a panic then propagates to the caller while every other
+//!   handle keeps full service.
 //!
 //! Visibility guarantee: `write` publishes before returning, and every
 //! subsequent `read`/`snapshot` pins the newest published version — so a
@@ -64,8 +65,7 @@ struct Shared {
     /// exclusive-only) lock.
     master: RwLock<ObjectStore>,
     /// Next write-cycle version. Monotonic and never reused — a rolled-back
-    /// cycle burns its version, so stale rescache fills stamped with an
-    /// aborted version can never be mistaken for published data.
+    /// cycle burns its version.
     next_version: AtomicU64,
     /// Time origin for the snapshot-age gauge.
     created: Instant,
@@ -144,8 +144,8 @@ impl SharedStore {
     /// One exclusive write cycle that publishes only if `f` returns `Ok`.
     /// On `Err` — or a panic, which then propagates — the master is rolled
     /// back to the last published version, the resolution cache is cleared
-    /// (fills stamped with the aborted version must not survive) and the
-    /// cycle's version is burnt: nothing of a torn cycle is ever published.
+    /// if the cycle mutated anything, and the cycle's version is burnt:
+    /// nothing of a torn cycle is ever published.
     pub fn try_write<R, E>(
         &self,
         f: impl FnOnce(&mut ObjectStore) -> Result<R, E>,
@@ -172,8 +172,12 @@ impl SharedStore {
             }
         } else {
             let last_good = Arc::clone(&self.inner.published.read());
+            // The next cycle reuses the counter positions this one reached;
+            // a cycle that mutated nothing left nothing to mistake.
+            if guard.tick() != last_good.tick() {
+                guard.clear_resolution_cache();
+            }
             *guard = (*last_good).clone();
-            guard.clear_resolution_cache();
             core_metrics().snapshot_rollbacks.inc();
             drop(guard);
         }
@@ -196,9 +200,8 @@ impl SharedStore {
         self.read(|st| st.attr(obj, name))
     }
 
-    /// Local attribute write (one write cycle; the resolution cache for the
-    /// written object and its inheritor closure is invalidated before the
-    /// new version is published).
+    /// Local attribute write (one write cycle; cached resolutions of the
+    /// inheritor closure see the new stamp when next read).
     pub fn set_attr(&self, obj: Surrogate, name: &str, value: Value) -> CoreResult<()> {
         self.write(|st| st.set_attr(obj, name, value))
     }
@@ -474,6 +477,29 @@ mod tests {
         shared.set_attr(interface, "X", Value::Int(8)).unwrap();
         assert!(shared.published_version() > before + 1);
         assert_eq!(shared.attr(imps[0], "X").unwrap(), Value::Int(8));
+    }
+
+    /// What a torn cycle resolved from its own state must not outlive it:
+    /// the next cycle reuses its mutation counter positions. A cycle refused
+    /// before it stamped anything keeps the cache.
+    #[test]
+    fn rollback_drops_what_the_torn_cycle_resolved() {
+        let (shared, interface, imps) = populated(2);
+        assert_eq!(shared.attr(imps[0], "X").unwrap(), Value::Int(7));
+        let cached = shared.read(|st| st.resolution_cache_len());
+        let refused = shared.try_write(|_| Err::<(), _>(CoreError::EvalError("refused".into())));
+        assert!(refused.is_err());
+        assert_eq!(shared.read(|st| st.resolution_cache_len()), cached);
+
+        let torn = shared.try_write(|st| {
+            st.set_attr(interface, "X", Value::Int(666))?;
+            assert_eq!(st.attr(imps[0], "X")?, Value::Int(666));
+            Err::<(), _>(CoreError::EvalError("torn".into()))
+        });
+        assert!(torn.is_err());
+        // A write elsewhere reaches the torn cycle's counter position.
+        shared.set_attr(imps[1], "Local", Value::Int(1)).unwrap();
+        assert_eq!(shared.attr(imps[0], "X").unwrap(), Value::Int(7));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! request and never block behind writers. Publishing clones the master, so
 //! every versioned collection of the store must clone in O(1) and pay for a
 //! write only in proportion to what the write touches. [`RadixMap`] is that
-//! collection: a persistent radix trie over `u64` keys (surrogates, or the
-//! adaptation log's timestamps).
+//! collection: a persistent radix trie over `u64` keys (surrogates).
 //!
 //! * Nodes are `Arc`-shared, so `clone` bumps one refcount.
 //! * A write copies only the root-to-leaf path of the key it touches — at
@@ -192,17 +191,11 @@ impl<V: Clone> RadixMap<V> {
         old
     }
 
-    /// Iterate `(key, &value)` in key order.
+    /// Iterate `(key, &value)` in key order. Each step is one descent from
+    /// the root, so iterating allocates nothing.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        self.iter_from(0)
-    }
-
-    /// Iterate `(key, &value)` in key order, starting at the first key
-    /// `>= from`. Each step is one descent from the root, so iterating
-    /// allocates nothing.
-    pub fn iter_from(&self, from: u64) -> impl Iterator<Item = (u64, &V)> + '_ {
         // The smallest key not yet visited; `None` once past `u64::MAX`.
-        let mut next = Some(from);
+        let mut next = Some(0);
         std::iter::from_fn(move || {
             let found = self.seek(next?);
             next = found.and_then(|(k, _)| k.checked_add(1));
@@ -324,11 +317,6 @@ mod tests {
             ));
         }
         for &k in probes.iter().chain(&[0, 1, u64::MAX]) {
-            let got: Vec<u64> = map.iter_from(k).map(|(k, _)| k).collect();
-            let want: Vec<u64> = model.range(k..).map(|(k, _)| *k).collect();
-            if got != want {
-                return Err(format!("iter_from({k}): {got:?} vs {want:?}"));
-            }
             if map.get(k) != model.get(&k) {
                 return Err(format!("get({k}): {:?} vs {:?}", map.get(k), model.get(&k)));
             }
@@ -490,9 +478,8 @@ mod tests {
         let mut want: Vec<u64> = (0..n).collect();
         want.extend([1 << 40, u64::MAX]);
         assert_eq!(keys, want);
-        let tail: Vec<u64> = m.iter_from(n - 3).map(|(k, _)| k).collect();
+        let tail: Vec<u64> = m.keys().skip_while(|k| *k < n - 3).collect();
         assert_eq!(tail, vec![n - 3, n - 2, n - 1, 1 << 40, u64::MAX]);
-        assert_eq!(m.iter_from(u64::MAX).count(), 1);
         assert_eq!(m.get(n), None);
     }
 

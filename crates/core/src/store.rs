@@ -8,10 +8,11 @@
 //! (§2: "a view to the component is granted to the composite object").
 //! Inherited data is **read-only in the inheritor**; transmitter-side
 //! updates raise the adaptation flag of every affected
-//! inheritance-relationship object and append to the adaptation log — the
-//! paper's consistency-control bookkeeping on the relationship. The store
-//! keeps the flags in a set keyed by the relationship's surrogate, beside
-//! the objects, so raising one never copies object storage.
+//! inheritance-relationship object with the items that changed — the
+//! paper's consistency-control bookkeeping on the relationship, kept beside
+//! the objects so raising a flag never copies one. A write touches no cache
+//! and appends no log: it stamps the item, and cached resolutions check the
+//! stamps on read ([`crate::rescache`]).
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -25,7 +26,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::expr::{eval, BinOp, Env, Expr, ObjectView, PathRoot, REL_VAR};
 use crate::metrics::core_metrics;
 use crate::object::{ObjectData, ObjectKind, Owner};
-use crate::rescache::{ShardedResCache, DEFAULT_RESOLUTION_CACHE_SHARDS};
+use crate::rescache::{Deps, Lookup, ShardedResCache, DEFAULT_RESOLUTION_CACHE_SHARDS};
 use crate::schema::{
     Catalog, Constraint, EffectiveSchema, ItemSource, ParticipantSpec, SubrelSpec,
 };
@@ -43,28 +44,12 @@ pub struct ClassDef {
     pub members: Vec<Surrogate>,
 }
 
-/// A recorded transmitter-side update affecting an inheritance binding.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct AdaptationEvent {
-    /// The inheritance-relationship object whose flag was raised.
-    pub rel_object: Surrogate,
-    /// The transmitter that changed.
-    pub transmitter: Surrogate,
-    /// The inheritor that may need manual adaptation.
-    pub inheritor: Surrogate,
-    /// The permeable attribute or subclass that changed; shared by every
-    /// event of one write.
-    pub item: Arc<str>,
-    /// Logical timestamp (store-wide monotonic counter).
-    pub at: u64,
-}
+/// The items raised on one adaptation flag since its last acknowledgement,
+/// sorted, and shared by the flags one write raises.
+pub type FlagItems = Arc<Vec<String>>;
 
-/// One inheritance relationship crossed by an inheritor-closure walk.
-struct Crossing {
-    rel: Surrogate,
-    transmitter: Surrogate,
-    inheritor: Surrogate,
-}
+/// The stamped item of a write to an object as a whole (removal, re-creation).
+const WHOLE_OBJECT: &str = "*";
 
 /// Counters for the resolution experiments (E2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -79,7 +64,8 @@ pub struct StoreStats {
     pub rescache_hits: u64,
     /// Attribute reads that walked the chain and filled the cache.
     pub rescache_misses: u64,
-    /// Cache entries dropped by write-path invalidation.
+    /// Cache entries a read found stale (a dependency changed in its
+    /// snapshot); such a read also counts as a miss.
     pub rescache_invalidations: u64,
 }
 
@@ -104,9 +90,9 @@ pub struct Violation {
 /// [`crate::persist`]; concurrency control by `ccdb-txn` on top.
 ///
 /// Every versioned collection is a persistent [`RadixMap`] keyed by
-/// surrogate (or log timestamp), or an `Arc` unshared on write: cloning the
-/// store is O(1) and shares every untouched object, index entry and log
-/// event with the clone, which is what makes
+/// surrogate, or an `Arc` unshared on write: cloning the store is O(1) and
+/// shares every untouched object, index entry, flag and stamp with the
+/// clone, which is what makes
 /// [`crate::shared::SharedStore`]'s per-write snapshot publication cheap.
 /// The schema memo, resolution value cache, and stats counters are
 /// `Arc`-shared across clones (they are caches/telemetry over immutable
@@ -124,21 +110,16 @@ pub struct ObjectStore {
     inheritors_of: RadixMap<Vec<Surrogate>>,
     /// object → relationship objects having it as a participant.
     participant_in: RadixMap<Vec<Surrogate>>,
-    /// Inheritance-relationship objects whose adaptation flag is raised.
-    adaptation_flags: RadixMap<()>,
-    /// Adaptation events keyed by their (unique, increasing) `at`.
-    adaptation_log: RadixMap<AdaptationEvent>,
-    clock: u64,
+    /// Raised adaptation flags: relationship → items raised.
+    adaptation_flags: RadixMap<FlagItems>,
     /// MVCC version stamp: 0 for a standalone store; set by
     /// [`crate::shared::SharedStore`] to the (monotonic, never-reused)
-    /// version a write cycle is building. Resolution-cache entries are
-    /// stamped with it and snapshot readers only accept entries at or below
-    /// their own version.
+    /// version a write cycle is building.
     version: u64,
-    /// Per-object `attr → version` stamps of transactional-visible writes,
-    /// consulted by commit-time write-write conflict detection
-    /// ([`ObjectStore::write_stamp`]). Only maintained once the store is
-    /// version-managed (`version > 0`).
+    /// The mutation counter ([`ObjectStore::tick`]).
+    tick: u64,
+    /// Per-object `item → tick` write stamps ([`ObjectStore::write_stamp`]),
+    /// checked by cached resolutions and commit-time conflict detection.
     write_stamps: RadixMap<Arc<HashMap<String, u64>>>,
     /// Memoized effective schemas (the catalog is immutable once the store
     /// exists). Disable with [`ObjectStore::set_schema_cache`] for the E2
@@ -147,11 +128,9 @@ pub struct ObjectStore {
     cache_enabled: Arc<AtomicBool>,
     /// Memoized [`ObjectStore::attr`] results, lock-striped by surrogate
     /// hash so concurrent hits on different objects never contend
-    /// ([`crate::rescache`]). Invalidated *precisely* on writes — the
-    /// written object's entries plus the transitive inheritor closure, the
-    /// same walk that raises the adaptation flags — so
-    /// transmitter updates stay instantly visible (§4 view semantics), and
-    /// a sweep locks only the shards the closure maps to. Disable with
+    /// ([`crate::rescache`]). No write touches it; a reader validates each
+    /// entry against its own snapshot, so transmitter updates stay
+    /// instantly visible (§4 view semantics). Disable with
     /// [`ObjectStore::set_resolution_cache`] for the E11 ablation.
     res_cache: Arc<ShardedResCache>,
     /// Class-extent secondary index: type name → live surrogates of that
@@ -190,9 +169,8 @@ impl Clone for ObjectStore {
             inheritors_of: self.inheritors_of.clone(),
             participant_in: self.participant_in.clone(),
             adaptation_flags: self.adaptation_flags.clone(),
-            adaptation_log: self.adaptation_log.clone(),
-            clock: self.clock,
             version: self.version,
+            tick: self.tick,
             write_stamps: self.write_stamps.clone(),
             eff_cache: Arc::clone(&self.eff_cache),
             cache_enabled: Arc::clone(&self.cache_enabled),
@@ -237,9 +215,8 @@ impl ObjectStore {
             inheritors_of: RadixMap::new(),
             participant_in: RadixMap::new(),
             adaptation_flags: RadixMap::new(),
-            adaptation_log: RadixMap::new(),
-            clock: 0,
             version: 0,
+            tick: 0,
             write_stamps: RadixMap::new(),
             eff_cache: Arc::new(Mutex::new(HashMap::new())),
             cache_enabled: Arc::new(AtomicBool::new(true)),
@@ -275,14 +252,22 @@ impl ObjectStore {
         self.version = v;
     }
 
-    /// The version of the last version-managed write to `attr` of `obj`
-    /// (0 = never written under version management). Commit-time
-    /// write-write conflict detection compares this against a
-    /// transaction's begin version (first committer wins).
-    pub fn write_stamp(&self, obj: Surrogate, attr: &str) -> u64 {
+    /// The mutation counter: every mutation advances it, and a write to an
+    /// existing item records it as the item's [`ObjectStore::write_stamp`].
+    /// COW clones carry it, so along one line of versions it only grows and
+    /// equal counters mean equal states.
+    pub fn tick(&self) -> u64 {
+        self.tick
+    }
+
+    /// The [`ObjectStore::tick`] of the last write to `item` of `obj` — an
+    /// attribute, a subclass, a binding slot `@RelType`, or `*` for the
+    /// object as a whole — or 0. First-committer-wins validation compares
+    /// it with a transaction's begin tick.
+    pub fn write_stamp(&self, obj: Surrogate, item: &str) -> u64 {
         self.write_stamps
             .get(obj.0)
-            .and_then(|m| m.get(attr))
+            .and_then(|m| m.get(item))
             .copied()
             .unwrap_or(0)
     }
@@ -331,112 +316,56 @@ impl ObjectStore {
         self.res_cache.shard_count()
     }
 
-    /// Which cache stripe `s` maps to (tests/diagnostics — lets a test
-    /// pick inheritors that provably live in different shards).
-    pub fn resolution_cache_shard_of(&self, s: Surrogate) -> usize {
-        self.res_cache.shard_of(s)
-    }
-
-    /// Drop every memoized resolution (watermarks survive). Used by the
-    /// MVCC rollback path: fills stamped with an aborted write-cycle
-    /// version must not outlive the rollback.
+    /// Drop every memoized resolution (the MVCC rollback path).
     pub(crate) fn clear_resolution_cache(&self) {
         self.res_cache.clear();
     }
 
     /// Replace this store's resolution value cache with a private, empty
-    /// one. A COW clone shares the cache with its origin by default —
-    /// transaction workspaces call this so speculative fills and
-    /// invalidations from uncommitted writes never touch the published
-    /// store's shared cache.
+    /// one. Two COW clones that both write reach equal counters with
+    /// different states, so a transaction workspace detaches its cache.
     pub fn detach_resolution_cache(&mut self) {
         self.res_cache = Arc::new(ShardedResCache::new(8));
     }
 
-    /// The inheritor closure of `root`, walked once: every object reached
-    /// by following inheritance relationships from `root` — only those
-    /// permeable for `item`, or all of them for `None` — starting with
-    /// `root`, plus each relationship crossed, in walk order. A transmitter
-    /// update feeds both the resolution-cache sweep and the adaptation
-    /// flags from this one walk, so the two can never disagree about which
-    /// inheritors a write reaches.
-    fn inheritor_closure(
-        &self,
-        root: Surrogate,
-        item: Option<&str>,
-    ) -> (Vec<Surrogate>, Vec<Crossing>) {
-        let mut closure = Vec::new();
-        let mut crossings = Vec::new();
-        let mut frontier = vec![root];
-        let mut seen = HashSet::new();
-        while let Some(t) = frontier.pop() {
-            if !seen.insert(t) {
-                continue;
+    /// Advance the mutation counter and record it as `(obj, item)`'s stamp.
+    fn stamp(&mut self, obj: Surrogate, item: &str) {
+        self.tick += 1;
+        let stamps = Arc::make_mut(self.write_stamps.entry_or_default(obj.0));
+        match stamps.get_mut(item) {
+            Some(at) => *at = self.tick,
+            None => {
+                stamps.insert(item.to_string(), self.tick);
             }
-            closure.push(t);
-            for &rel in self.inheritance_rels_of(t) {
-                let Some(o) = self.objects.get(rel.0) else {
-                    continue;
-                };
-                if let Some(name) = item {
-                    if !self.catalog.is_permeable(&o.type_name, name) {
-                        continue;
-                    }
-                }
-                if let Some(inheritor) = o.inheritor() {
-                    crossings.push(Crossing {
-                        rel,
-                        transmitter: t,
-                        inheritor,
-                    });
-                    // The inheritor may re-transmit the same item further.
-                    frontier.push(inheritor);
-                }
-            }
-        }
-        (closure, crossings)
-    }
-
-    /// Drop every memoized resolution of `root` and of every object that
-    /// (transitively) inherits through it, following every binding: what
-    /// bind/unbind/delete need, since they change which chain an object
-    /// resolves through.
-    fn invalidate_resolution(&self, root: Surrogate) {
-        if self.res_cache.enabled() {
-            let (mut closure, _) = self.inheritor_closure(root, None);
-            self.sweep_resolution(root, &mut closure, None);
         }
     }
 
-    /// Drop the memoized resolutions of `closure` (all entries for
-    /// `item: None`, that attribute's only for `Some`), locking only the
-    /// shards the closure maps to, each exactly once.
-    fn sweep_resolution(&self, root: Surrogate, closure: &mut [Surrogate], item: Option<&str>) {
-        // No shortcut for an empty cache: the sweep is also what raises the
-        // shard watermarks, and a fill from an older snapshot may land
-        // *after* this write found nothing to drop.
-        if !self.res_cache.enabled() {
-            return;
+    /// [`ObjectStore::stamp`] for a structural item, which only transactions
+    /// read: a store that is not version-managed just advances the counter.
+    fn stamp_structure(&mut self, obj: Surrogate, item: &str) {
+        match self.version {
+            0 => self.tick += 1,
+            _ => self.stamp(obj, item),
         }
-        let mut tspan = trace::span("core.rescache.invalidate");
-        if let Some(s) = &mut tspan {
-            s.u64("root", root.0);
-            match item {
-                Some(name) => s.field("item", FieldValue::Owned(name.to_string())),
-                None => s.str("item", "*"),
-            }
+    }
+
+    /// Whether the entry for `(obj, name)` resolved at `resolved_at` holds
+    /// here: the relationships it crossed are live (immutable, so their
+    /// bindings are unchanged), and so is the holder, with neither `name`
+    /// nor the whole object stamped since.
+    fn deps_unchanged(&self, obj: Surrogate, name: &str, deps: &Deps, resolved_at: u64) -> bool {
+        let Some(rels) = deps.rels() else {
+            return false;
+        };
+        let mut holder = self.objects.contains_key(obj.0).then_some(obj);
+        for rel in rels {
+            holder = holder
+                .and(self.objects.get(rel.0))
+                .and_then(|r| r.transmitter());
         }
-        let (removed, shards_locked) = self.res_cache.invalidate(closure, item, self.version);
-        if let Some(s) = &mut tspan {
-            s.u64("swept", closure.len() as u64);
-            s.u64("removed", removed);
-            s.u64("shards", shards_locked);
-        }
-        core_metrics().rescache_shard_sweeps.add(shards_locked);
-        if removed > 0 {
-            self.rescache_invalidations.add(removed);
-            core_metrics().rescache_invalidations.add(removed);
-        }
+        let stamps = holder.map(|h| self.write_stamps.get(h.0));
+        let newer = |item| stamps.flatten().and_then(|s| s.get(item)) > Some(&resolved_at);
+        stamps.is_some() && !newer(name) && !newer(WHOLE_OBJECT)
     }
 
     /// Effective schema of a type, memoized.
@@ -607,13 +536,18 @@ impl ObjectStore {
         self.replay_as = Some(s);
         let made = create(self);
         self.replay_as = None;
-        made.map(|made| debug_assert_eq!(made, s))
+        let made = made?;
+        debug_assert_eq!(made, s);
+        // What was cached about a deleted object `s` named is not this one's.
+        self.stamp(s, WHOLE_OBJECT);
+        Ok(())
     }
 
     /// The one way objects enter `self.objects`: inserts the object and
     /// records it in its type's extent index, so the two can never
     /// disagree ([`ObjectStore::verify_integrity`] cross-checks them).
     fn insert_object(&mut self, obj: ObjectData) {
+        self.tick += 1;
         let extent = Arc::make_mut(&mut self.extent);
         match extent.get_mut(&obj.type_name) {
             Some(members) => members.insert(obj.surrogate.0, ()),
@@ -628,6 +562,7 @@ impl ObjectStore {
     /// The one way objects leave `self.objects`: removes the object, drops
     /// it from its type's extent index and drops its adaptation flag.
     fn remove_object(&mut self, s: Surrogate) {
+        self.stamp_structure(s, WHOLE_OBJECT);
         let Some(obj) = self.objects.remove(s.0) else {
             return;
         };
@@ -662,7 +597,7 @@ impl ObjectStore {
         let obj = ObjectData::plain(s, type_name);
         self.insert_object(obj);
         for (name, value) in attrs {
-            self.set_attr(s, name, value)?;
+            self.assign(s, name, value)?;
         }
         Ok(s)
     }
@@ -728,8 +663,9 @@ impl ObjectStore {
             .entry(subclass.to_string())
             .or_default()
             .push(s);
+        self.stamp_structure(parent, subclass);
         for (name, value) in attrs {
-            self.set_attr(s, name, value)?;
+            self.assign(s, name, value)?;
         }
         Ok(s)
     }
@@ -756,7 +692,7 @@ impl ObjectStore {
             }
         }
         for (name, value) in attrs {
-            self.set_attr(s, name, value)?;
+            self.assign(s, name, value)?;
         }
         Ok(s)
     }
@@ -788,6 +724,7 @@ impl ObjectStore {
             .entry(subrel.to_string())
             .or_default()
             .push(s);
+        self.stamp_structure(parent, subrel);
         Ok(s)
     }
 
@@ -822,8 +759,9 @@ impl ObjectStore {
             .entry(subclass.to_string())
             .or_default()
             .push(s);
+        self.stamp_structure(rel_obj, subclass);
         for (name, value) in attrs {
-            self.set_attr(s, name, value)?;
+            self.assign(s, name, value)?;
         }
         Ok(s)
     }
@@ -950,11 +888,11 @@ impl ObjectStore {
             .insert(rel_type.to_string(), s);
         self.inheritors_of.entry_or_default(transmitter.0).push(s);
         for (name, value) in rel_attrs {
-            self.set_attr(s, name, value)?;
+            self.assign(s, name, value)?;
         }
-        // The inheritor (and anything inheriting through it) now resolves
-        // through the new binding.
-        self.invalidate_resolution(inheritor);
+        if self.version > 0 {
+            self.stamp(inheritor, &format!("@{rel_type}"));
+        }
         core_metrics().bind.inc();
         event::emit(|| {
             Event::now(
@@ -1001,10 +939,9 @@ impl ObjectStore {
             inh.bindings.remove(&rel_ty);
         }
         self.remove_object(rel_obj);
-        // The inheritor (and its transitive inheritors) lost a resolution
-        // path; the relationship object's own attrs are gone too.
-        self.invalidate_resolution(inheritor);
-        self.invalidate_resolution(rel_obj);
+        if self.version > 0 {
+            self.stamp(inheritor, &format!("@{rel_ty}"));
+        }
         core_metrics().unbind.inc();
         event::emit(|| {
             Event::now(
@@ -1141,17 +1078,27 @@ impl ObjectStore {
             s.field("attr", FieldValue::Owned(name.to_string()));
         }
         let caching = self.res_cache.enabled();
+        let mut stale = false;
         if caching {
             // Hits take only the owning shard's shared lock, so concurrent
             // cached readers (SharedStore::par_select, E11b/E13a) neither
             // serialize nor contend across shards.
-            if let Some(v) = self.res_cache.get(obj, name, self.version) {
-                self.rescache_hits.inc();
-                core_metrics().rescache_hits.inc();
-                if let Some(s) = &mut tspan {
-                    s.str("rescache", "hit");
+            let unchanged = |deps: &Deps, at: u64| self.deps_unchanged(obj, name, deps, at);
+            match self.res_cache.get(obj, name, self.tick, unchanged) {
+                Lookup::Hit(v) => {
+                    self.rescache_hits.inc();
+                    core_metrics().rescache_hits.inc();
+                    if let Some(s) = &mut tspan {
+                        s.str("rescache", "hit");
+                    }
+                    return Ok(v);
                 }
-                return Ok(v);
+                Lookup::Stale => {
+                    stale = true;
+                    self.rescache_invalidations.inc();
+                    core_metrics().rescache_invalidations.inc();
+                }
+                Lookup::Miss => {}
             }
         }
         // Iterative chain walk with *batched* counter updates: bookkeeping
@@ -1160,6 +1107,7 @@ impl ObjectStore {
         let mut cur = obj;
         let mut depth = 0u64;
         let mut inherited = false;
+        let mut deps = Deps::default();
         let value = loop {
             let o = self.object(cur)?;
             if self.local_attr_domain(&o.type_name, name).is_some() {
@@ -1177,6 +1125,7 @@ impl ObjectStore {
                                 .object(*rel_obj)?
                                 .transmitter()
                                 .ok_or_else(|| CoreError::EvalError("corrupt binding".into()))?;
+                            deps.cross(*rel_obj);
                             depth += 1;
                             if tspan.is_some() {
                                 let mut hop = trace::span("core.attr.hop");
@@ -1208,6 +1157,8 @@ impl ObjectStore {
                             if let Some(s) = &mut tspan {
                                 s.str("unbound", "yes");
                             }
+                            // Depends on an empty slot, which nothing stamps.
+                            deps = Deps::UNRECORDED;
                             break Value::Missing; // unbound inheritor (§4.1)
                         }
                     }
@@ -1223,7 +1174,7 @@ impl ObjectStore {
         };
         if let Some(s) = &mut tspan {
             if caching {
-                s.str("rescache", "miss");
+                s.str("rescache", if stale { "stale" } else { "miss" });
             }
             s.u64("hops", depth);
             s.u64("resolved_from", cur.0);
@@ -1231,7 +1182,7 @@ impl ObjectStore {
         if caching {
             self.rescache_misses.inc();
             core_metrics().rescache_misses.inc();
-            self.res_cache.fill(obj, name, &value, self.version);
+            self.res_cache.fill(obj, name, &value, self.tick, deps);
         }
         let m = core_metrics();
         if inherited {
@@ -1329,9 +1280,20 @@ impl ObjectStore {
 
     /// Write a **local** attribute. Writing an inherited attribute is
     /// rejected ([`CoreError::InheritedReadOnly`]); a successful write to a
-    /// permeable attribute of a transmitter marks every (transitively)
-    /// affected inheritance-relationship object as needing adaptation.
+    /// permeable attribute of a transmitter raises the item on the
+    /// adaptation flag of every (transitively) affected
+    /// inheritance-relationship object. No cache lock, no log.
     pub fn set_attr(&mut self, obj: Surrogate, name: &str, value: Value) -> CoreResult<()> {
+        self.assign(obj, name, value)?;
+        self.stamp(obj, name);
+        core_metrics().set_attr.inc();
+        self.raise_flags(obj, name);
+        Ok(())
+    }
+
+    /// [`ObjectStore::set_attr`] without stamp and flags, which an object
+    /// being created needs neither of.
+    fn assign(&mut self, obj: Surrogate, name: &str, value: Value) -> CoreResult<()> {
         let o = self.object(obj)?;
         let Some(domain) = self.local_attr_domain(&o.type_name, name) else {
             // Inherited → read-only; unknown → no such attribute.
@@ -1355,30 +1317,28 @@ impl ObjectStore {
                 got: format!("{value}"),
             });
         }
-        self.object_mut(obj)?.attrs.insert(name.to_string(), value);
-        if self.version > 0 {
-            Arc::make_mut(self.write_stamps.entry_or_default(obj.0))
-                .insert(name.to_string(), self.version);
+        let attrs = &mut self.object_mut(obj)?.attrs;
+        match attrs.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                attrs.insert(name.to_string(), value);
+            }
         }
-        core_metrics().set_attr.inc();
-        let (mut closure, crossings) = self.inheritor_closure(obj, Some(name));
-        self.sweep_resolution(obj, &mut closure, Some(name));
-        self.propagate_adaptation(obj, name, &crossings);
         Ok(())
     }
 
     /// Enable/disable adaptation tracking (ablation for experiment E1).
     /// With tracking off, inheritors still see updates instantly (view
-    /// semantics are resolution-based) but no flags/events are recorded.
+    /// semantics are resolution-based) but no flags are raised.
     pub fn set_adaptation_tracking(&mut self, enabled: bool) {
         self.adaptation_enabled = enabled;
     }
 
-    /// Raise the adaptation flag of, and log an event for, every
-    /// inheritance relationship `crossings` names: those through which
-    /// `item` of `transmitter` is (transitively) visible.
-    fn propagate_adaptation(&mut self, transmitter: Surrogate, item: &str, crossings: &[Crossing]) {
-        if !self.adaptation_enabled || crossings.is_empty() {
+    /// Raise `item` on the flag of every inheritance relationship through
+    /// which `item` of `transmitter` is (transitively) visible. A flag that
+    /// already records `item` is left alone: no write, no allocation.
+    fn raise_flags(&mut self, transmitter: Surrogate, item: &str) {
+        if !self.adaptation_enabled || !self.inheritors_of.contains_key(transmitter.0) {
             return;
         }
         let mut tspan = trace::span("core.adaptation.propagate");
@@ -1386,102 +1346,106 @@ impl ObjectStore {
             s.u64("transmitter", transmitter.0);
             s.field("item", FieldValue::Owned(item.to_string()));
         }
-        let shared_item: Arc<str> = Arc::from(item);
-        for c in crossings {
-            // A flag already up is left alone: no write, no unshare.
-            if !self.adaptation_flags.contains_key(c.rel.0) {
-                self.adaptation_flags.insert(c.rel.0, ());
-            }
-            self.log_adaptation(c, &shared_item);
-            if tspan.is_some() {
-                let mut flag = trace::span("core.adaptation.flag");
-                if let Some(fs) = &mut flag {
-                    fs.u64("rel_obj", c.rel.0);
-                    fs.u64("transmitter", c.transmitter.0);
-                    fs.u64("inheritor", c.inheritor.0);
-                    if let Ok(rel) = self.object(c.rel) {
-                        fs.field("via_rel", FieldValue::Owned(rel.type_name.clone()));
+        // The set a flag holding `from` becomes, reused while `from` repeats.
+        let mut made: Option<(Option<FlagItems>, FlagItems)> = None;
+        let mut frontier = vec![transmitter];
+        let mut seen = HashSet::new();
+        let (mut fanout, mut raised) = (0u64, 0u64);
+        while let Some(t) = frontier.pop() {
+            let rels = self.inheritors_of.get(t.0).map_or(&[][..], Vec::as_slice);
+            for &rel in rels {
+                let crossed = self.objects.get(rel.0).map(|o| (o, o.inheritor()));
+                let Some((o, Some(inheritor))) = crossed else {
+                    continue;
+                };
+                if !self.catalog.is_permeable(&o.type_name, item) {
+                    continue;
+                }
+                fanout += 1;
+                if tspan.is_some() {
+                    let mut flag = trace::span("core.adaptation.flag");
+                    if let Some(fs) = &mut flag {
+                        fs.u64("rel_obj", rel.0);
+                        fs.u64("transmitter", t.0);
+                        fs.u64("inheritor", inheritor.0);
+                        fs.field("via_rel", FieldValue::Owned(o.type_name.clone()));
                     }
                 }
+                // The inheritor may re-transmit the same item further.
+                if self.inheritors_of.contains_key(inheritor.0) && seen.insert(inheritor) {
+                    frontier.push(inheritor);
+                }
+                let old = self.adaptation_flags.get(rel.0);
+                if old.is_some_and(|items| items.iter().any(|i| &**i == item)) {
+                    continue;
+                }
+                let items = match &made {
+                    Some((from, to)) if from.as_ref() == old => Arc::clone(to),
+                    _ => {
+                        let mut items = old.map(|o| o.to_vec()).unwrap_or_default();
+                        items.insert(items.partition_point(|i| i.as_str() < item), item.into());
+                        Arc::clone(&made.insert((old.cloned(), Arc::new(items))).1)
+                    }
+                };
+                self.adaptation_flags.insert(rel.0, items);
+                raised += 1;
             }
         }
-        let flagged = crossings.len() as u64;
         if let Some(s) = &mut tspan {
-            s.u64("fanout", flagged);
+            s.u64("fanout", fanout);
         }
-        if ccdb_obs::enabled() {
-            core_metrics().adaptation_fanout.observe(flagged);
+        core_metrics().adaptation_events.add(raised);
+        if fanout > 0 && ccdb_obs::enabled() {
+            core_metrics().adaptation_fanout.observe(fanout);
             event::emit(|| {
                 Event::now(
                     "core.adaptation.propagate",
                     vec![
                         ("transmitter", FieldValue::U64(transmitter.0)),
                         ("item", FieldValue::Owned(item.to_string())),
-                        ("fanout", FieldValue::U64(flagged)),
+                        ("fanout", FieldValue::U64(fanout)),
                     ],
                 )
             });
         }
     }
 
-    /// Append one event to the adaptation log at the next logical time.
-    fn log_adaptation(&mut self, c: &Crossing, item: &Arc<str>) {
-        self.clock += 1;
-        let event = AdaptationEvent {
-            rel_object: c.rel,
-            transmitter: c.transmitter,
-            inheritor: c.inheritor,
-            item: Arc::clone(item),
-            at: self.clock,
-        };
-        self.adaptation_log.insert(self.clock, event);
-        core_metrics().adaptation_events.inc();
-    }
-
-    /// Adaptation events since a given logical time.
-    pub fn adaptation_events_since(&self, at: u64) -> Vec<AdaptationEvent> {
-        let Some(from) = at.checked_add(1) else {
-            return Vec::new();
-        };
-        let events = self.adaptation_log.iter_from(from);
-        events.map(|(_, e)| e.clone()).collect()
-    }
-
-    /// All adaptation events.
-    pub fn adaptation_log(&self) -> Vec<AdaptationEvent> {
-        self.adaptation_events_since(0)
-    }
-
-    /// Current logical time.
-    pub fn now(&self) -> u64 {
-        self.clock
-    }
-
     /// Does this inheritance-relationship object currently flag a needed
     /// adaptation?
     pub fn needs_adaptation(&self, rel_obj: Surrogate) -> CoreResult<bool> {
-        match &self.object(rel_obj)?.kind {
-            ObjectKind::InheritanceRel { .. } => Ok(self.adaptation_flags.contains_key(rel_obj.0)),
+        self.flag_holder(rel_obj)?;
+        Ok(self.adaptation_flags.contains_key(rel_obj.0))
+    }
+
+    /// Clear the adaptation flag after the inheritor was (manually) adapted.
+    pub fn acknowledge_adaptation(&mut self, rel_obj: Surrogate) -> CoreResult<()> {
+        self.flag_holder(rel_obj)?;
+        self.adaptation_flags.remove(rel_obj.0);
+        Ok(())
+    }
+
+    /// `rel_obj`, if it is an inheritance relationship (what holds a flag).
+    fn flag_holder(&self, rel_obj: Surrogate) -> CoreResult<&ObjectData> {
+        let o = self.object(rel_obj)?;
+        match o.kind {
+            ObjectKind::InheritanceRel { .. } => Ok(o),
             _ => Err(CoreError::TypeMismatch {
                 expected: "inheritance relationship".into(),
-                got: self.object(rel_obj)?.type_name.clone(),
+                got: o.type_name.clone(),
                 role: "adaptation flag".into(),
             }),
         }
     }
 
-    /// Clear the adaptation flag after the inheritor was (manually) adapted.
-    pub fn acknowledge_adaptation(&mut self, rel_obj: Surrogate) -> CoreResult<()> {
-        match &self.object(rel_obj)?.kind {
-            ObjectKind::InheritanceRel { .. } => {
-                self.adaptation_flags.remove(rel_obj.0);
-                Ok(())
-            }
-            _ => Err(CoreError::TypeMismatch {
-                expected: "inheritance relationship".into(),
-                got: "other".into(),
-                role: "adaptation flag".into(),
-            }),
+    /// Acknowledge `item` of `rel_obj`'s flag; the flag goes with its last
+    /// item, and an item raised since the caller read the flag stays.
+    pub(crate) fn acknowledge_item(&mut self, rel_obj: Surrogate, item: &str) {
+        if let Some(raised) = self.adaptation_flags.get(rel_obj.0) {
+            let left: Vec<String> = raised.iter().filter(|i| *i != item).cloned().collect();
+            match left.is_empty() {
+                true => self.adaptation_flags.remove(rel_obj.0),
+                false => self.adaptation_flags.insert(rel_obj.0, Arc::new(left)),
+            };
         }
     }
 
@@ -1562,19 +1526,13 @@ impl ObjectStore {
     }
 
     /// Delete even if the object (or a subobject) still transmits: bindings
-    /// are dissolved and the affected inheritors are flagged for adaptation.
+    /// are dissolved first, so the former inheritors read their inherited
+    /// items as `Missing` (unbound, §4.1). The relationship objects — and
+    /// with them their adaptation flags — go away; the `core.unbind` event
+    /// of each is the notification a `watch` subscriber sees.
     pub fn delete_force(&mut self, obj: Surrogate) -> CoreResult<()> {
-        let doomed = self.collect_subtree(obj)?;
-        let deleted: Arc<str> = Arc::from("<deleted>");
-        for d in doomed {
+        for d in self.collect_subtree(obj)? {
             for rel in self.inheritance_rels_of(d).to_vec() {
-                let inheritor = self.object(rel)?.inheritor().unwrap_or_default();
-                let crossing = Crossing {
-                    rel,
-                    transmitter: d,
-                    inheritor,
-                };
-                self.log_adaptation(&crossing, &deleted);
                 self.unbind(rel)?;
             }
         }
@@ -1637,6 +1595,7 @@ impl ObjectStore {
                 if let Some(list) = p.subclasses.get_mut(&owner.subclass) {
                     list.retain(|m| *m != obj);
                 }
+                self.stamp_structure(owner.parent, &owner.subclass);
             }
         }
         // Detach from classes.
@@ -1646,7 +1605,6 @@ impl ObjectStore {
             }
         }
         self.remove_object(obj);
-        self.invalidate_resolution(obj);
         Ok(())
     }
 
@@ -1950,7 +1908,7 @@ impl ObjectStore {
                 }
             }
         }
-        for rel in self.adaptation_flags() {
+        for (rel, _) in self.adaptation_flags() {
             match self.objects.get(rel.0) {
                 None => problems.push(format!("adaptation flag on dead {rel}")),
                 Some(o) if o.transmitter().is_none() => problems.push(format!(
@@ -1976,16 +1934,20 @@ impl ObjectStore {
     }
 
     /// The inheritance relationships whose adaptation flag is raised, in
-    /// surrogate order.
-    pub(crate) fn adaptation_flags(&self) -> impl Iterator<Item = Surrogate> + '_ {
-        self.adaptation_flags.keys().map(Surrogate)
+    /// surrogate order, each with the items raised since its last
+    /// acknowledgement — the store's whole adaptation record (§4.1: "the
+    /// attributes of the relationship"), O(flagged relationships).
+    pub fn adaptation_flags(&self) -> impl Iterator<Item = (Surrogate, &FlagItems)> + '_ {
+        self.adaptation_flags
+            .iter()
+            .map(|(s, items)| (Surrogate(s), items))
     }
 
     /// Raise `rel`'s adaptation flag as a persisted store recorded it;
     /// [`ObjectStore::verify_integrity`] checks that `rel` is a live
     /// inheritance relationship.
-    pub(crate) fn restore_adaptation_flag(&mut self, rel: Surrogate) {
-        self.adaptation_flags.insert(rel.0, ());
+    pub(crate) fn restore_adaptation_flag(&mut self, rel: Surrogate, items: Vec<String>) {
+        self.adaptation_flags.insert(rel.0, Arc::new(items));
     }
 
     pub(crate) fn restore(

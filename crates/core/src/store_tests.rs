@@ -452,12 +452,16 @@ fn transmitter_update_flags_adaptation() {
     assert!(!st.needs_adaptation(rel).unwrap());
     st.set_attr(interface, "Length", Value::Int(11)).unwrap();
     assert!(st.needs_adaptation(rel).unwrap());
-    let events = st.adaptation_log();
-    assert_eq!(events.len(), 1);
-    assert_eq!(&*events[0].item, "Length");
-    assert_eq!(events[0].inheritor, imp);
+    assert_eq!(flags(&st), [(rel, vec!["Length".to_string()])]);
     st.acknowledge_adaptation(rel).unwrap();
     assert!(!st.needs_adaptation(rel).unwrap());
+}
+
+/// Every raised flag with its items, in surrogate order.
+fn flags(st: &ObjectStore) -> Vec<(Surrogate, Vec<String>)> {
+    st.adaptation_flags()
+        .map(|(rel, items)| (rel, items.to_vec()))
+        .collect()
 }
 
 #[test]
@@ -473,7 +477,7 @@ fn non_permeable_update_does_not_flag() {
     // TimeBehavior is local to the implementation; updating it flags nothing.
     st.set_attr(imp, "TimeBehavior", Value::Int(2)).unwrap();
     assert!(!st.needs_adaptation(rel).unwrap());
-    assert!(st.adaptation_log().is_empty());
+    assert!(flags(&st).is_empty());
 }
 
 #[test]
@@ -490,12 +494,46 @@ fn adaptation_propagates_through_hierarchy() {
     st.set_attr(interface, "Length", Value::Int(99)).unwrap();
     assert!(st.needs_adaptation(rel1).unwrap());
     assert!(st.needs_adaptation(rel2).unwrap());
-    assert_eq!(st.adaptation_events_since(0).len(), 2);
+    assert_eq!(flags(&st).len(), 2);
     // TimeBehavior is local to imp and permeable only through SomeOf_Gate.
     st.set_attr(imp, "TimeBehavior", Value::Int(5)).unwrap();
-    let events = st.adaptation_log();
-    assert_eq!(&*events.last().unwrap().item, "TimeBehavior");
-    assert_eq!(events.last().unwrap().rel_object, rel2);
+    let length = || "Length".to_string();
+    assert_eq!(
+        flags(&st),
+        [
+            (rel1, vec![length()]),
+            (rel2, vec![length(), "TimeBehavior".to_string()])
+        ]
+    );
+}
+
+/// Adaptation state is O(flagged relationships): repeat writes on one
+/// transmitter raise nothing new, whatever their number.
+#[test]
+fn repeated_transmitter_writes_keep_adaptation_state_bounded() {
+    let mut st = store();
+    let (interface, rels) = fan_out(&mut st, 8);
+    for v in 0..10_000 {
+        let item = if v % 2 == 0 { "Length" } else { "Width" };
+        st.set_attr(interface, item, Value::Int(v)).unwrap();
+        if v == 1 {
+            let expect: Vec<_> = rels
+                .iter()
+                .map(|r| (*r, vec!["Length".to_string(), "Width".to_string()]))
+                .collect();
+            assert_eq!(flags(&st), expect);
+        }
+    }
+    let after = flags(&st);
+    assert_eq!(after.len(), rels.len(), "one flag per relationship");
+    assert!(after.iter().all(|(_, items)| items.len() == 2));
+    // A repeat raise writes nothing: the flag map is the very same one.
+    let before = st.clone();
+    st.set_attr(interface, "Length", Value::Int(-1)).unwrap();
+    for (rel, items) in st.adaptation_flags() {
+        let (_, old) = before.adaptation_flags().find(|(r, _)| *r == rel).unwrap();
+        assert!(Arc::ptr_eq(items, old), "flag of {rel} was rewritten");
+    }
 }
 
 /// An interface bound to `n` implementations; returns (interface, rels).
@@ -558,9 +596,10 @@ fn removing_a_flagged_relationship_drops_its_flag() {
         let mut st = store();
         let (interface, rels) = fan_out(&mut st, 2);
         st.set_attr(interface, "Length", Value::Int(11)).unwrap();
-        assert_eq!(st.adaptation_flags().collect::<Vec<_>>(), rels);
+        let flagged: Vec<Surrogate> = flags(&st).into_iter().map(|(r, _)| r).collect();
+        assert_eq!(flagged, rels);
         remove(&mut st, interface, rels[0]);
-        assert!(!st.adaptation_flags().any(|f| f == rels[0]));
+        assert!(!st.adaptation_flags().any(|(f, _)| f == rels[0]));
         assert!(
             st.verify_integrity().is_empty(),
             "{:?}",
@@ -598,8 +637,8 @@ fn integrity_check_reports_a_flag_on_a_dead_or_non_relationship_object() {
     let (interface, rels) = fan_out(&mut st, 1);
     st.set_attr(interface, "Length", Value::Int(11)).unwrap();
     assert!(st.verify_integrity().is_empty());
-    st.restore_adaptation_flag(Surrogate(9_999));
-    st.restore_adaptation_flag(interface);
+    st.restore_adaptation_flag(Surrogate(9_999), vec![]);
+    st.restore_adaptation_flag(interface, vec![]);
     let problems = st.verify_integrity();
     assert_eq!(problems.len(), 2, "{problems:?}");
     assert!(problems[0].contains(&interface.to_string()), "{problems:?}");
@@ -784,10 +823,15 @@ fn delete_force_dissolves_bindings_with_notification() {
         Value::Missing,
         "now unbound"
     );
-    let log = st.adaptation_log();
-    let last = log.last().unwrap();
-    assert_eq!(&*last.item, "<deleted>");
-    assert_eq!(last.inheritor, imp);
+    // The relationship — and with it any flag — went away, and the
+    // inheritor is free to bind anew.
+    assert_eq!(st.binding_of(imp, "AllOf_GateInterface"), None);
+    assert!(flags(&st).is_empty());
+    assert!(st.verify_integrity().is_empty());
+    let (interface2, ..) = make_interface(&mut st, 20);
+    st.bind("AllOf_GateInterface", interface2, imp, vec![])
+        .unwrap();
+    assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(20));
 }
 
 #[test]
@@ -942,7 +986,7 @@ fn adaptation_tracking_can_be_disabled() {
     // View semantics unaffected; no flag, no event.
     assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(11));
     assert!(!st.needs_adaptation(rel).unwrap());
-    assert!(st.adaptation_log().is_empty());
+    assert!(flags(&st).is_empty());
     st.set_adaptation_tracking(true);
     st.set_attr(interface, "Length", Value::Int(12)).unwrap();
     assert!(st.needs_adaptation(rel).unwrap());
@@ -1238,16 +1282,89 @@ fn non_permeable_write_does_not_invalidate_inheritors() {
     st.bind("SomeOf_Gate", imp, composite, vec![]).unwrap();
     assert_eq!(st.attr(composite, "TimeBehavior").unwrap(), Value::Int(3));
     st.reset_stats();
-    // `Function` is NOT in SomeOf_Gate's permeability list: the sweep must
-    // not cross the relationship, so the composite's entry stays cached.
+    // `Function` is NOT in SomeOf_Gate's permeability list, and the
+    // composite's entry depends on the holder's `TimeBehavior` stamp only:
+    // it stays valid.
     st.set_attr(imp, "Function", Value::Matrix(vec![])).unwrap();
-    assert_eq!(st.stats().rescache_invalidations, 0);
     assert_eq!(st.attr(composite, "TimeBehavior").unwrap(), Value::Int(3));
+    assert_eq!(st.stats().rescache_invalidations, 0);
     assert_eq!(st.stats().rescache_hits, 1);
-    // A permeable write does cross and drop the entry.
+    // A permeable write stamps the item: the next read finds the entry stale.
     st.set_attr(imp, "TimeBehavior", Value::Int(4)).unwrap();
-    assert!(st.stats().rescache_invalidations >= 1);
     assert_eq!(st.attr(composite, "TimeBehavior").unwrap(), Value::Int(4));
+    assert_eq!(st.stats().rescache_invalidations, 1);
+}
+
+/// A transmitter write touches no cache entry and no shard, whatever its
+/// fan-out, and every inheritor still reads the new value at once.
+#[test]
+fn transmitter_write_leaves_the_cache_untouched_at_any_fanout() {
+    for n in [10, 100, 1_000, 10_000] {
+        let mut st = store();
+        let (interface, rels) = fan_out(&mut st, n);
+        let imps: Vec<Surrogate> = rels
+            .iter()
+            .map(|r| st.object(*r).unwrap().inheritor().unwrap())
+            .collect();
+        for &imp in &imps {
+            assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(10));
+        }
+        let (len, shards) = (st.resolution_cache_len(), st.res_cache.shard_lens());
+        st.set_attr(interface, "Length", Value::Int(11)).unwrap();
+        assert_eq!(st.resolution_cache_len(), len, "fan-out {n}");
+        assert_eq!(st.res_cache.shard_lens(), shards, "fan-out {n}");
+        st.reset_stats();
+        for &imp in &imps {
+            assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(11));
+        }
+        assert_eq!(st.stats().rescache_invalidations, n as u64);
+        assert_eq!(st.resolution_cache_len(), len, "refills overwrite in place");
+    }
+}
+
+/// One write cycle that reads an item, writes it, and reads it again —
+/// a batch, or a commit's replay followed by its constraint check — reads
+/// its own latest write each time, on a shared store and a standalone one.
+#[test]
+fn reads_between_writes_of_one_cycle_see_the_latest_value() {
+    fn write_read_write_read(st: &mut ObjectStore, interface: Surrogate, imp: Surrogate) {
+        for v in [11, 12] {
+            st.set_attr(interface, "Length", Value::Int(v)).unwrap();
+            assert_eq!(st.attr(interface, "Length").unwrap(), Value::Int(v));
+            assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(v));
+        }
+    }
+    let mut st = store();
+    let (interface, ..) = make_interface(&mut st, 10);
+    let imp = st.create_object("GateImplementation", vec![]).unwrap();
+    st.bind("AllOf_GateInterface", interface, imp, vec![])
+        .unwrap();
+    assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(10));
+    assert_eq!(st.version(), 0, "a standalone store never changes version");
+    write_read_write_read(&mut st, interface, imp);
+
+    let shared = crate::shared::SharedStore::from_store(st);
+    shared.write(|st| write_read_write_read(st, interface, imp));
+    shared.write(|st| {
+        st.set_attr(interface, "Length", Value::Int(13)).unwrap();
+        assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(13));
+    });
+    assert_eq!(shared.attr(imp, "Length").unwrap(), Value::Int(13));
+}
+
+/// Re-creating a deleted object under its surrogate (a replay) must not
+/// revive what was cached about the deleted one.
+#[test]
+fn a_recreated_surrogate_does_not_inherit_the_deleted_objects_entries() {
+    let mut st = store();
+    let s = st
+        .create_object("GateInterface", vec![("Length", Value::Int(5))])
+        .unwrap();
+    assert_eq!(st.attr(s, "Length").unwrap(), Value::Int(5));
+    st.delete(s).unwrap();
+    st.create_as(s, |st| st.create_object("GateInterface", vec![]))
+        .unwrap();
+    assert_eq!(st.attr(s, "Length").unwrap(), Value::Missing);
 }
 
 #[test]
@@ -1255,7 +1372,8 @@ fn bind_unbind_keep_cache_coherent() {
     let mut st = store();
     let (interface, ..) = make_interface(&mut st, 10);
     let imp = st.create_object("GateImplementation", vec![]).unwrap();
-    // Unbound inheritor: Missing is cached too.
+    // Unbound inheritor: Missing depends on the empty binding slot, which
+    // no stamp records, so it holds only until the next mutation.
     assert_eq!(st.attr(imp, "Length").unwrap(), Value::Missing);
     let rel = st
         .bind("AllOf_GateInterface", interface, imp, vec![])
@@ -1548,16 +1666,14 @@ fn transmitter_update_invalidates_inheritors_in_different_shards() {
             imp
         })
         .collect();
-    let shards: std::collections::HashSet<usize> = imps
-        .iter()
-        .map(|s| st.resolution_cache_shard_of(*s))
-        .collect();
+    let shards: std::collections::HashSet<usize> =
+        imps.iter().map(|s| st.res_cache.shard_of(*s)).collect();
     assert!(
         shards.len() >= 2,
         "fixture must spread inheritors over shards, got {shards:?}"
     );
     // Warm every inheritor's cache entry, then update the transmitter:
-    // the sweep must reach all of them, across every shard.
+    // every entry, in every shard, must be found stale on read.
     for &imp in &imps {
         assert_eq!(st.attr(imp, "Length").unwrap(), Value::Int(10));
     }
@@ -1573,10 +1689,9 @@ fn transmitter_update_invalidates_inheritors_in_different_shards() {
 
 /// The stale read behind the flaky `racing_readers_never_observe_stale_values`,
 /// played without threads: a reader pinned before write N resolves *after*
-/// N published, while the shared cache is empty. Write N had nothing to
-/// drop, but it must still have raised the watermark — otherwise the old
-/// reader's fill (value N−1, stamp N−1) is accepted, and every reader at N
-/// takes it as current.
+/// N published, while the shared cache is empty. The old reader's fill
+/// records its position and the holder it read; readers at N see the
+/// holder's stamp from write N, newer than that position, and resolve anew.
 #[test]
 fn old_snapshot_fill_after_a_write_that_swept_nothing_is_rejected() {
     let mut st = store();
@@ -1907,12 +2022,43 @@ fn create_as_pins_the_surrogate_and_refuses_a_live_one() {
 #[test]
 fn object_stamp_is_the_newest_item_stamp() {
     let mut st = store();
-    let s = st.create_object("GateInterface", vec![]).unwrap();
-    assert_eq!(st.object_stamp(s), 0);
-    st.set_version(4);
+    let s = st
+        .create_object("GateInterface", vec![("Length", Value::Int(0))])
+        .unwrap();
+    assert_eq!(st.object_stamp(s), 0, "creation writes no stamp");
     st.set_attr(s, "Length", Value::Int(1)).unwrap();
-    st.set_version(9);
+    let length = st.tick();
     st.set_attr(s, "Width", Value::Int(2)).unwrap();
-    assert_eq!(st.write_stamp(s, "Length"), 4);
-    assert_eq!(st.object_stamp(s), 9);
+    assert_eq!(st.write_stamp(s, "Length"), length);
+    assert_eq!(st.object_stamp(s), st.tick());
+    assert!(st.tick() > length);
+}
+
+/// Structural writes carry first-committer-wins stamps once the store is
+/// version-managed, and none while a corpus is built on a standalone store.
+#[test]
+fn structural_writes_are_stamped_only_under_version_management() {
+    for version in [0, 1] {
+        let mut st = store();
+        st.set_version(version);
+        let (interface, rels) = fan_out(&mut st, 1);
+        let imp = st.object(rels[0]).unwrap().inheritor().unwrap();
+        let abstract_if = st.create_object("GateInterface_I", vec![]).unwrap();
+        let pin = st.create_subobject(abstract_if, "Pins", vec![]).unwrap();
+        st.unbind(rels[0]).unwrap();
+        st.delete(pin).unwrap();
+        assert!(st.object(interface).is_ok());
+        let stamps = [
+            st.write_stamp(imp, "@AllOf_GateInterface"),
+            st.write_stamp(abstract_if, "Pins"),
+            st.write_stamp(rels[0], "*"),
+            st.write_stamp(pin, "*"),
+        ];
+        if version == 0 {
+            assert_eq!(stamps, [0; 4]);
+            assert!(st.tick() > 0, "every mutation still advances the counter");
+        } else {
+            assert!(stamps.iter().all(|s| *s > 0), "{stamps:?}");
+        }
+    }
 }

@@ -5,24 +5,48 @@
 //! trigger mechanism … these informations can be used for building
 //! mechanisms for semi-automatical corrections of consistency violations."
 //!
-//! [`TriggerRegistry`] consumes the store's adaptation log: handlers are
-//! registered per inheritance-relationship type and run against each new
-//! [`AdaptationEvent`]; a handler returning [`TriggerOutcome::Handled`]
-//! acknowledges the relationship's `needs_adaptation` flag (automatic
-//! correction), while [`TriggerOutcome::Ignored`] leaves the flag up for a
-//! human (the paper's manual-adaptation default).
+//! The record is the one the paper names: each relationship's adaptation
+//! flag, holding the items raised since its last acknowledgement
+//! ([`ObjectStore::adaptation_flags`]). [`TriggerRegistry::process`] walks
+//! the flags in surrogate order and presents each item to the handler of
+//! the relationship's type as an [`AdaptationEvent`].
+//! [`TriggerOutcome::Handled`] acknowledges the item; the flag goes with
+//! its last item. [`TriggerOutcome::Ignored`] — or no handler — leaves it
+//! up for a human, the paper's default, and every later run presents it
+//! again. There is no cursor and no history: a consumer that must skip
+//! what happened before it started acknowledges the raised flags first
+//! (`examples/design_rules.rs`); one that needs history subscribes to
+//! `watch`. A flag persisted without its items loads as [`UNKNOWN_ITEM`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::CoreResult;
-use crate::store::{AdaptationEvent, ObjectStore};
+use crate::store::{FlagItems, ObjectStore};
+use crate::surrogate::Surrogate;
+
+/// The item of a flag whose items were not recorded.
+pub const UNKNOWN_ITEM: &str = "*";
+
+/// One raised item of one adaptation flag, as a handler sees it.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct AdaptationEvent {
+    /// The inheritance-relationship object whose flag is raised.
+    pub rel_object: Surrogate,
+    /// The transmitter that changed.
+    pub transmitter: Surrogate,
+    /// The inheritor that may need adaptation.
+    pub inheritor: Surrogate,
+    /// The permeable attribute or subclass that changed.
+    pub item: String,
+}
 
 /// What a trigger did with an event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TriggerOutcome {
-    /// The inheritor was adapted; clear the flag.
+    /// The inheritor was adapted; acknowledge the item.
     Handled,
-    /// Leave the flag raised for manual adaptation.
+    /// Leave the item raised for manual adaptation.
     Ignored,
 }
 
@@ -33,34 +57,24 @@ pub type TriggerFn =
 /// Summary of one [`TriggerRegistry::process`] run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ProcessReport {
-    /// Events seen this run.
+    /// Raised items presented this run.
     pub events: usize,
-    /// Events a handler reported as handled (flags cleared).
+    /// Items a handler reported as handled (acknowledged).
     pub handled: usize,
-    /// Events with no registered handler.
+    /// Items on flags with no registered handler.
     pub unhandled: usize,
 }
 
-/// Registry of per-relationship-type adaptation triggers with a cursor into
-/// the store's adaptation log.
+/// Registry of per-relationship-type adaptation triggers.
 #[derive(Default)]
 pub struct TriggerRegistry {
-    cursor: u64,
     handlers: HashMap<String, TriggerFn>,
 }
 
 impl TriggerRegistry {
-    /// Empty registry (cursor at the log's start).
+    /// Empty registry.
     pub fn new() -> Self {
         TriggerRegistry::default()
-    }
-
-    /// Start consuming only events after the store's current logical time.
-    pub fn from_now(store: &ObjectStore) -> Self {
-        TriggerRegistry {
-            cursor: store.now(),
-            handlers: HashMap::new(),
-        }
     }
 
     /// Register (or replace) the handler for one inheritance-relationship
@@ -76,31 +90,39 @@ impl TriggerRegistry {
             .insert(rel_type.to_string(), Box::new(handler));
     }
 
-    /// Consume all adaptation events since the last run, dispatching each to
-    /// the handler registered for its relationship type.
+    /// Present every raised item, flag by flag in surrogate order, to its
+    /// handler, and acknowledge the items handled. What handlers raise
+    /// meanwhile waits for the next run.
     pub fn process(&mut self, store: &mut ObjectStore) -> CoreResult<ProcessReport> {
-        let events: Vec<AdaptationEvent> = store.adaptation_events_since(self.cursor);
-        self.cursor = store.now();
-        let mut report = ProcessReport {
-            events: events.len(),
-            ..Default::default()
-        };
-        for ev in events {
-            // The relationship object may have been unbound meanwhile.
-            let Ok(rel) = store.object(ev.rel_object) else {
-                report.unhandled += 1;
+        let flags: Vec<(Surrogate, FlagItems)> = store
+            .adaptation_flags()
+            .map(|(rel, items)| (rel, Arc::clone(items)))
+            .collect();
+        let mut report = ProcessReport::default();
+        for (rel, items) in flags {
+            // An earlier handler may have dissolved the relationship.
+            let Ok(o) = store.object(rel) else {
                 continue;
             };
-            let rel_type = rel.type_name.clone();
-            match self.handlers.get_mut(&rel_type) {
-                None => report.unhandled += 1,
-                Some(h) => match h(store, &ev)? {
-                    TriggerOutcome::Handled => {
-                        store.acknowledge_adaptation(ev.rel_object)?;
-                        report.handled += 1;
-                    }
-                    TriggerOutcome::Ignored => {}
-                },
+            let (Some(transmitter), Some(inheritor)) = (o.transmitter(), o.inheritor()) else {
+                continue;
+            };
+            report.events += items.len();
+            let Some(handler) = self.handlers.get_mut(&o.type_name) else {
+                report.unhandled += items.len();
+                continue;
+            };
+            for item in items.iter() {
+                let event = AdaptationEvent {
+                    rel_object: rel,
+                    transmitter,
+                    inheritor,
+                    item: item.clone(),
+                };
+                if handler(store, &event)? == TriggerOutcome::Handled {
+                    store.acknowledge_item(rel, item);
+                    report.handled += 1;
+                }
             }
         }
         Ok(report)
@@ -112,16 +134,17 @@ mod tests {
     use super::*;
     use crate::domain::Domain;
     use crate::schema::{AttrDef, Catalog, InherRelTypeDef, ObjectTypeDef};
-    use crate::surrogate::Surrogate;
     use crate::value::Value;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     fn setup() -> (ObjectStore, Surrogate, Surrogate) {
         let mut c = Catalog::new();
         c.register_object_type(ObjectTypeDef {
             name: "If".into(),
-            attributes: vec![AttrDef::new("Length", Domain::Int)],
+            attributes: vec![
+                AttrDef::new("Length", Domain::Int),
+                AttrDef::new("Width", Domain::Int),
+            ],
             ..Default::default()
         })
         .unwrap();
@@ -129,7 +152,7 @@ mod tests {
             name: "AllOf_If".into(),
             transmitter_type: "If".into(),
             inheritor_type: None,
-            inheriting: vec!["Length".into()],
+            inheriting: vec!["Length".into(), "Width".into()],
             attributes: vec![],
             constraints: vec![],
         })
@@ -191,6 +214,10 @@ mod tests {
         triggers.process(&mut st).unwrap();
         let rel = st.binding_of(imp, "AllOf_If").unwrap();
         assert!(st.needs_adaptation(rel).unwrap());
+        // Left for a human: every later run presents it again.
+        assert_eq!(triggers.process(&mut st).unwrap().events, 1);
+        st.acknowledge_adaptation(rel).unwrap();
+        assert_eq!(triggers.process(&mut st).unwrap().events, 0);
     }
 
     #[test]
@@ -202,6 +229,8 @@ mod tests {
         assert_eq!(report.unhandled, 1);
     }
 
+    /// The acknowledgement is the cursor: a handled item is not presented
+    /// again until a new write raises it.
     #[test]
     fn cursor_prevents_reprocessing() {
         let (mut st, interface, _) = setup();
@@ -222,13 +251,62 @@ mod tests {
     }
 
     #[test]
-    fn from_now_skips_history() {
-        let (mut st, interface, _) = setup();
+    fn acknowledged_flags_are_not_presented() {
+        let (mut st, interface, imp) = setup();
         st.set_attr(interface, "Length", Value::Int(10)).unwrap();
-        let mut triggers = TriggerRegistry::from_now(&st);
+        // What replaces starting "from now": acknowledge what is up.
+        let rel = st.binding_of(imp, "AllOf_If").unwrap();
+        st.acknowledge_adaptation(rel).unwrap();
+        let mut triggers = TriggerRegistry::new();
         triggers.register("AllOf_If", |_, _| Ok(TriggerOutcome::Handled));
         let report = triggers.process(&mut st).unwrap();
-        assert_eq!(report.events, 0, "pre-registration events skipped");
+        assert_eq!(report.events, 0, "pre-registration changes skipped");
+    }
+
+    #[test]
+    fn each_raised_item_is_presented_and_acknowledged_on_its_own() {
+        let (mut st, interface, imp) = setup();
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        let mut triggers = TriggerRegistry::new();
+        // Handles Length only; Width is left for a human.
+        triggers.register("AllOf_If", move |_, ev| {
+            seen2.lock().push(ev.clone());
+            Ok(match &*ev.item {
+                "Length" => TriggerOutcome::Handled,
+                _ => TriggerOutcome::Ignored,
+            })
+        });
+        for v in 0..3 {
+            st.set_attr(interface, "Width", Value::Int(v)).unwrap();
+            st.set_attr(interface, "Length", Value::Int(v)).unwrap();
+        }
+        let report = triggers.process(&mut st).unwrap();
+        assert_eq!((report.events, report.handled), (2, 1));
+        let rel = st.binding_of(imp, "AllOf_If").unwrap();
+        let items: Vec<String> = seen.lock().iter().map(|e| e.item.clone()).collect();
+        assert_eq!(items, ["Length", "Width"], "sorted, one event per item");
+        let first = seen.lock()[0].clone();
+        assert_eq!(
+            (first.rel_object, first.transmitter, first.inheritor),
+            (rel, interface, imp)
+        );
+        let (_, left) = st.adaptation_flags().next().unwrap();
+        assert_eq!(**left, ["Width"]);
+    }
+
+    #[test]
+    fn a_flag_without_recorded_items_is_presented_once_as_unknown() {
+        let (mut st, _, imp) = setup();
+        let rel = st.binding_of(imp, "AllOf_If").unwrap();
+        st.restore_adaptation_flag(rel, vec![UNKNOWN_ITEM.to_string()]);
+        let mut triggers = TriggerRegistry::new();
+        triggers.register("AllOf_If", |_, ev| {
+            assert_eq!(&*ev.item, UNKNOWN_ITEM);
+            Ok(TriggerOutcome::Handled)
+        });
+        assert_eq!(triggers.process(&mut st).unwrap().handled, 1);
+        assert!(!st.needs_adaptation(rel).unwrap());
     }
 
     #[test]
@@ -239,7 +317,8 @@ mod tests {
         st.set_attr(interface, "Length", Value::Int(10)).unwrap();
         let rel = st.binding_of(imp, "AllOf_If").unwrap();
         st.unbind(rel).unwrap();
+        // The flag went with its relationship: nothing dangles.
         let report = triggers.process(&mut st).unwrap();
-        assert_eq!(report.unhandled, 1, "dangling event skipped, no panic");
+        assert_eq!(report, ProcessReport::default());
     }
 }

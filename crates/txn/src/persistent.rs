@@ -298,6 +298,37 @@ mod tests {
     }
 
     #[test]
+    fn triggers_survive_a_committed_transaction() {
+        use ccdb_core::trigger::{TriggerOutcome, TriggerRegistry};
+
+        let dir = tempfile::tempdir().unwrap();
+        let (interface, rel);
+        {
+            let mut st = ObjectStore::new(catalog()).unwrap();
+            interface = st
+                .create_object("If", vec![("Length", Value::Int(5))])
+                .unwrap();
+            let imp = st.create_object("Impl", vec![]).unwrap();
+            rel = st.bind("AllOf_If", interface, imp, vec![]).unwrap();
+            let pdb = PersistentDatabase::create(dir.path(), st).unwrap();
+            let mut tx = pdb.begin("alice");
+            tx.write_attr(interface, "Length", Value::Int(6)).unwrap();
+            pdb.commit(tx).unwrap();
+        }
+        let pdb = PersistentDatabase::open(dir.path()).unwrap();
+        let mut triggers = TriggerRegistry::new();
+        triggers.register("AllOf_If", move |_, ev| {
+            assert_eq!((ev.rel_object, ev.transmitter), (rel, interface));
+            assert_eq!(&*ev.item, "Length");
+            Ok(TriggerOutcome::Handled)
+        });
+        let report = pdb.store().write(|st| triggers.process(st)).unwrap();
+        assert_eq!((report.events, report.handled), (1, 1));
+        pdb.store()
+            .read(|st| assert!(!st.needs_adaptation(rel).unwrap()));
+    }
+
+    #[test]
     fn subobject_creation_persists_the_parent_membership() {
         let dir = tempfile::tempdir().unwrap();
         let (interface, pin);

@@ -34,7 +34,9 @@
 //! Commit is one [`SharedStore::try_write`] cycle on the store the
 //! transaction began on: **validate** (first-committer-wins — no item this
 //! transaction wrote, and no item of an object it deletes, may carry a
-//! write stamp newer than the begin version), **check** (optionally, the
+//! write stamp newer than the begin snapshot; structural items — a binding
+//! slot, a subclass, a whole object — are stamped like attributes),
+//! **check** (optionally, the
 //! deferred constraint pass, on the workspace, which already holds the
 //! final state), **replay** the log once on the master, **publish**. A
 //! replay error — an object deleted since begin, a binding slot taken
@@ -82,9 +84,9 @@ pub enum TxnError {
         /// The contended item; `*` when the whole object was written (a
         /// delete) and any item of it, or its cascade, changed.
         attr: String,
-        /// The version that beat this transaction to the item (for a
-        /// changed cascade, the version this commit was building — an
-        /// upper bound).
+        /// The version this commit was building when it found the
+        /// conflict: an upper bound on the version that beat this
+        /// transaction to the item, which is above its begin version.
         committed_version: u64,
     },
     /// [`Txn::commit_checked`] found violated integrity constraints.
@@ -470,6 +472,7 @@ impl TxnManager {
             user: user.to_string(),
             policy: Policy::Pessimistic,
             begin_version: snap.version(),
+            begin_tick: snap.tick(),
             workspace,
             log: Vec::new(),
         }
@@ -509,6 +512,9 @@ pub struct Txn {
     user: String,
     policy: Policy,
     begin_version: u64,
+    /// The begin snapshot's mutation counter ([`ObjectStore::tick`]): what
+    /// commit compares write stamps against.
+    begin_tick: u64,
     workspace: ObjectStore,
     log: Vec<Op>,
 }
@@ -829,51 +835,50 @@ impl Txn {
                 return Err(TxnError::Violations(violations));
             }
         }
-        self.store
-            .try_write(|master| {
-                // A conflict is found before anything is mutated: publish
-                // the (unchanged) cycle rather than pay for a rollback.
-                if let Err(conflict) = self.validate(master) {
-                    return Ok(Err(conflict));
-                }
-                for op in &self.log {
-                    // A delete must remove exactly what the transaction saw
-                    // it remove — judged here, after the log's earlier ops.
-                    if let Op::Delete { obj, doomed, .. } = op {
-                        if cascade(master, *obj)? != *doomed {
-                            return Err(TxnError::WriteConflict {
-                                obj: *obj,
-                                attr: "*".into(),
-                                committed_version: master.version(),
-                            });
-                        }
+        self.store.try_write(|master| {
+            // A conflict is found before anything is mutated, so its
+            // rollback stamps nothing and keeps the resolution cache.
+            self.validate(master)?;
+            for op in &self.log {
+                // A delete must remove exactly what the transaction saw it
+                // remove — judged here, after the log's earlier ops.
+                if let Op::Delete { obj, doomed, .. } = op {
+                    if cascade(master, *obj)? != *doomed {
+                        return Err(TxnError::WriteConflict {
+                            obj: *obj,
+                            attr: "*".into(),
+                            committed_version: master.version(),
+                        });
                     }
-                    op.replay(master)?;
                 }
-                durable(master, &self.log)?;
-                Ok(Ok(CommitInfo {
-                    version: master.version(),
-                    writes: self.log.len(),
-                }))
+                op.replay(master)?;
+            }
+            durable(master, &self.log)?;
+            Ok(CommitInfo {
+                version: master.version(),
+                writes: self.log.len(),
             })
-            .and_then(|outcome| outcome)
+        })
     }
 
     /// First committer wins: nothing this transaction wrote ([`Op::writes`])
-    /// may have been published by someone else since the begin snapshot —
-    /// for a whole object, none of its items. (Liveness of the touched
-    /// objects is checked by the replay itself.)
+    /// may have been written by someone else since the begin snapshot —
+    /// for a whole object, none of its items. Write stamps are positions of
+    /// the store's mutation counter, which the master carries through every
+    /// published version, so "since begin" is "stamped after the begin
+    /// snapshot's counter". (Liveness of the touched objects is checked by
+    /// the replay itself.)
     fn validate(&self, master: &ObjectStore) -> TxnResult<()> {
         for res in self.log.iter().flat_map(Op::writes) {
-            let (obj, committed_version, attr) = match res {
+            let (obj, stamp, attr) = match res {
                 Resource::Item(o, item) => (o, master.write_stamp(o, &item), item),
                 Resource::Object(o) => (o, master.object_stamp(o), "*".to_string()),
             };
-            if committed_version > self.begin_version {
+            if stamp > self.begin_tick {
                 return Err(TxnError::WriteConflict {
                     obj,
                     attr,
-                    committed_version,
+                    committed_version: master.version(),
                 });
             }
         }

@@ -959,14 +959,15 @@ fn stale_delete_and_unbind_lose_to_a_committed_write() {
         unbinder.unbind(rel).unwrap();
         unbinder.commit().unwrap();
         assert_eq!(db.store.attr(imp, "Cost").unwrap(), Value::Int(77));
-        // ...whereas one racing a re-bind of the same slot does not.
+        // ...whereas one racing a re-bind of the same slot does not: the
+        // slot's stamp catches it before the replay would.
         let rebound = db.store.bind("AllOf_If", i, imp, vec![]).unwrap();
         let mut stale = begin(&[imp, rebound]);
         stale.unbind(rebound).unwrap();
         db.store.unbind(rebound).unwrap();
         assert!(matches!(
             stale.commit(),
-            Err(TxnError::Core(CoreError::NoSuchObject(s))) if s == rebound
+            Err(TxnError::WriteConflict { obj, attr, .. }) if obj == imp && attr == "@AllOf_If"
         ));
         db.store.bind("AllOf_If", i, imp, vec![]).unwrap();
         assert!(db.with_store(|st| st.verify_integrity().is_empty()));
@@ -1016,6 +1017,48 @@ fn stale_delete_with_a_grown_cascade_is_a_conflict() {
     assert!(info.version > published + 1);
     db.with_store(|st| {
         assert!(st.object(i).is_err() && st.object(own_pin).is_err());
+        assert!(st.verify_integrity().is_empty());
+    });
+}
+
+/// Structural writes are first-committer-wins too: two transactions that
+/// fill the same binding slot, or an unbind racing a re-bind of it, lose
+/// with a `WriteConflict` at validation, not with a replay error.
+#[test]
+fn racing_binds_of_one_slot_are_write_conflicts() {
+    let db = quick_db();
+    let (i, imp) = bound_pair(&db);
+    let rel = db.with_store(|st| st.binding_of(imp, "AllOf_If").unwrap());
+    db.store.unbind(rel).unwrap();
+    let slot_conflict = |err: TxnError| {
+        assert!(
+            matches!(&err, TxnError::WriteConflict { obj, attr, .. } if *obj == imp && attr == "@AllOf_If"),
+            "{err}"
+        );
+    };
+
+    // Bind vs bind.
+    let mut alice = db.mgr.checkout("alice", &db.store, &[i, imp]).unwrap();
+    let mut bob = db.mgr.checkout("bob", &db.store, &[i, imp]).unwrap();
+    alice.bind("AllOf_If", i, imp).unwrap();
+    bob.bind("AllOf_If", i, imp).unwrap();
+    alice.commit().unwrap();
+    let published = db.store.published_version();
+    slot_conflict(bob.commit().unwrap_err());
+    assert_eq!(db.store.published_version(), published, "nothing published");
+
+    // Unbind vs bind: alice dissolves the binding, bob re-binds the slot
+    // from a snapshot in which it was still taken.
+    let rel = db.with_store(|st| st.binding_of(imp, "AllOf_If").unwrap());
+    let mut alice = db.mgr.checkout("alice", &db.store, &[i, imp, rel]).unwrap();
+    let mut bob = db.mgr.checkout("bob", &db.store, &[i, imp, rel]).unwrap();
+    alice.unbind(rel).unwrap();
+    bob.unbind(rel).unwrap();
+    bob.bind("AllOf_If", i, imp).unwrap();
+    alice.commit().unwrap();
+    slot_conflict(bob.commit().unwrap_err());
+    db.with_store(|st| {
+        assert_eq!(st.binding_of(imp, "AllOf_If"), None);
         assert!(st.verify_integrity().is_empty());
     });
 }

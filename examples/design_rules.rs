@@ -96,7 +96,14 @@ fn main() {
     // Trigger: keep SafetyMargin = Length / 10 whenever the bound
     // girder changes (the paper's semi-automatic correction).
     // -------------------------------------------------------------
-    let mut triggers = TriggerRegistry::from_now(&store);
+    // The flags are the adaptation record; acknowledging the ones raised
+    // while the design was set up makes the trigger see only what changes
+    // from here on.
+    let raised: Vec<_> = store.adaptation_flags().map(|(rel, _)| rel).collect();
+    for rel in raised {
+        store.acknowledge_adaptation(rel).unwrap();
+    }
+    let mut triggers = TriggerRegistry::new();
     triggers.register("AllOf_GirderIf", |st, ev| {
         if &*ev.item != "Length" {
             return Ok(TriggerOutcome::Handled);

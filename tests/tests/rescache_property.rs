@@ -2,8 +2,12 @@
 //! cache-disabled shadow store receive the same random operation stream,
 //! and after every operation every resolvable attribute must read the same
 //! through both. This is the §4.1 instant-visibility guarantee — the memo
-//! may never serve a stale value past a write, a (re)bind, an unbind, or a
-//! delete and re-create.
+//! may never serve a stale value past a write, a (re)bind, an unbind, a
+//! move to another transmitter, or a delete and re-create. No write touches
+//! the memo; each read validates what an entry depends on, so the streams
+//! run on a standalone store (one that never changes version) and on a
+//! shared one whose old snapshots stay pinned and keep reading — and
+//! filling the one shared memo — while newer versions are published.
 //!
 //! The same streams check `select`: after every operation, predicates that
 //! the store answers from the transmitters, from the rows, or from both
@@ -12,6 +16,7 @@
 use ccdb_core::domain::Domain;
 use ccdb_core::expr::{eval, BinOp, Env, Expr, PathExpr};
 use ccdb_core::schema::{AttrDef, Catalog, InherRelTypeDef, ObjectTypeDef};
+use ccdb_core::shared::SharedStore;
 use ccdb_core::store::ObjectStore;
 use ccdb_core::{Surrogate, Value};
 use proptest::prelude::*;
@@ -122,6 +127,14 @@ fn apply(st: &mut ObjectStore, p: &Population, op: usize, t: usize, v: i64) {
                 }
             }
         }
+        4 => {
+            // Move the mid-level binding to the other interface.
+            if let Some(rel) = st.binding_of(p.mids[t], "AllOf_If") {
+                st.unbind(rel).unwrap();
+            }
+            st.bind("AllOf_If", p.ifs[1 - t], p.mids[t], vec![])
+                .unwrap();
+        }
         _ => {
             // Delete a leaf and create it again under the same surrogate
             // (as a transaction replay does): the re-created, re-bound leaf
@@ -214,7 +227,7 @@ proptest! {
 
     #[test]
     fn cached_store_always_agrees_with_uncached(
-        ops in proptest::collection::vec((0usize..5, 0usize..2, -100i64..100), 1..50)
+        ops in proptest::collection::vec((0usize..6, 0usize..2, -100i64..100), 1..50)
     ) {
         // Shard count is a pure performance knob: the same stream must
         // agree with the cache-disabled shadow at one shard (the old
@@ -255,5 +268,42 @@ proptest! {
             prop_assert_eq!(shadow.stats().rescache_hits, 0);
             prop_assert_eq!(shadow.stats().rescache_misses, 0);
         }
+    }
+
+    /// The same streams on a shared store, one write cycle per op, while
+    /// snapshots pinned before earlier ops keep reading: each old reader
+    /// sees exactly the state it pinned, and the newest reader — served
+    /// from the memo those old readers keep filling — sees the current one.
+    #[test]
+    fn pinned_old_snapshot_readers_agree_with_uncached(
+        ops in proptest::collection::vec((0usize..6, 0usize..2, -100i64..100), 1..40),
+        pin_every in 1usize..4,
+    ) {
+        let mut base = ObjectStore::new(catalog()).unwrap();
+        let mut shadow = ObjectStore::new(catalog()).unwrap();
+        shadow.set_resolution_cache(false);
+        let p = populate(&mut base);
+        let p_shadow = populate(&mut shadow);
+        let shared = SharedStore::from_store(base);
+        let mut pinned = Vec::new();
+        for (k, (op, t, v)) in ops.iter().enumerate() {
+            if k % pin_every == 0 {
+                if pinned.len() == 4 {
+                    pinned.remove(0);
+                }
+                pinned.push((shared.snapshot(), observe(&shadow, &p_shadow)));
+            }
+            shared.write(|st| apply(st, &p, *op, *t, *v));
+            apply(&mut shadow, &p_shadow, *op, *t, *v);
+            for (snap, then) in &pinned {
+                prop_assert_eq!(&observe(snap, &p), then, "pinned reader after op {}", op);
+            }
+            prop_assert_eq!(
+                shared.read(|st| observe(st, &p)),
+                observe(&shadow, &p_shadow),
+                "newest reader after op {} on target {}", op, t
+            );
+        }
+        prop_assert!(shared.read(|st| st.verify_integrity()).is_empty());
     }
 }

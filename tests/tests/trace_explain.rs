@@ -114,12 +114,14 @@ fn inherited_read_produces_hop_tree_with_permeability_and_cache_outcome() {
 fn transmitter_update_traces_adaptation_cascade_and_invalidation() {
     let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let (mut st, girder, girder_if) = girder_store();
-    // Warm the resolution cache so the update has memos to drop.
+    // Warm the resolution cache so the update has a memo to outdate.
     let _ = st.attr(girder, "Length").unwrap();
     let _s = Session::start(1.0);
 
     st.set_attr(girder_if, "Length", Value::Int(120)).unwrap();
     let spans = trace::take_spans();
+    // The write touches no cache entry: there is no invalidation span.
+    assert!(!spans.iter().any(|s| s.name.starts_with("core.rescache")));
 
     let prop = spans
         .iter()
@@ -133,7 +135,7 @@ fn transmitter_update_traces_adaptation_cascade_and_invalidation() {
         prop.field("fanout").map(ToString::to_string),
         Some("1".into())
     );
-    // The flagged relationship is recorded as a child of the sweep.
+    // The flagged relationship is recorded as a child of the propagation.
     let flag = spans
         .iter()
         .find(|s| s.name == "core.adaptation.flag")
@@ -143,13 +145,20 @@ fn transmitter_update_traces_adaptation_cascade_and_invalidation() {
         flag.field("inheritor").map(ToString::to_string),
         Some(girder.0.to_string())
     );
-    // The permeable update also swept the resolution cache.
-    let inval = spans
+    // The next read finds the memo stale, walks the chain and sees the new
+    // value: the invalidation happens on read.
+    assert_eq!(st.attr(girder, "Length").unwrap(), Value::Int(120));
+    let spans = trace::take_spans();
+    let read = spans
         .iter()
-        .find(|s| s.name == "core.rescache.invalidate")
-        .expect("invalidation span");
+        .find(|s| s.name == "core.attr")
+        .expect("read span");
     assert_eq!(
-        inval.field("removed").map(ToString::to_string),
+        read.field("rescache").map(ToString::to_string),
+        Some("stale".into())
+    );
+    assert_eq!(
+        read.field("hops").map(ToString::to_string),
         Some("1".into())
     );
 }
