@@ -48,9 +48,9 @@ pub const SLOWEST_CAP: usize = 64;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlightRecord {
     /// Request verb (`attr`, `set_attr`, `batch`, ...).
-    pub verb: String,
+    pub verb: &'static str,
     /// `"ok"` or the error kind (`"core"`, `"overloaded"`, ...).
-    pub outcome: String,
+    pub outcome: &'static str,
     /// Wall-clock completion time, ns since the Unix epoch.
     pub end_unix_ns: u64,
     /// First byte read to response written, ns.
@@ -170,10 +170,10 @@ mod tests {
     /// The recorder is process-global; these tests serialize on it.
     static SERIAL: StdMutex<()> = StdMutex::new(());
 
-    fn rec(verb: &str, total_ns: u64) -> FlightRecord {
+    fn rec(verb: &'static str, total_ns: u64) -> FlightRecord {
         FlightRecord {
-            verb: verb.into(),
-            outcome: "ok".into(),
+            verb,
+            outcome: "ok",
             end_unix_ns: 0,
             total_ns,
             phases: [total_ns / 8; 8],
@@ -214,7 +214,7 @@ mod tests {
         record(rec("b", 400));
         record(rec("c", 10)); // Too fast to retain in `slowest`.
         let s = snapshot();
-        let slowest: Vec<&str> = s.slowest.iter().map(|r| r.verb.as_str()).collect();
+        let slowest: Vec<&str> = s.slowest.iter().map(|r| r.verb).collect();
         assert_eq!(slowest, vec!["a", "b"]);
         assert_eq!(s.recent.len(), 2, "but it still shows up in recent");
         clear();

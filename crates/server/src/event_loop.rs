@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use crate::dispatch::handle_frame;
 use crate::metrics::server_metrics;
 use crate::poller::{Event, Poller, POLLIN, POLLOUT};
-use crate::proto::{err_response, ErrorKind, HELLO_V2, PROTOCOL_V2};
+use crate::proto::{ErrorKind, HELLO_V2, PROTOCOL_V2};
 use crate::server::Inner;
 use crate::session::{release_session_gauges, Session, BUF_RETAIN_CAP};
 
@@ -483,20 +483,15 @@ fn process_buffer(inner: &Arc<Inner>, conn: &mut Conn) -> ConnAfter {
                 }
                 if conn.buf[..HELLO_V2.len()] != HELLO_V2 {
                     m.malformed.inc();
-                    conn.session.send(&err_response(
-                        0,
-                        ErrorKind::Protocol,
-                        &format!("bad hello magic (expected {:02x?})", &HELLO_V2[..]),
-                    ));
+                    let msg = format!("bad hello magic (expected {:02x?})", &HELLO_V2[..]);
+                    conn.session.reply(0, &Err((ErrorKind::Protocol, msg)));
                     return ConnAfter::CloseAfterFlush;
                 }
                 if inner.cfg.max_proto < PROTOCOL_V2 {
                     m.malformed.inc();
-                    conn.session.send(&err_response(
-                        0,
-                        ErrorKind::Protocol,
-                        "protocol v2 not supported (server pinned to v1)",
-                    ));
+                    let msg = "protocol v2 not supported (server pinned to v1)";
+                    conn.session
+                        .reply(0, &Err((ErrorKind::Protocol, msg.into())));
                     return ConnAfter::CloseAfterFlush;
                 }
                 // Accept: echo the magic raw (unframed) and switch modes.
@@ -528,29 +523,33 @@ fn process_buffer(inner: &Arc<Inner>, conn: &mut Conn) -> ConnAfter {
             // Refused before the body is ever buffered past what already
             // arrived; framing is unrecoverable after this.
             m.malformed.inc();
-            conn.session.send(&err_response(
-                0,
-                ErrorKind::Protocol,
-                &format!(
-                    "frame of {len} bytes exceeds cap of {}",
-                    inner.cfg.max_frame_bytes
-                ),
-            ));
+            let msg = format!(
+                "frame of {len} bytes exceeds cap of {}",
+                inner.cfg.max_frame_bytes
+            );
+            conn.session.reply(0, &Err((ErrorKind::Protocol, msg)));
             return ConnAfter::CloseAfterFlush;
         }
         if conn.buf.len() < 4 + len {
             return ConnAfter::Keep; // partial frame
         }
-        let payload: Vec<u8> = conn.buf[4..4 + len].to_vec();
-        conn.buf.drain(..4 + len);
         let first_byte = conn.frame_start.take().unwrap_or_else(Instant::now);
-        conn.frame_start = if conn.buf.is_empty() {
+        conn.frame_start = if conn.buf.len() == 4 + len {
             None
         } else {
             Some(Instant::now())
         };
         let recv_ns = first_byte.elapsed().as_nanos() as u64;
-        handle_frame(inner, &conn.session, payload, first_byte, recv_ns);
+        // The frame runs borrowed from the read buffer, which drops it
+        // only afterwards; a queued job copies what it keeps.
+        handle_frame(
+            inner,
+            &conn.session,
+            &conn.buf[4..4 + len],
+            first_byte,
+            recv_ns,
+        );
+        conn.buf.drain(..4 + len);
     }
 }
 

@@ -1,8 +1,9 @@
 //! Verb dispatch: one parsed request against the shared store.
 //!
-//! [`Handler::handle`] is a pure request → `Result<Json, (ErrorKind,
-//! message)>` function; the threading, framing, and response writing live
-//! in [`crate::server`]. Every decision is a `match` on the request's
+//! [`Handler::handle`] is a pure params → `Result<Reply, (ErrorKind,
+//! message)>` function: it reads its [`Params`] in place and answers a
+//! typed [`Reply`]; the threading, framing, and response writing live
+//! in [`crate::dispatch`] and [`crate::session`]. Every decision is a `match` on the request's
 //! [`Verb`] and its [`VerbClass`]. A store verb runs on one [`Target`]:
 //! the session's wire transaction when it has one, else a pinned snapshot
 //! (reads, many in parallel across workers) or one exclusive write cycle
@@ -17,15 +18,17 @@ use std::time::Instant;
 use ccdb_core::expr::Expr;
 use ccdb_core::schema::{Catalog, ItemSource};
 use ccdb_core::shared::SharedStore;
-use ccdb_core::{CoreError, ObjectStore, Surrogate, Value};
+use ccdb_core::{CoreError, ObjectStore};
 use ccdb_txn::{Op, SessionError, Txn, TxnError, TxnRegistry, TxnResult};
 use serde_json::Value as Json;
 
+use crate::params::Params;
 use crate::proto::{ErrorKind, Verb, VerbClass};
+use crate::reply::Reply;
 
 /// Handler failure: wire error kind plus client-safe message.
 pub(crate) type HandlerError = (ErrorKind, String);
-pub(crate) type HandlerResult = Result<Json, HandlerError>;
+pub(crate) type HandlerResult = Result<Reply, HandlerError>;
 
 /// Static facts about the serving process, echoed in the `ping` reply as
 /// `server_info` so dashboards (`ccdb top`) can label what they scrape.
@@ -89,8 +92,8 @@ fn flight_record_json(r: &ccdb_obs::FlightRecord) -> Json {
         .map(|(name, ns)| ((*name).to_string(), Json::UInt(*ns)))
         .collect();
     Json::Object(vec![
-        ("verb".into(), Json::String(r.verb.clone())),
-        ("outcome".into(), Json::String(r.outcome.clone())),
+        ("verb".into(), Json::String(r.verb.into())),
+        ("outcome".into(), Json::String(r.outcome.into())),
         ("end_unix_ns".into(), Json::UInt(r.end_unix_ns)),
         ("total_ns".into(), Json::UInt(r.total_ns)),
         ("phases".into(), Json::Object(phases)),
@@ -117,18 +120,18 @@ fn flight_record_json(r: &ccdb_obs::FlightRecord) -> Json {
 /// scrapes, so they track the window instead of skewing after long
 /// uptimes) and `wakeup` (the scheduler's enqueue→dequeue histogram over
 /// the same window).
-fn handle_telemetry(params: &Json) -> HandlerResult {
+fn handle_telemetry(params: Params) -> Json {
     let ts = ccdb_obs::global_series();
     let interval_ms = ts.interval_ms().max(1);
     let retention = ts.retention();
     let points = params
         .get("points")
-        .and_then(Json::as_u64)
+        .and_then(Params::as_u64)
         .unwrap_or(32)
         .clamp(1, retention as u64) as usize;
     let window_ms = params
         .get("window_ms")
-        .and_then(Json::as_u64)
+        .and_then(Params::as_u64)
         .unwrap_or(points as u64 * interval_ms)
         .max(interval_ms);
     let window_samples = (window_ms.div_ceil(interval_ms) as usize).clamp(1, retention);
@@ -212,7 +215,7 @@ fn handle_telemetry(params: &Json) -> HandlerResult {
         None => Json::Null,
     };
 
-    Ok(Json::Object(vec![
+    Json::Object(vec![
         ("tick".into(), Json::UInt(ts.tick())),
         ("interval_ms".into(), Json::UInt(interval_ms)),
         ("retention".into(), Json::UInt(retention as u64)),
@@ -226,14 +229,14 @@ fn handle_telemetry(params: &Json) -> HandlerResult {
         ("series".into(), Json::Array(series)),
         ("verbs".into(), Json::Array(verbs)),
         ("wakeup".into(), wakeup),
-    ]))
+    ])
 }
 
 /// `flight`: dump the flight recorder (most-recent + slowest retained
 /// request timelines).
-fn handle_flight() -> HandlerResult {
+fn handle_flight() -> Json {
     let s = ccdb_obs::flight::snapshot();
-    Ok(Json::Object(vec![
+    Json::Object(vec![
         (
             "recent".into(),
             Json::Array(s.recent.iter().map(flight_record_json).collect()),
@@ -245,10 +248,10 @@ fn handle_flight() -> HandlerResult {
         ("recent_cap".into(), Json::UInt(s.recent_cap as u64)),
         ("slowest_cap".into(), Json::UInt(s.slowest_cap as u64)),
         ("recorded".into(), Json::UInt(s.recorded)),
-    ]))
+    ])
 }
 
-fn bad(msg: impl Into<String>) -> HandlerError {
+pub(crate) fn bad(msg: impl Into<String>) -> HandlerError {
     (ErrorKind::BadRequest, msg.into())
 }
 
@@ -270,63 +273,6 @@ fn session_err(e: SessionError) -> HandlerError {
     }
 }
 
-fn param<'a>(params: &'a Json, key: &str) -> Result<&'a Json, HandlerError> {
-    params
-        .get(key)
-        .ok_or_else(|| bad(format!("missing parameter `{key}`")))
-}
-
-fn surrogate_param(params: &Json, key: &str) -> Result<Surrogate, HandlerError> {
-    param(params, key)?
-        .as_u64()
-        .map(Surrogate)
-        .ok_or_else(|| bad(format!("parameter `{key}` must be an unsigned surrogate")))
-}
-
-fn str_param<'a>(params: &'a Json, key: &str) -> Result<&'a str, HandlerError> {
-    param(params, key)?
-        .as_str()
-        .ok_or_else(|| bad(format!("parameter `{key}` must be a string")))
-}
-
-fn value_param(params: &Json, key: &str) -> Result<Value, HandlerError> {
-    let raw = param(params, key)?;
-    serde_json::from_value::<Value>(raw).map_err(|e| {
-        bad(format!(
-            "parameter `{key}` is not a valid value encoding: {e}"
-        ))
-    })
-}
-
-/// Decodes an optional `{name: <value encoding>}` object into attr pairs.
-fn attrs_param(params: &Json, key: &str) -> Result<Vec<(String, Value)>, HandlerError> {
-    let Some(raw) = params.get(key) else {
-        return Ok(vec![]);
-    };
-    if raw.is_null() {
-        return Ok(vec![]);
-    }
-    let pairs = raw
-        .as_object_slice()
-        .ok_or_else(|| bad(format!("parameter `{key}` must be an object of attributes")))?;
-    pairs
-        .iter()
-        .map(|(name, v)| {
-            serde_json::from_value::<Value>(v)
-                .map(|val| (name.clone(), val))
-                .map_err(|e| {
-                    bad(format!(
-                        "attribute `{name}` has invalid value encoding: {e}"
-                    ))
-                })
-        })
-        .collect()
-}
-
-fn surrogates_json(items: &[Surrogate]) -> Json {
-    Json::Array(items.iter().map(|s| Json::UInt(s.0)).collect())
-}
-
 fn item_source_json(source: &ItemSource) -> Json {
     match source {
         ItemSource::Local => Json::String("local".into()),
@@ -338,8 +284,8 @@ fn item_source_json(source: &ItemSource) -> Json {
 }
 
 /// `effective`: a type's effective schema with provenance, as JSON.
-fn handle_effective(catalog: &Catalog, params: &Json) -> HandlerResult {
-    let ty = str_param(params, "type")?;
+fn handle_effective(catalog: &Catalog, params: Params) -> Result<Json, HandlerError> {
+    let ty = params.str("type")?;
     let eff = catalog.effective_schema(ty).map_err(core_err)?;
     let attrs = eff
         .attrs
@@ -372,9 +318,9 @@ fn handle_effective(catalog: &Catalog, params: &Json) -> HandlerResult {
 
 /// `explain`: synthesize the inheritance chain an attribute resolves
 /// through, from effective-schema provenance (type level; no instances).
-fn handle_explain(catalog: &Catalog, params: &Json) -> HandlerResult {
-    let ty = str_param(params, "type")?;
-    let attr = str_param(params, "attr")?;
+fn handle_explain(catalog: &Catalog, params: Params) -> Result<Json, HandlerError> {
+    let ty = params.str("type")?;
+    let attr = params.str("attr")?;
     let mut hops = Vec::new();
     let mut cur_ty = ty.to_string();
     let domain = loop {
@@ -415,24 +361,23 @@ fn txn_verb(store: &SharedStore, txns: &TxnRegistry, session: u64, verb: Verb) -
     match verb {
         Verb::Begin => {
             let (txn, snapshot_version) = txns.begin(session, store).map_err(session_err)?;
-            Ok(Json::Object(vec![
-                ("txn".into(), Json::UInt(txn)),
-                ("snapshot_version".into(), Json::UInt(snapshot_version)),
-            ]))
+            Ok(Reply::Begin {
+                txn,
+                snapshot_version,
+            })
         }
         Verb::Commit => {
             let info = txns.commit(session, store).map_err(session_err)?;
-            Ok(Json::Object(vec![
-                ("version".into(), Json::UInt(info.version)),
-                ("writes".into(), Json::UInt(info.writes as u64)),
-            ]))
+            Ok(Reply::Commit {
+                version: info.version,
+                writes: info.writes as u64,
+            })
         }
         Verb::Abort => {
             let released = txns.abort(session).map_err(session_err)?;
-            Ok(Json::Object(vec![(
-                "released".into(),
-                Json::UInt(released as u64),
-            )]))
+            Ok(Reply::Abort {
+                released: released as u64,
+            })
         }
         other => Err(bad(format!("`{}` is not a transaction verb", other.name()))),
     }
@@ -440,46 +385,24 @@ fn txn_verb(store: &SharedStore, txns: &TxnRegistry, session: u64, verb: Verb) -
 
 /// One read verb against one view of the store: a pinned snapshot, the
 /// master inside a write cycle, or a transaction's workspace.
-fn read(st: &ObjectStore, verb: Verb, params: &Json) -> HandlerResult {
+fn read(st: &ObjectStore, verb: Verb, params: Params) -> HandlerResult {
     match verb {
         Verb::Attr => {
-            let obj = surrogate_param(params, "obj")?;
-            let name = str_param(params, "name")?;
-            let value = st.attr(obj, name).map_err(core_err)?;
-            Ok(serde_json::to_value(&value))
+            let (obj, name) = (params.surrogate("obj")?, params.str("name")?);
+            Ok(Reply::Value(st.attr(obj, name).map_err(core_err)?))
         }
         Verb::Select => {
-            let ty = str_param(params, "type")?;
-            let predicate = match params.get("where").and_then(Json::as_str) {
+            let ty = params.str("type")?;
+            let predicate = match params.get("where").and_then(Params::as_str) {
                 Some(src) => ccdb_lang::compile_expr(src, st.catalog())
                     .map_err(|e| bad(format!("invalid `where` expression: {e}")))?,
                 // No predicate: match everything.
                 None => Expr::eq(Expr::int(0), Expr::int(0)),
             };
             let hits = st.select(ty, &predicate).map_err(core_err)?;
-            Ok(surrogates_json(&hits))
+            Ok(Reply::Surrogates(hits))
         }
-        Verb::CheckAll => {
-            let violations = st.check_all().map_err(core_err)?;
-            Ok(Json::Array(
-                violations
-                    .iter()
-                    .map(|v| {
-                        Json::Object(vec![
-                            ("object".into(), Json::UInt(v.object.0)),
-                            ("constraint".into(), Json::String(v.constraint.clone())),
-                            (
-                                "detail".into(),
-                                v.detail
-                                    .as_ref()
-                                    .map(|d| Json::String(d.clone()))
-                                    .unwrap_or(Json::Null),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ))
-        }
+        Verb::CheckAll => Ok(Reply::Violations(st.check_all().map_err(core_err)?)),
         other => Err(bad(format!("`{}` is not a read verb", other.name()))),
     }
 }
@@ -488,44 +411,39 @@ fn read(st: &ObjectStore, verb: Verb, params: &Json) -> HandlerResult {
 /// view the op will be applied to: a creating op draws its surrogate from
 /// that store's shared generator (last, so a malformed request burns
 /// none), an unbind names the binding it holds.
-fn decode_op(st: &ObjectStore, verb: Verb, params: &Json) -> Result<Op, HandlerError> {
+fn decode_op(st: &ObjectStore, verb: Verb, params: Params) -> Result<Op, HandlerError> {
     Ok(match verb {
         Verb::Create => Op::CreateObject {
-            type_name: str_param(params, "type")?.into(),
-            attrs: attrs_param(params, "attrs")?,
+            type_name: params.str("type")?.into(),
+            attrs: params.attrs("attrs")?,
             s: st.reserve_surrogate(),
         },
         Verb::SetAttr => Op::SetAttr {
-            obj: surrogate_param(params, "obj")?,
-            attr: str_param(params, "name")?.into(),
-            value: value_param(params, "value")?,
+            obj: params.surrogate("obj")?,
+            attr: params.str("name")?.into(),
+            value: params.value("value")?,
         },
         Verb::Bind => Op::Bind {
-            rel_type: str_param(params, "rel")?.into(),
-            transmitter: surrogate_param(params, "transmitter")?,
-            inheritor: surrogate_param(params, "inheritor")?,
-            attrs: attrs_param(params, "attrs")?,
+            rel_type: params.str("rel")?.into(),
+            transmitter: params.surrogate("transmitter")?,
+            inheritor: params.surrogate("inheritor")?,
+            attrs: params.attrs("attrs")?,
             s: st.reserve_surrogate(),
         },
-        Verb::Unbind => Op::unbind(st, surrogate_param(params, "rel_obj")?).map_err(core_err)?,
+        Verb::Unbind => Op::unbind(st, params.surrogate("rel_obj")?).map_err(core_err)?,
         other => return Err(bad(format!("`{}` is not a write verb", other.name()))),
     })
-}
-
-/// A write's reply: the surrogate it creates, else `null`.
-fn created_json(op: &Op) -> Json {
-    op.created().map_or(Json::Null, |s| Json::UInt(s.0))
 }
 
 /// A read or write verb inside `session`'s wire transaction: reads see the
 /// workspace (`attr` under §6 lock inheritance), writes go through
 /// [`Txn::apply`]. A lock failure kills the transaction
 /// ([`TxnRegistry::with_txn`]), so later entries of a batch find none.
-fn in_txn(txns: &TxnRegistry, session: u64, verb: Verb, params: &Json) -> HandlerResult {
+fn in_txn(txns: &TxnRegistry, session: u64, verb: Verb, params: Params) -> HandlerResult {
     if verb == Verb::Attr {
-        let (obj, name) = (surrogate_param(params, "obj")?, str_param(params, "name")?);
+        let (obj, name) = (params.surrogate("obj")?, params.str("name")?);
         let value = txns.read_attr(session, obj, name).map_err(session_err)?;
-        return Ok(serde_json::to_value(&value));
+        return Ok(Reply::Value(value));
     }
     let run = |txn: &mut Txn| -> TxnResult<HandlerResult> {
         if verb.class() != VerbClass::Write {
@@ -535,28 +453,11 @@ fn in_txn(txns: &TxnRegistry, session: u64, verb: Verb, params: &Json) -> Handle
             Ok(op) => op,
             Err(e) => return Ok(Err(e)),
         };
-        let out = created_json(&op);
+        let created = op.created();
         txn.apply(op)?;
-        Ok(Ok(out))
+        Ok(Ok(Reply::Created(created)))
     };
     txns.with_txn(session, run).map_err(session_err)?
-}
-
-/// Encodes a `batch` entry's outcome into its positional response slot.
-fn batch_slot(result: HandlerResult) -> Json {
-    match result {
-        Ok(v) => Json::Object(vec![("ok".into(), Json::Bool(true)), ("result".into(), v)]),
-        Err((kind, message)) => Json::Object(vec![
-            ("ok".into(), Json::Bool(false)),
-            (
-                "error".into(),
-                Json::Object(vec![
-                    ("kind".into(), Json::String(kind.as_str().into())),
-                    ("message".into(), Json::String(message)),
-                ]),
-            ),
-        ]),
-    }
 }
 
 /// Where a store verb runs.
@@ -586,7 +487,7 @@ impl Handler<'_> {
     /// acquires exactly one guard — the session's transaction if it has
     /// one, else a snapshot pin for reads or the exclusive master lock for
     /// writes — and a `batch` frame one guard covering every sub-request.
-    pub(crate) fn handle(&self, session: u64, verb: Verb, params: &Json) -> HandlerResult {
+    pub(crate) fn handle(&self, session: u64, verb: Verb, params: Params) -> HandlerResult {
         match verb.class() {
             VerbClass::Storeless => self.storeless(verb, params),
             VerbClass::Read => self.on_target(session, false, |t| self.run(t, verb, params)),
@@ -616,7 +517,7 @@ impl Handler<'_> {
 
     /// One verb on `target`: the body of a lone request, and of every
     /// `batch` entry.
-    fn run(&self, target: &mut Target, verb: Verb, params: &Json) -> HandlerResult {
+    fn run(&self, target: &mut Target, verb: Verb, params: Params) -> HandlerResult {
         match (verb.class(), target) {
             (VerbClass::Storeless, _) => self.storeless(verb, params),
             (VerbClass::Read, Target::Snapshot(st)) => read(st, verb, params),
@@ -624,7 +525,7 @@ impl Handler<'_> {
             (VerbClass::Write, Target::Master(st)) => {
                 let op = decode_op(st, verb, params)?;
                 op.replay(st).map_err(core_err)?;
-                Ok(created_json(&op))
+                Ok(Reply::Created(op.created()))
             }
             (VerbClass::Read | VerbClass::Write, Target::Txn(txns, session)) => {
                 in_txn(txns, *session, verb, params)
@@ -642,31 +543,32 @@ impl Handler<'_> {
     }
 
     /// Verbs that never touch the store.
-    fn storeless(&self, verb: Verb, params: &Json) -> HandlerResult {
-        match verb {
+    fn storeless(&self, verb: Verb, params: Params) -> HandlerResult {
+        let tree = match verb {
             Verb::Ping => {
                 // Optional artificial service time (capped); used by the drain
                 // and overload tests and the latency harness.
-                if let Some(ms) = params.get("delay_ms").and_then(Json::as_u64) {
+                if let Some(ms) = params.get("delay_ms").and_then(Params::as_u64) {
                     std::thread::sleep(std::time::Duration::from_millis(ms.min(1_000)));
                 }
-                Ok(Json::Object(vec![
+                Json::Object(vec![
                     ("pong".into(), Json::Bool(true)),
                     ("server_info".into(), self.ctx.info_json()),
-                ]))
+                ])
             }
-            Verb::Effective => handle_effective(self.catalog, params),
-            Verb::Explain => handle_explain(self.catalog, params),
+            Verb::Effective => handle_effective(self.catalog, params)?,
+            Verb::Explain => handle_explain(self.catalog, params)?,
             Verb::Stats => serde_json::from_str(&ccdb_obs::global().render_json())
-                .map_err(|e| (ErrorKind::Internal, format!("stats render: {e}"))),
+                .map_err(|e| (ErrorKind::Internal, format!("stats render: {e}")))?,
             // The plaintext Prometheus scrape, `GET /metrics`-style, so the
             // PR 1 exporter is reachable over the network.
-            Verb::Metrics => Ok(Json::String(ccdb_obs::global().render_prometheus())),
+            Verb::Metrics => Json::String(ccdb_obs::global().render_prometheus()),
             Verb::Flight => handle_flight(),
             Verb::Telemetry => handle_telemetry(params),
             Verb::Boom if self.debug_verbs => panic!("boom: requested handler panic"),
-            other => Err(bad(format!("unknown verb `{}`", other.name()))),
-        }
+            other => return Err(bad(format!("unknown verb `{}`", other.name()))),
+        };
+        Ok(Reply::Json(tree))
     }
 
     /// `batch`: execute `params.requests` (an array of `{verb, params}`
@@ -675,30 +577,27 @@ impl Handler<'_> {
     /// guard acquisition, exclusive iff any entry is a write verb — and
     /// return one result slot per entry in order. A failing entry fills
     /// its slot with an error and later entries still execute (per-entry
-    /// isolation); nested batches and transaction verbs are refused per
-    /// entry.
-    fn batch(&self, session: u64, params: &Json) -> HandlerResult {
-        let subs = param(params, "requests")?
-            .as_array()
-            .ok_or_else(|| bad("`requests` must be an array"))?;
+    /// isolation); nested batches, transaction verbs and entries whose
+    /// params are not an object are refused per entry.
+    fn batch(&self, session: u64, params: Params) -> HandlerResult {
+        let subs = params.array("requests")?;
         let m = crate::metrics::server_metrics();
         m.batch_frames.inc();
         m.batch_subrequests.add(subs.len() as u64);
         m.batch_size.observe(subs.len() as u64);
-        if subs.is_empty() {
-            return Ok(Json::Array(vec![]));
+        if subs.len() == 0 {
+            return Ok(Reply::Batch(vec![]));
         }
-        let empty = Json::Object(vec![]);
-        let entries: Vec<Result<(Verb, &Json), HandlerError>> = subs
-            .iter()
+        let entries: Vec<Result<(Verb, Params), HandlerError>> = subs
             .map(|sub| {
                 let name = sub
                     .get("verb")
-                    .and_then(Json::as_str)
+                    .and_then(Params::as_str)
                     .ok_or_else(|| bad("sub-request missing `verb`"))?;
                 let verb =
                     Verb::from_name(name).ok_or_else(|| bad(format!("unknown verb `{name}`")))?;
-                Ok((verb, sub.get("params").unwrap_or(&empty)))
+                let params = sub.get("params").map_or(Ok(Params::EMPTY), Params::object);
+                Ok((verb, params.map_err(bad)?))
             })
             .collect();
         let writes = entries
@@ -707,10 +606,10 @@ impl Handler<'_> {
         let slots = self.on_target(session, writes, |target| {
             entries
                 .into_iter()
-                .map(|e| batch_slot(e.and_then(|(verb, params)| self.run(target, verb, params))))
+                .map(|e| e.and_then(|(verb, params)| self.run(target, verb, params)))
                 .collect()
         });
-        Ok(Json::Array(slots))
+        Ok(Reply::Batch(slots))
     }
 }
 
@@ -748,7 +647,11 @@ pub(crate) mod tests {
         (SharedStore::new(c.clone()).unwrap(), c)
     }
 
-    fn call(store: &SharedStore, catalog: &Catalog, verb: &str, params: Json) -> HandlerResult {
+    /// A handler's answer as the tree a v1 client reads: the reply is
+    /// written by the session's encoder and parsed back.
+    type Answer = Result<Json, HandlerError>;
+
+    fn call(store: &SharedStore, catalog: &Catalog, verb: &str, params: Json) -> Answer {
         call_s(store, catalog, &TxnRegistry::new(), 0, verb, params)
     }
 
@@ -761,7 +664,7 @@ pub(crate) mod tests {
         session: u64,
         verb: &str,
         params: Json,
-    ) -> HandlerResult {
+    ) -> Answer {
         let handler = Handler {
             store,
             catalog,
@@ -770,7 +673,11 @@ pub(crate) mod tests {
             debug_verbs: false,
         };
         let verb = Verb::from_name(verb).unwrap_or_else(|| panic!("no verb `{verb}`"));
-        handler.handle(session, verb, &params)
+        let reply = handler.handle(session, verb, Params::Json(&params))?;
+        let mut out = Vec::new();
+        crate::reply::append_reply(&mut out, 1, 0, &Ok(reply)).unwrap();
+        let envelope: Json = serde_json::from_slice(&out[4..]).unwrap();
+        Ok(envelope["result"].clone())
     }
 
     #[test]

@@ -91,8 +91,10 @@ mod dispatch;
 mod event_loop;
 mod handler;
 mod metrics;
+mod params;
 pub mod proto;
 pub mod queue;
+mod reply;
 pub mod server;
 mod session;
 mod watch;

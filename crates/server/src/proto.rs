@@ -306,35 +306,45 @@ impl Request {
     /// Parses and validates a request envelope (including the version
     /// check). The error string is safe to echo to the client.
     pub fn parse(payload: &[u8]) -> Result<Request, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-        let v: Json = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let version = v
-            .get("v")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "missing protocol version `v`".to_string())?;
-        if version != PROTOCOL_VERSION {
-            return Err(format!(
-                "unsupported protocol version {version} (server speaks {PROTOCOL_VERSION})"
-            ));
-        }
-        let id = v
-            .get("id")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "missing request `id`".to_string())?;
-        let verb = v
-            .get("verb")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing `verb`".to_string())?
-            .to_string();
+        let v = parse_v1_json(payload)?;
+        let (id, verb, trace) = v1_envelope(&v)?;
         let params = v.get("params").cloned().unwrap_or(Json::Object(vec![]));
-        let trace = v.get("trace").and_then(Json::as_u64);
         Ok(Request {
             id,
-            verb,
+            verb: verb.to_string(),
             params,
             trace,
         })
     }
+}
+
+/// Parses a v1 payload's JSON text.
+pub(crate) fn parse_v1_json(payload: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
+    serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))
+}
+
+/// A v1 envelope's `id`, `verb` and optional `trace`, after the version
+/// check. The error string is safe to echo to the client.
+pub(crate) fn v1_envelope(v: &Json) -> Result<(u64, &str, Option<u64>), String> {
+    let version = v
+        .get("v")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| "missing protocol version `v`".to_string())?;
+    if version != PROTOCOL_VERSION {
+        return Err(format!(
+            "unsupported protocol version {version} (server speaks {PROTOCOL_VERSION})"
+        ));
+    }
+    let id = v
+        .get("id")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| "missing request `id`".to_string())?;
+    let verb = v
+        .get("verb")
+        .and_then(Json::as_str)
+        .ok_or_else(|| "missing `verb`".to_string())?;
+    Ok((id, verb, v.get("trace").and_then(Json::as_u64)))
 }
 
 /// Builds a success response.
@@ -482,61 +492,199 @@ pub const V2_HEADER_LEN: usize = 12;
 // bval type tags. Strings/arrays/objects carry a u32 big-endian
 // count/length; objects repeat (key-string-without-tag, value).
 const BV_NULL: u8 = 0x00;
-const BV_FALSE: u8 = 0x01;
-const BV_TRUE: u8 = 0x02;
-const BV_INT: u8 = 0x03; // i64 BE
-const BV_UINT: u8 = 0x04; // u64 BE
-const BV_FLOAT: u8 = 0x05; // f64 bits BE
-const BV_STR: u8 = 0x06;
-const BV_ARRAY: u8 = 0x07;
-const BV_OBJECT: u8 = 0x08;
+pub(crate) const BV_FALSE: u8 = 0x01;
+pub(crate) const BV_TRUE: u8 = 0x02;
+pub(crate) const BV_INT: u8 = 0x03; // i64 BE
+pub(crate) const BV_UINT: u8 = 0x04; // u64 BE
+pub(crate) const BV_FLOAT: u8 = 0x05; // f64 bits BE
+pub(crate) const BV_STR: u8 = 0x06;
+pub(crate) const BV_ARRAY: u8 = 0x07;
+pub(crate) const BV_OBJECT: u8 = 0x08;
 
 /// Nesting cap for bval decoding; deeper input is hostile, not data.
 const BV_MAX_DEPTH: u32 = 64;
 
 /// Appends the bval encoding of `v` to `out`.
 pub fn bval_encode(v: &Json, out: &mut Vec<u8>) {
-    match v {
-        Json::Null => out.push(BV_NULL),
-        Json::Bool(false) => out.push(BV_FALSE),
-        Json::Bool(true) => out.push(BV_TRUE),
-        Json::Int(i) => {
-            out.push(BV_INT);
-            out.extend_from_slice(&i.to_be_bytes());
-        }
-        Json::UInt(u) => {
-            out.push(BV_UINT);
-            out.extend_from_slice(&u.to_be_bytes());
-        }
-        Json::Float(f) => {
-            out.push(BV_FLOAT);
-            out.extend_from_slice(&f.to_bits().to_be_bytes());
-        }
-        Json::String(s) => {
-            out.push(BV_STR);
-            bval_put_str(out, s);
-        }
-        Json::Array(items) => {
-            out.push(BV_ARRAY);
-            out.extend_from_slice(&(items.len() as u32).to_be_bytes());
-            for item in items {
-                bval_encode(item, out);
-            }
-        }
-        Json::Object(pairs) => {
-            out.push(BV_OBJECT);
-            out.extend_from_slice(&(pairs.len() as u32).to_be_bytes());
-            for (k, val) in pairs {
-                bval_put_str(out, k);
-                bval_encode(val, out);
-            }
-        }
+    emit_json(&mut BvalOut(out), v);
+}
+
+/// A streaming writer of the value tree both dialects carry: v1 JSON text
+/// ([`JsonOut`]) or bval ([`BvalOut`]). Typed replies and [`Json`] trees
+/// are emitted through it straight into an output buffer, so neither
+/// dialect builds an intermediate tree. Containers announce their length
+/// up front (bval needs it), and every element or key says whether it is
+/// the first (JSON needs the commas).
+pub(crate) trait Enc {
+    fn null(&mut self);
+    fn bool(&mut self, b: bool);
+    fn int(&mut self, i: i64);
+    fn uint(&mut self, u: u64);
+    fn float(&mut self, f: f64);
+    fn str(&mut self, s: &str);
+    fn array(&mut self, len: usize);
+    fn item(&mut self, first: bool);
+    fn end_array(&mut self);
+    fn object(&mut self, len: usize);
+    fn key(&mut self, k: &str, first: bool);
+    fn end_object(&mut self);
+}
+
+/// [`Enc`] writing bval.
+pub(crate) struct BvalOut<'a>(pub &'a mut Vec<u8>);
+
+impl BvalOut<'_> {
+    fn tagged(&mut self, tag: u8, bytes: [u8; 8]) {
+        self.0.push(tag);
+        self.0.extend_from_slice(&bytes);
+    }
+
+    fn counted(&mut self, len: usize) {
+        self.0.extend_from_slice(&(len as u32).to_be_bytes());
     }
 }
 
-fn bval_put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-    out.extend_from_slice(s.as_bytes());
+impl Enc for BvalOut<'_> {
+    fn null(&mut self) {
+        self.0.push(BV_NULL);
+    }
+    fn bool(&mut self, b: bool) {
+        self.0.push(if b { BV_TRUE } else { BV_FALSE });
+    }
+    fn int(&mut self, i: i64) {
+        self.tagged(BV_INT, i.to_be_bytes());
+    }
+    fn uint(&mut self, u: u64) {
+        self.tagged(BV_UINT, u.to_be_bytes());
+    }
+    fn float(&mut self, f: f64) {
+        self.tagged(BV_FLOAT, f.to_bits().to_be_bytes());
+    }
+    fn str(&mut self, s: &str) {
+        self.0.push(BV_STR);
+        self.key(s, true);
+    }
+    fn array(&mut self, len: usize) {
+        self.0.push(BV_ARRAY);
+        self.counted(len);
+    }
+    fn item(&mut self, _first: bool) {}
+    fn end_array(&mut self) {}
+    fn object(&mut self, len: usize) {
+        self.0.push(BV_OBJECT);
+        self.counted(len);
+    }
+    fn key(&mut self, k: &str, _first: bool) {
+        self.counted(k.len());
+        self.0.extend_from_slice(k.as_bytes());
+    }
+    fn end_object(&mut self) {}
+}
+
+/// [`Enc`] writing compact JSON text, byte for byte what
+/// `Json::to_json_string` writes for the same tree.
+pub(crate) struct JsonOut<'a>(pub &'a mut Vec<u8>);
+
+impl Enc for JsonOut<'_> {
+    fn null(&mut self) {
+        self.0.extend_from_slice(b"null");
+    }
+    fn bool(&mut self, b: bool) {
+        self.0
+            .extend_from_slice(if b { b"true" as &[u8] } else { b"false" });
+    }
+    fn int(&mut self, i: i64) {
+        let _ = write!(self.0, "{i}");
+    }
+    fn uint(&mut self, u: u64) {
+        let _ = write!(self.0, "{u}");
+    }
+    fn float(&mut self, f: f64) {
+        // `{:?}` keeps the `.0` on integral floats; non-finite floats
+        // degrade to null, as serde_json does.
+        if f.is_finite() {
+            let _ = write!(self.0, "{f:?}");
+        } else {
+            self.null();
+        }
+    }
+    fn str(&mut self, s: &str) {
+        let out = &mut *self.0;
+        out.push(b'"');
+        let mut plain = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let esc: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0x08 => b"\\b",
+                0x0C => b"\\f",
+                c if c < 0x20 => b"",
+                _ => continue,
+            };
+            out.extend_from_slice(&s.as_bytes()[plain..i]);
+            if esc.is_empty() {
+                let _ = write!(out, "\\u{b:04x}");
+            } else {
+                out.extend_from_slice(esc);
+            }
+            plain = i + 1;
+        }
+        out.extend_from_slice(&s.as_bytes()[plain..]);
+        out.push(b'"');
+    }
+    fn array(&mut self, _len: usize) {
+        self.0.push(b'[');
+    }
+    fn item(&mut self, first: bool) {
+        if !first {
+            self.0.push(b',');
+        }
+    }
+    fn end_array(&mut self) {
+        self.0.push(b']');
+    }
+    fn object(&mut self, _len: usize) {
+        self.0.push(b'{');
+    }
+    fn key(&mut self, k: &str, first: bool) {
+        self.item(first);
+        self.str(k);
+        self.0.push(b':');
+    }
+    fn end_object(&mut self) {
+        self.0.push(b'}');
+    }
+}
+
+/// Emits a [`Json`] tree through `e`.
+pub(crate) fn emit_json(e: &mut impl Enc, v: &Json) {
+    match v {
+        Json::Null => e.null(),
+        Json::Bool(b) => e.bool(*b),
+        Json::Int(i) => e.int(*i),
+        Json::UInt(u) => e.uint(*u),
+        Json::Float(f) => e.float(*f),
+        Json::String(s) => e.str(s),
+        Json::Array(items) => {
+            e.array(items.len());
+            for (i, item) in items.iter().enumerate() {
+                e.item(i == 0);
+                emit_json(e, item);
+            }
+            e.end_array();
+        }
+        Json::Object(pairs) => {
+            e.object(pairs.len());
+            for (i, (k, val)) in pairs.iter().enumerate() {
+                e.key(k, i == 0);
+                emit_json(e, val);
+            }
+            e.end_object();
+        }
+    }
 }
 
 /// Streaming bval reader over a borrowed byte slice. Counts claimed by
@@ -544,12 +692,21 @@ fn bval_put_str(out: &mut Vec<u8>, s: &str) {
 /// what the remaining bytes could actually hold, so a hostile
 /// `count = u32::MAX` header fails on truncation instead of reserving
 /// gigabytes.
-struct BvalReader<'a> {
+pub(crate) struct BvalReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> BvalReader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        BvalReader { bytes, pos: 0 }
+    }
+
+    /// Bytes consumed so far.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
@@ -563,24 +720,23 @@ impl<'a> BvalReader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
+    pub(crate) fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String, String> {
+    /// A length-prefixed string, borrowed from the input.
+    pub(crate) fn str(&mut self) -> Result<&'a str, String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_string)
-            .map_err(|_| "bval string is not UTF-8".to_string())
+        std::str::from_utf8(bytes).map_err(|_| "bval string is not UTF-8".to_string())
     }
 
     fn value(&mut self, depth: u32) -> Result<Json, String> {
@@ -591,12 +747,10 @@ impl<'a> BvalReader<'a> {
             BV_NULL => Ok(Json::Null),
             BV_FALSE => Ok(Json::Bool(false)),
             BV_TRUE => Ok(Json::Bool(true)),
-            BV_INT => Ok(Json::Int(i64::from_be_bytes(
-                self.take(8)?.try_into().unwrap(),
-            ))),
+            BV_INT => Ok(Json::Int(self.u64()? as i64)),
             BV_UINT => Ok(Json::UInt(self.u64()?)),
             BV_FLOAT => Ok(Json::Float(f64::from_bits(self.u64()?))),
-            BV_STR => Ok(Json::String(self.str()?)),
+            BV_STR => Ok(Json::String(self.str()?.to_string())),
             BV_ARRAY => {
                 let count = self.u32()? as usize;
                 // Each element costs at least its one tag byte.
@@ -611,7 +765,7 @@ impl<'a> BvalReader<'a> {
                 // Each pair costs at least 4 (key length) + 1 (tag) bytes.
                 let mut pairs = Vec::with_capacity(count.min(self.remaining() / 5));
                 for _ in 0..count {
-                    let key = self.str()?;
+                    let key = self.str()?.to_string();
                     let val = self.value(depth + 1)?;
                     pairs.push((key, val));
                 }
@@ -620,16 +774,61 @@ impl<'a> BvalReader<'a> {
             tag => Err(format!("unknown bval tag 0x{tag:02x}")),
         }
     }
+
+    /// Steps over one value exactly as [`value`](Self::value) would read
+    /// it — same checks, same order, same messages — without building
+    /// anything: validation that allocates nothing.
+    pub(crate) fn skip(&mut self, depth: u32) -> Result<(), String> {
+        if depth > BV_MAX_DEPTH {
+            return Err("bval nesting too deep".to_string());
+        }
+        match self.u8()? {
+            BV_NULL | BV_FALSE | BV_TRUE => {}
+            BV_INT | BV_UINT | BV_FLOAT => {
+                self.take(8)?;
+            }
+            BV_STR => {
+                self.str()?;
+            }
+            BV_ARRAY => {
+                for _ in 0..self.u32()? {
+                    self.skip(depth + 1)?;
+                }
+            }
+            BV_OBJECT => {
+                for _ in 0..self.u32()? {
+                    self.str()?;
+                    self.skip(depth + 1)?;
+                }
+            }
+            tag => return Err(format!("unknown bval tag 0x{tag:02x}")),
+        }
+        Ok(())
+    }
 }
 
-/// Decodes one bval value, requiring the input to be fully consumed.
-pub fn bval_decode(bytes: &[u8]) -> Result<Json, String> {
-    let mut r = BvalReader { bytes, pos: 0 };
-    let v = r.value(0)?;
+/// Runs `read` over `bytes`, requiring it to consume them all.
+fn bval_whole<'a, T>(
+    bytes: &'a [u8],
+    read: impl FnOnce(&mut BvalReader<'a>) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut r = BvalReader::new(bytes);
+    let v = read(&mut r)?;
     if r.remaining() != 0 {
         return Err(format!("{} trailing bytes after bval value", r.remaining()));
     }
     Ok(v)
+}
+
+/// Decodes one bval value, requiring the input to be fully consumed.
+pub fn bval_decode(bytes: &[u8]) -> Result<Json, String> {
+    bval_whole(bytes, |r| r.value(0))
+}
+
+/// Checks that `bytes` hold exactly one well-formed bval value, refusing
+/// precisely what [`bval_decode`] refuses, with the same message.
+pub(crate) fn bval_validate(bytes: &[u8]) -> Result<(), String> {
+    bval_whole(bytes, |r| r.skip(0))
 }
 
 impl Request {
@@ -660,6 +859,42 @@ impl Request {
     /// against the borrowed slice before anything request-sized is
     /// allocated; the error string is safe to echo to the client.
     pub fn parse_v2(payload: &[u8]) -> Result<Request, String> {
+        let head = V2Header::parse(payload)?;
+        let params = if head.body.is_empty() {
+            Json::Object(vec![])
+        } else {
+            match bval_decode(head.body)? {
+                Json::Null => Json::Object(vec![]),
+                obj @ Json::Object(_) => obj,
+                other => {
+                    return Err(format!(
+                        "v2 params must be an object, got {}",
+                        other.type_name()
+                    ))
+                }
+            }
+        };
+        Ok(Request {
+            id: head.id,
+            verb: head.verb.name().to_string(),
+            params,
+            trace: head.trace,
+        })
+    }
+}
+
+/// A v2 request's fixed header, and the params bytes behind it.
+pub(crate) struct V2Header<'a> {
+    pub id: u64,
+    pub verb: Verb,
+    pub trace: Option<u64>,
+    /// The bval params (empty when the frame carries none).
+    pub body: &'a [u8],
+}
+
+impl<'a> V2Header<'a> {
+    /// Validates the header (version byte, verb id, flags, trace id).
+    pub(crate) fn parse(payload: &'a [u8]) -> Result<V2Header<'a>, String> {
         if payload.len() < V2_HEADER_LEN {
             return Err(format!(
                 "v2 header needs {V2_HEADER_LEN} bytes, got {}",
@@ -673,44 +908,28 @@ impl Request {
             ));
         }
         let verb = Verb::from_id(payload[1])
-            .ok_or_else(|| format!("unknown v2 verb id {}", payload[1]))?
-            .name()
-            .to_string();
+            .ok_or_else(|| format!("unknown v2 verb id {}", payload[1]))?;
         let flags = payload[2];
         if flags & !V2_FLAG_TRACE != 0 {
             return Err(format!("unknown v2 flags 0x{flags:02x}"));
         }
-        let id = u64::from_be_bytes(payload[4..12].try_into().unwrap());
-        let mut rest = &payload[V2_HEADER_LEN..];
+        let id = u64::from_be_bytes(payload[4..12].try_into().expect("an 8-byte range"));
+        let mut body = &payload[V2_HEADER_LEN..];
         let trace = if flags & V2_FLAG_TRACE != 0 {
-            if rest.len() < 8 {
+            if body.len() < 8 {
                 return Err("v2 header truncated before trace id".to_string());
             }
-            let t = u64::from_be_bytes(rest[..8].try_into().unwrap());
-            rest = &rest[8..];
+            let t = u64::from_be_bytes(body[..8].try_into().expect("an 8-byte range"));
+            body = &body[8..];
             Some(t)
         } else {
             None
         };
-        let params = if rest.is_empty() {
-            Json::Object(vec![])
-        } else {
-            match bval_decode(rest)? {
-                Json::Null => Json::Object(vec![]),
-                obj @ Json::Object(_) => obj,
-                other => {
-                    return Err(format!(
-                        "v2 params must be an object, got {}",
-                        other.type_name()
-                    ))
-                }
-            }
-        };
-        Ok(Request {
+        Ok(V2Header {
             id,
             verb,
-            params,
             trace,
+            body,
         })
     }
 }
@@ -968,23 +1187,35 @@ mod tests {
         assert_eq!(bval_decode(&buf).unwrap(), v);
     }
 
+    /// Each hostile input is refused by the tree decoder and, with the
+    /// same message, by the in-place params view the server reads.
     #[test]
     fn bval_rejects_hostile_input_without_huge_allocation() {
+        let refuse = |buf: &[u8]| -> String {
+            let err = bval_decode(buf).unwrap_err();
+            assert_eq!(
+                crate::params::Params::validate_bval(buf).unwrap_err(),
+                err,
+                "{buf:02x?}"
+            );
+            err
+        };
+
         // Array claiming u32::MAX elements with no bytes behind it.
         let mut buf = vec![BV_ARRAY];
         buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert!(bval_decode(&buf).unwrap_err().contains("truncated"));
+        assert!(refuse(&buf).contains("truncated"));
 
         // Object claiming a huge pair count.
         let mut buf = vec![BV_OBJECT];
         buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert!(bval_decode(&buf).is_err());
+        refuse(&buf);
 
         // String length running past the end.
         let mut buf = vec![BV_STR];
         buf.extend_from_slice(&1_000_000u32.to_be_bytes());
         buf.push(b'x');
-        assert!(bval_decode(&buf).is_err());
+        refuse(&buf);
 
         // Nesting bomb: deeper than BV_MAX_DEPTH arrays of one element.
         let mut buf = Vec::new();
@@ -993,13 +1224,13 @@ mod tests {
             buf.extend_from_slice(&1u32.to_be_bytes());
         }
         buf.push(BV_NULL);
-        assert!(bval_decode(&buf).unwrap_err().contains("deep"));
+        assert!(refuse(&buf).contains("deep"));
 
         // Unknown tag and trailing garbage.
-        assert!(bval_decode(&[0x7F]).unwrap_err().contains("tag"));
-        assert!(bval_decode(&[BV_NULL, BV_NULL])
-            .unwrap_err()
-            .contains("trailing"));
+        assert!(refuse(&[0x7F]).contains("tag"));
+        assert!(refuse(&[BV_NULL, BV_NULL]).contains("trailing"));
+        // (Empty input is a missing value to the decoder, `{}` to a
+        // frame's params.)
         assert!(bval_decode(&[]).is_err());
     }
 

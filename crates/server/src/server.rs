@@ -161,7 +161,7 @@ pub(crate) struct Inner {
     pub(crate) store: SharedStore,
     pub(crate) catalog: Catalog,
     pub(crate) ctx: ServerContext,
-    pub(crate) queue: ShardedQueue<Job>,
+    pub(crate) queue: ShardedQueue<Job<'static>>,
     /// Nanoseconds of inline handler execution this event-loop iteration
     /// (reset by the loop each wakeup); the fast path's starvation guard.
     pub(crate) inline_spent_ns: AtomicU64,

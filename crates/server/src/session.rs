@@ -2,10 +2,11 @@
 //!
 //! A [`Session`] is what outlives one readiness event: workers, the
 //! streamer and the event loop all hold it by `Arc` and answer through
-//! [`Session::send`], which appends whole frames to the [`OutBuf`] and
-//! flushes as far as the kernel allows. Nothing here ever parks on a
-//! client socket (the one exception, [`Session::flush_blocking`], runs
-//! only after the event loop has exited).
+//! [`Session::reply`], which encodes a whole frame straight into the
+//! [`OutBuf`] and flushes as far as the kernel allows. Nothing here ever
+//! parks on a client socket (the one exception,
+//! [`Session::flush_blocking`], runs only after the event loop has
+//! exited).
 
 use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream};
@@ -16,8 +17,9 @@ use std::time::{Duration, Instant};
 
 use serde_json::Value as Json;
 
+use crate::handler::HandlerResult;
 use crate::metrics::{server_metrics, ServerMetrics};
-use crate::proto::{encode_response_v2, PROTOCOL_V2};
+use crate::proto::PROTOCOL_V2;
 
 /// Per-connection session state (the paper's "designer at a workstation").
 pub(crate) struct Session {
@@ -172,35 +174,30 @@ impl Session {
         ])
     }
 
-    /// Serializes a response envelope in this session's negotiated
-    /// dialect: v1 compact JSON or a v2 binary frame payload.
-    pub(crate) fn encode(&self, response: &Json) -> Vec<u8> {
-        if self.proto() == PROTOCOL_V2 {
-            encode_response_v2(response)
-        } else {
-            response.to_json_string().into_bytes()
+    /// Answers request `id` with `result`, encoded in this session's
+    /// dialect straight into the outbound buffer under its lock (see
+    /// [`append_reply`](crate::reply::append_reply): no half frame is
+    /// ever visible), then flushes what the kernel will take, never
+    /// blocking. Returns when encoding ended — the boundary between the
+    /// request's `serialize` and `write` phases. Write errors are
+    /// swallowed: the peer may have gone away, which is its problem.
+    pub(crate) fn reply(&self, id: u64, result: &HandlerResult) -> Instant {
+        let proto = self.proto();
+        let mut o = self.out.lock().unwrap_or_else(|p| p.into_inner());
+        if !self.admit(&mut o) {
+            return Instant::now();
         }
-    }
-
-    /// Writes one response frame (serialized, byte-counted). Write errors
-    /// are swallowed: the peer may have gone away, which is its problem.
-    pub(crate) fn send(&self, response: &Json) {
-        self.send_bytes(&self.encode(response));
-    }
-
-    /// Writes one already-serialized response frame. Split from [`send`]
-    /// so the worker can time serialization and the socket write as
-    /// separate phases.
-    pub(crate) fn send_bytes(&self, payload: &[u8]) {
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        if crate::proto::append_frame(&mut frame, payload).is_err() {
-            return;
+        let len = crate::reply::append_reply(&mut o.pending, proto, id, result);
+        let encoded = Instant::now();
+        let Some(len) = len else {
+            return encoded;
+        };
+        o.flush();
+        if self.note_flush_state(&mut o) {
+            self.bytes_out.fetch_add(len as u64, Ordering::Relaxed);
+            server_metrics().bytes_out.add(len as u64);
         }
-        if self.enqueue_raw(&frame) {
-            self.bytes_out
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-            server_metrics().bytes_out.add(payload.len() as u64);
-        }
+        encoded
     }
 
     /// Queues `bytes` on the write half and flushes what the kernel will
@@ -208,6 +205,17 @@ impl Session {
     /// just became) dead — the bytes were dropped.
     pub(crate) fn enqueue_raw(&self, bytes: &[u8]) -> bool {
         let mut o = self.out.lock().unwrap_or_else(|p| p.into_inner());
+        if !self.admit(&mut o) {
+            return false;
+        }
+        o.pending.extend_from_slice(bytes);
+        o.flush();
+        self.note_flush_state(&mut o)
+    }
+
+    /// Whether the write half takes more bytes: it is alive, and its
+    /// backlog is under the cap.
+    fn admit(&self, o: &mut OutBuf) -> bool {
         if o.dead {
             return false;
         }
@@ -223,9 +231,7 @@ impl Session {
             server_metrics().write_stalled_closed.inc();
             return false;
         }
-        o.pending.extend_from_slice(bytes);
-        o.flush();
-        self.note_flush_state(&mut o)
+        true
     }
 
     /// Flushes any buffered output (event loop, on `POLLOUT` readiness or

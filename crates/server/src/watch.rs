@@ -12,8 +12,10 @@ use std::time::{Duration, Instant};
 use ccdb_obs::timeseries::{self, SeriesDelta, TelemetryFrame};
 use serde_json::Value as Json;
 
+use crate::handler::{bad, HandlerResult};
 use crate::metrics::server_metrics;
-use crate::proto::{err_response, ok_response, ErrorKind, Request};
+use crate::params::Params;
+use crate::reply::Reply;
 use crate::server::Inner;
 use crate::session::Session;
 
@@ -51,18 +53,17 @@ pub(crate) struct WatchSub {
     next_due: Instant,
 }
 
-/// Handles a `watch` request: registers (or replaces, or with
+/// Handles `watch` request `id`: registers (or replaces, or with
 /// `stop: true` cancels) this session's telemetry subscription and
-/// returns the ack envelope. Streaming itself happens on the streamer
-/// thread.
+/// returns the ack. Streaming itself happens on the streamer thread.
 pub(crate) fn register_watch(
     inner: &Arc<Inner>,
     session: &Arc<Session>,
-    request: &Request,
-) -> Json {
+    id: u64,
+    p: Params,
+) -> HandlerResult {
     let m = server_metrics();
-    let p = &request.params;
-    if p.get("stop").and_then(Json::as_bool) == Some(true) {
+    if p.get("stop").and_then(Params::as_bool) == Some(true) {
         let removed = inner
             .watchers
             .lock()
@@ -72,28 +73,26 @@ pub(crate) fn register_watch(
         if removed {
             m.watch_subscribers.add(-1);
         }
-        return ok_response(
-            request.id,
-            Json::Object(vec![("watching".into(), Json::Bool(false))]),
-        );
+        return Ok(Reply::Json(Json::Object(vec![(
+            "watching".into(),
+            Json::Bool(false),
+        )])));
     }
     if inner.cfg.sample_interval_ms == 0 {
-        return err_response(
-            request.id,
-            ErrorKind::BadRequest,
+        return Err(bad(
             "telemetry sampler disabled on this server (sample_interval_ms = 0)",
-        );
+        ));
     }
     let interval_ms = p
         .get("interval_ms")
-        .and_then(Json::as_u64)
+        .and_then(Params::as_u64)
         .unwrap_or(WATCH_DEFAULT_INTERVAL_MS)
         .clamp(WATCH_MIN_INTERVAL_MS, WATCH_MAX_INTERVAL_MS);
     let patterns = series_patterns(p);
     let tick = timeseries::global_series().tick();
     let sub = WatchSub {
         session: Arc::clone(session),
-        request_id: request.id,
+        request_id: id,
         interval: Duration::from_millis(interval_ms),
         patterns: patterns.clone(),
         last_tick: tick,
@@ -109,36 +108,28 @@ pub(crate) fn register_watch(
     if !replaced {
         m.watch_subscribers.add(1);
     }
-    ok_response(
-        request.id,
-        Json::Object(vec![
-            ("watching".into(), Json::Bool(true)),
-            ("interval_ms".into(), Json::UInt(interval_ms)),
-            ("tick".into(), Json::UInt(tick)),
-            (
-                "sampler_interval_ms".into(),
-                Json::UInt(timeseries::global_series().interval_ms()),
-            ),
-            (
-                "series".into(),
-                Json::Array(patterns.into_iter().map(Json::String).collect()),
-            ),
-        ]),
-    )
+    Ok(Reply::Json(Json::Object(vec![
+        ("watching".into(), Json::Bool(true)),
+        ("interval_ms".into(), Json::UInt(interval_ms)),
+        ("tick".into(), Json::UInt(tick)),
+        (
+            "sampler_interval_ms".into(),
+            Json::UInt(timeseries::global_series().interval_ms()),
+        ),
+        (
+            "series".into(),
+            Json::Array(patterns.into_iter().map(Json::String).collect()),
+        ),
+    ])))
 }
 
 /// Extracts the `series` name/pattern list from request params, falling
 /// back to [`DEFAULT_SERIES_PATTERNS`].
-pub(crate) fn series_patterns(params: &Json) -> Vec<String> {
+pub(crate) fn series_patterns(params: Params) -> Vec<String> {
     let named: Vec<String> = params
         .get("series")
-        .and_then(Json::as_array)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|v| v.as_str().map(String::from))
-                .collect()
-        })
+        .and_then(Params::elems)
+        .map(|items| items.filter_map(|v| v.as_str().map(String::from)).collect())
         .unwrap_or_default();
     if named.is_empty() {
         DEFAULT_SERIES_PATTERNS
@@ -210,7 +201,7 @@ fn watch_frame_json(frame: &TelemetryFrame, seq: u64) -> Json {
 
 /// The streamer thread: every [`WATCH_TICK`] it sends each due
 /// subscription an incremental frame built from the telemetry ring.
-/// Frames go through [`Session::send`] — the same never-blocking
+/// Frames go through [`Session::reply`] — the same never-blocking
 /// outbound buffer as responses — so a subscriber that stops reading is
 /// killed by the stall sweep or backlog cap exactly like any other slow
 /// peer, without the streamer (or anyone else) ever blocking on it.
@@ -236,10 +227,10 @@ pub(crate) fn streamer_loop(inner: &Arc<Inner>) {
             sub.seq += 1;
             sub.last_tick = frame.tick;
             sub.next_due = now + sub.interval;
-            sub.session.send(&ok_response(
+            sub.session.reply(
                 sub.request_id,
-                watch_frame_json(&frame, sub.seq),
-            ));
+                &Ok(Reply::Json(watch_frame_json(&frame, sub.seq))),
+            );
             m.watch_frames.inc();
             if sub.session.is_dead() {
                 dead.push(*id);

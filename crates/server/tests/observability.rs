@@ -127,22 +127,30 @@ fn flight_recorder_catches_slow_requests_with_phase_timelines() {
         c.ping().unwrap();
     }
 
-    let f = c.flight().unwrap();
-    let slowest = f
-        .get("slowest")
-        .and_then(Json::as_array)
-        .map(|a| a.to_vec());
-    let slowest = slowest.expect("flight payload has a slowest array");
-    assert!(!slowest.is_empty(), "nothing retained: {f:?}");
     // Find *our* slow ping rather than assuming it ranks first: a ping
-    // with ≥400ms total, dominated by the handle phase.
-    let slow_ping = slowest
-        .iter()
-        .find(|r| {
+    // with ≥400ms total, dominated by the handle phase. Its worker records
+    // it only after writing the reply, so this inline `flight` can beat the
+    // record: poll, bounded.
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    let slow_ping = loop {
+        let f = c.flight().unwrap();
+        let slowest = f
+            .get("slowest")
+            .and_then(Json::as_array)
+            .expect("flight payload has a slowest array");
+        let found = slowest.iter().find(|r| {
             r.get("verb").and_then(Json::as_str) == Some("ping")
                 && r.get("total_ns").and_then(Json::as_u64).unwrap_or(0) >= 400_000_000
-        })
-        .unwrap_or_else(|| panic!("slow ping not retained in slowest view: {f:?}"));
+        });
+        if let Some(rec) = found {
+            break rec.clone();
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "slow ping not retained in slowest view: {f:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
     let handle = slow_ping
         .get("phases")
         .and_then(|p| p.get("handle"))

@@ -202,10 +202,44 @@ fn hostile_v2_frames_are_refused_without_allocation() {
         let mut resp = vec![0u8; u32::from_be_bytes(len) as usize];
         s.read_exact(&mut resp).unwrap();
         assert_ne!(resp[1], 0, "hostile count must be an error");
+        assert_eq!(
+            u64::from_be_bytes(resp[4..12].try_into().unwrap()),
+            1,
+            "the refusal answers the request id that was sent"
+        );
         assert!(
             started.elapsed() < Duration::from_secs(2),
             "refusal must be immediate, not an allocation stall"
         );
+    }
+    alive(addr);
+
+    // Malformed params behind a well-formed header — a non-object, a
+    // truncated body, a bad tag — are `protocol` errors answered with the
+    // header's id, so a pipelining client can match them; the session
+    // survives each one.
+    {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        hello(&mut s);
+        let bodies: [&[u8]; 3] = [
+            &[0x03, 0, 0, 0, 0, 0, 0, 0, 5],  // the integer 5
+            &[0x06, 0, 0, 0, 10, b'a', b'b'], // a string cut short
+            &[0x7F],                          // no such tag
+        ];
+        for (id, body) in (100u64..).zip(bodies) {
+            let mut payload = vec![2u8, 4, 0, 0]; // attr
+            payload.extend_from_slice(&id.to_be_bytes());
+            payload.extend_from_slice(body);
+            s.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
+            s.write_all(&payload).unwrap();
+            let mut len = [0u8; 4];
+            s.read_exact(&mut len).unwrap();
+            let mut resp = vec![0u8; u32::from_be_bytes(len) as usize];
+            s.read_exact(&mut resp).unwrap();
+            assert_eq!(resp[1], 1, "protocol status for {body:02x?}");
+            assert_eq!(u64::from_be_bytes(resp[4..12].try_into().unwrap()), id);
+        }
     }
     alive(addr);
 
@@ -225,6 +259,79 @@ fn hostile_v2_frames_are_refused_without_allocation() {
         assert_ne!(resp[1], 0, "JSON on a v2 session must be an error");
     }
     alive(addr);
+    server.shutdown();
+}
+
+/// Sends one raw frame on a fresh session (after the hello when
+/// `hello`) and returns the reply payload.
+fn raw_exchange(addr: std::net::SocketAddr, hello: bool, payload: &[u8]) -> Vec<u8> {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    if hello {
+        s.write_all(&HELLO_V2).unwrap();
+        let mut ack = [0u8; 4];
+        s.read_exact(&mut ack).unwrap();
+    }
+    s.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
+    s.write_all(payload).unwrap();
+    let mut len = [0u8; 4];
+    s.read_exact(&mut len).unwrap();
+    let mut resp = vec![0u8; u32::from_be_bytes(len) as usize];
+    s.read_exact(&mut resp).unwrap();
+    resp
+}
+
+/// v1 applies the rule v2 always had: params that are neither an object
+/// nor `null` are a `protocol` error ("params must be an object"), not a
+/// request that later misses its parameters. `null` reads as `{}`.
+#[test]
+fn v1_refuses_non_object_params_as_a_protocol_error() {
+    let server = common::start_default();
+    let addr = server.local_addr();
+    for params in ["[1]", "5", r#""obj""#] {
+        let frame = format!(r#"{{"v":1,"id":5,"verb":"attr","params":{params}}}"#);
+        let resp: Json =
+            serde_json::from_slice(&raw_exchange(addr, false, frame.as_bytes())).unwrap();
+        assert_eq!(resp["id"].as_u64(), Some(5), "{resp}");
+        assert_eq!(resp["ok"].as_bool(), Some(false), "{resp}");
+        assert_eq!(resp["error"]["kind"], "protocol", "{resp}");
+        let msg = resp["error"]["message"].as_str().unwrap();
+        assert!(msg.starts_with("params must be an object"), "{msg}");
+    }
+    let frame = br#"{"v":1,"id":6,"verb":"ping","params":null}"#;
+    let resp: Json = serde_json::from_slice(&raw_exchange(addr, false, frame)).unwrap();
+    assert_eq!(resp["ok"].as_bool(), Some(true), "{resp}");
+    server.shutdown();
+}
+
+/// The same inputs over v2 get the same answer: `protocol`, the same
+/// message, the request's id; `null` params read as `{}`.
+#[test]
+fn v2_refuses_non_object_params_as_v1_does() {
+    let server = common::start_default();
+    let addr = server.local_addr();
+    let bodies: [(&[u8], &str); 3] = [
+        (&[0x07, 0, 0, 0, 1, 0x03, 0, 0, 0, 0, 0, 0, 0, 1], "array"),
+        (&[0x03, 0, 0, 0, 0, 0, 0, 0, 5], "integer"),
+        (&[0x06, 0, 0, 0, 3, b'o', b'b', b'j'], "string"),
+    ];
+    for (body, ty) in bodies {
+        let mut payload = vec![2u8, 4, 0, 0]; // attr
+        payload.extend_from_slice(&5u64.to_be_bytes());
+        payload.extend_from_slice(body);
+        let resp = raw_exchange(addr, true, &payload);
+        assert_eq!(resp[1], 1, "protocol status");
+        assert_eq!(u64::from_be_bytes(resp[4..12].try_into().unwrap()), 5);
+        let mut msg = b"\x06".to_vec();
+        let text = format!("params must be an object, got {ty}");
+        msg.extend_from_slice(&(text.len() as u32).to_be_bytes());
+        msg.extend_from_slice(text.as_bytes());
+        assert_eq!(resp[12..], msg[..]);
+    }
+    let mut payload = vec![2u8, 1, 0, 0]; // ping
+    payload.extend_from_slice(&6u64.to_be_bytes());
+    payload.push(0x00); // null params
+    assert_eq!(raw_exchange(addr, true, &payload)[1], 0);
     server.shutdown();
 }
 
